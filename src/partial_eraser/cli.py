@@ -30,9 +30,10 @@ from .cascade import DetectorPlacement, build_cascade, cascade_measure
 from .epr import IntensityQuadruple, weighted_epr_track
 from .errors import ConfigError, ConvergenceFailure, DomainError, PartialEraserError
 from .inequality import delta_ac, delta_pair, inequality_margin, violation_region
-from .measurement import PartialMeasurementOp, TrackingMode, no_click_map
+from .measurement import PartialMeasurementOp, no_click_map
 from .montecarlo import (
     aggregate_records,
+    check_trials_and_seed,
     estimate_vs_analytic,
     iter_trials,
     trial_stream,
@@ -143,15 +144,11 @@ def cmd_chart(args) -> int:
     return EXIT_OK
 
 
-def _mode_from_flag(value: str | None) -> TrackingMode | None:
-    return None if value is None else TrackingMode(value)
-
-
 def cmd_run(args) -> int:
+    if args.gate is not None and not 0.0 <= args.gate < math.inf:
+        raise ConfigError(f"gate must be a finite number >= 0, got {args.gate!r}")
     parsed = parse_experiment_file(args.config)
-    config = resolve_config(
-        parsed, seed=args.seed, trials=args.trials, mode=_mode_from_flag(args.mode)
-    )
+    config = resolve_config(parsed, seed=args.seed, trials=args.trials)
     if args.log_trials:
         records = list(iter_trials(config))
         stats = aggregate_records(config, records)
@@ -222,6 +219,7 @@ def cmd_inequality_scan(args) -> int:
 
 def cmd_cascade_demo(args) -> int:
     seed = resolve_seed(args.seed, None)
+    check_trials_and_seed(args.trials, seed)
     rng = trial_stream(seed, 0)
     cascade = build_cascade(args.n_beams)
     measure = DetectorPlacement(Branch.PLUS, frozenset(range(args.detectors)))
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--mode", choices=("normalized", "weighted"), default=None)
     run.add_argument("--gate", type=float, default=None, metavar="SIGMA")
     run.add_argument("--log-trials", action="store_true")
     run.set_defaults(func=cmd_run)

@@ -6,11 +6,9 @@ the format round-trips ordered plans exactly:
 
     # comment
     preparation = epr            | single:plus | single:minus
-    mode        = normalized     | weighted
     trials      = 100000
     seed        = 42
     final_axis  = y              | x | z
-    counter_from = 1             # optional: plan index where erasure starts
     op      = A,x,plus,0.5       # photon, axis, branch, unmeasured fraction
     cascade = B,minus,50         # photon, branch, detectors [, beams (100)]
 
@@ -26,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .epr import Photon
 from .errors import ConfigError
-from .measurement import PartialMeasurementOp, TrackingMode
+from .measurement import PartialMeasurementOp
 from .montecarlo import (
     CascadeStep,
     ExperimentConfig,
@@ -58,11 +56,9 @@ class ParsedExperiment:
     """Raw file contents; None means the key was absent."""
 
     preparation: Preparation | None = None
-    mode: TrackingMode | None = None
     trials: int | None = None
     seed: int | None = None
     final_axis: Axis | None = None
-    counter_from: int | None = None
     plan: list[PlanStep] = field(default_factory=list)
 
 
@@ -170,19 +166,12 @@ def parse_experiment_text(text: str) -> ParsedExperiment:
         seen.add(key)
         if key == "preparation":
             parsed.preparation = _parse_preparation(value, lineno)
-        elif key == "mode":
-            try:
-                parsed.mode = TrackingMode(value.strip().lower())
-            except ValueError:
-                raise _fail(lineno, f"unknown mode {value!r}") from None
         elif key == "trials":
             parsed.trials = _parse_int(value, lineno, "trials")
         elif key == "seed":
             parsed.seed = _parse_int(value, lineno, "seed")
         elif key == "final_axis":
             parsed.final_axis = _parse_axis(value, lineno)
-        elif key == "counter_from":
-            parsed.counter_from = _parse_int(value, lineno, "counter_from")
         else:
             raise _fail(lineno, f"unknown key {key!r}")
     return parsed
@@ -217,7 +206,6 @@ def resolve_config(
     *,
     seed: int | None = None,
     trials: int | None = None,
-    mode: TrackingMode | None = None,
     env: dict | None = None,
 ) -> ExperimentConfig:
     """Combine file contents with command-line overrides."""
@@ -229,8 +217,6 @@ def resolve_config(
         final_axis=parsed.final_axis if parsed.final_axis is not None else Axis.Y,
         trials=trials if trials is not None else (parsed.trials or DEFAULT_TRIALS),
         master_seed=resolve_seed(seed, parsed.seed, env),
-        mode=mode if mode is not None else (parsed.mode or TrackingMode.NORMALIZED),
-        counter_from=parsed.counter_from,
     )
 
 
@@ -242,13 +228,10 @@ def format_experiment(config: ExperimentConfig) -> str:
         prep = f"single:{config.preparation.branch.value}"
     lines = [
         f"preparation = {prep}",
-        f"mode = {config.mode.value}",
         f"trials = {config.trials}",
         f"seed = {config.master_seed}",
         f"final_axis = {config.final_axis.value}",
     ]
-    if config.counter_from is not None:
-        lines.append(f"counter_from = {config.counter_from}")
     for step in config.plan:
         if isinstance(step, MeasureStep):
             lines.append(

@@ -73,8 +73,8 @@ def violation_region(tolerance: float) -> tuple[float, float]:
     positive on a dense grid just above it).  The upper boundary is the
     sign change of the margin, located by bisection to ``tolerance``.
     """
-    if tolerance <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
 
     for eps in (1e-3, 1e-2, 1e-1):
         if inequality_margin(1.0 + eps) <= 0.0:

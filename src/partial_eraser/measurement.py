@@ -102,10 +102,16 @@ class MeasurementOutcome:
 
 
 def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> float:
-    """Probability that one of the op's detectors fires on this state."""
+    """Probability that one of the op's detectors fires on this state; at
+    least 1 wherever ``no_click_map`` finds the silence impossible."""
     c_plus, c_minus = components_in(state, op.axis)
     c_meas = c_plus if op.branch is Branch.PLUS else c_minus
-    return (1.0 - op.alpha) * abs(c_meas) ** 2
+    c_other = c_minus if op.branch is Branch.PLUS else c_plus
+    mass = abs(c_meas) ** 2
+    p_click = (1.0 - op.alpha) * mass
+    if op.alpha * mass + abs(c_other) ** 2 <= 0.0:
+        return max(p_click, 1.0)  # rounding may leave mass a few ulp below 1
+    return p_click
 
 
 def no_click_map(

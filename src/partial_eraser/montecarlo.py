@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -44,9 +45,8 @@ from .measurement import (
 from .polarization import (
     Axis,
     Branch,
-    PolarizationState,
     basis_state,
-    branch_probability,
+    components_in,
 )
 
 
@@ -110,6 +110,15 @@ class CascadeStep:
 PlanStep = Union[MeasureStep, CascadeStep]
 
 
+def check_trials_and_seed(trials: int, master_seed: int) -> None:
+    """ConfigError unless there is at least one trial and the seed is a
+    64-bit unsigned integer."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    if not 0 <= master_seed < 2**64:
+        raise ConfigError("master_seed must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description (fully determines a run)."""
@@ -119,25 +128,16 @@ class ExperimentConfig:
     final_axis: Axis
     trials: int
     master_seed: int
-    mode: TrackingMode = TrackingMode.NORMALIZED
-    counter_from: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", tuple(self.plan))
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        check_trials_and_seed(self.trials, self.master_seed)
         if self.preparation.kind is PrepKind.SINGLE_PHOTON:
             for step in self.plan:
                 if step.photon is not Photon.A:
                     raise ConfigError(
                         "single-photon experiments cannot measure photon B"
                     )
-        if self.counter_from is not None and not 0 <= self.counter_from <= len(self.plan):
-            raise ConfigError(
-                f"counter_from must index into the plan, got {self.counter_from!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -180,113 +180,114 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
-def prepared_state(config: ExperimentConfig):
-    if config.preparation.kind is PrepKind.SINGLE_PHOTON:
-        return basis_state(Axis.Y, config.preparation.branch)
-    return make_epr()
+def _algebra(preparation: Preparation):
+    """The prepared state with its click-probability and no-click functions.
+
+    Both functions take ``(state, photon, op)``; the single photon ignores
+    ``photon``.  This and ``_final_outcomes`` are the only places where the
+    sampler and the oracles tell a single photon from a pair.
+    """
+    if preparation.kind is PrepKind.SINGLE_PHOTON:
+        return (
+            basis_state(Axis.Y, preparation.branch),
+            lambda state, photon, op: click_probability(op, state),
+            lambda state, photon, op: no_click_map(op, state, TrackingMode.NORMALIZED),
+        )
+    return (
+        make_epr(),
+        pair_click_probability,
+        lambda state, photon, op: apply_partial_pair(
+            state, photon, op, TrackingMode.NORMALIZED
+        ),
+    )
 
 
-@dataclass(frozen=True)
-class _CompiledStep:
-    p_click: float
-    detectors: tuple[int, ...] | None  # set for cascade steps only
+def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
+    """Born outcomes of the final same-axis measurement of ``state``, as
+    ``(probability, result_a, result_b, agreement)`` tuples.
+
+    A single photon agrees when it shows its prepared branch, a pair when
+    both photons show the same branch.
+    """
+    plus, minus = Branch.PLUS, Branch.MINUS
+    if preparation.kind is PrepKind.SINGLE_PHOTON:
+        c_plus, c_minus = components_in(state, axis)
+        return (
+            (abs(c_plus) ** 2, plus, None, preparation.branch is plus),
+            (abs(c_minus) ** 2, minus, None, preparation.branch is minus),
+        )
+    n = pair_axis_amplitudes(state, axis)
+    return (
+        (abs(n[0][0]) ** 2, plus, plus, True),
+        (abs(n[0][1]) ** 2, plus, minus, False),
+        (abs(n[1][0]) ** 2, minus, plus, False),
+        (abs(n[1][1]) ** 2, minus, minus, True),
+    )
 
 
-@dataclass(frozen=True)
-class _CompiledPlan:
-    """Per-step click thresholds and final-measurement cumulative masses.
+def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
+    """Follow the plan along its no-click path.
+
+    Returns the click probability of every step reached and the state that
+    survives the whole plan, or None for the state when no trial survives
+    (a step clicks with certainty, or its silence is impossible).
+    """
+    state, click, silent = _algebra(config.preparation)
+    p_clicks: list[float] = []
+    for step in config.plan:
+        op = step.op
+        p_click = click(state, step.photon, op)
+        p_clicks.append(p_click)
+        if p_click >= 1.0:
+            return p_clicks, None
+        try:
+            state = silent(state, step.photon, op)
+        except ZeroSurvival:
+            return p_clicks, None
+    return p_clicks, state
+
+
+def _compile_plan(config: ExperimentConfig) -> tuple[tuple, tuple | None]:
+    """Per-step click thresholds and the final-measurement buckets.
 
     The surviving-state trajectory is the same in every trial, so all the
     state algebra happens once here; a trial is then one uniform draw per
-    step plus one for the final measurement.
+    step plus one for the final measurement.  Steps are ``(p_click,
+    n_detectors)`` pairs, with ``n_detectors`` None for abstract ops.
+    Buckets are ``(cumulative probability, result_a, result_b, agreement)``
+    tuples, or None when no trial survives the plan.
     """
-
-    steps: tuple[_CompiledStep, ...]
-    final_cumulative: tuple[float, ...] | None
-    final_results: tuple[tuple[Branch | None, Branch | None], ...] | None
-
-
-def _compile_plan(config: ExperimentConfig) -> _CompiledPlan:
-    single = config.preparation.kind is PrepKind.SINGLE_PHOTON
-    state = prepared_state(config)
-    steps: list[_CompiledStep] = []
-    truncated = False
-    for step in config.plan:
-        op = step.op
-        if single:
-            p_click = click_probability(op, state)
-        else:
-            p_click = pair_click_probability(state, step.photon, op)
-        detectors = (
-            tuple(range(step.n_detectors)) if isinstance(step, CascadeStep) else None
-        )
-        steps.append(_CompiledStep(p_click, detectors))
-        if p_click >= 1.0:
-            truncated = True  # later steps and the final stage are unreachable
-            break
-        try:
-            if single:
-                state = no_click_map(op, state, TrackingMode.NORMALIZED)
-            else:
-                state = apply_partial_pair(
-                    state, step.photon, op, TrackingMode.NORMALIZED
-                )
-        except ZeroSurvival:
-            truncated = True
-            break
-
-    if truncated:
-        return _CompiledPlan(tuple(steps), None, None)
-
-    if single:
-        p_plus = branch_probability(state, config.final_axis, Branch.PLUS)
-        cumulative = (p_plus,)
-        results = ((Branch.PLUS, None), (Branch.MINUS, None))
-    else:
-        n = pair_axis_amplitudes(state, config.final_axis)
-        acc = 0.0
-        thresholds = []
-        results = []
-        for k, branch_a in enumerate((Branch.PLUS, Branch.MINUS)):
-            for l, branch_b in enumerate((Branch.PLUS, Branch.MINUS)):
-                acc += abs(n[k][l]) ** 2
-                thresholds.append(acc)
-                results.append((branch_a, branch_b))
-        cumulative = tuple(thresholds[:-1])  # the last bucket catches the rest
-        results = tuple(results)
-    return _CompiledPlan(tuple(steps), cumulative, tuple(results))
+    p_clicks, state = _walk(config)
+    steps = tuple(
+        (p_click, step.n_detectors if isinstance(step, CascadeStep) else None)
+        for p_click, step in zip(p_clicks, config.plan)
+    )
+    if state is None:  # later steps and the final stage are unreachable
+        return steps, None
+    outcomes = _final_outcomes(config.preparation, state, config.final_axis)
+    thresholds = list(accumulate(p for p, *_ in outcomes))
+    thresholds[-1] = math.inf  # the last bucket catches the rest
+    return steps, tuple(
+        (threshold, *results) for threshold, (_, *results) in zip(thresholds, outcomes)
+    )
 
 
-def _run_compiled_trial(
-    compiled: _CompiledPlan, config: ExperimentConfig, index: int
-) -> TrialRecord:
+def _run_compiled_trial(compiled, config: ExperimentConfig, index: int) -> TrialRecord:
+    steps, buckets = compiled
     rng = trial_stream(config.master_seed, index)
-    for step_idx, step in enumerate(compiled.steps):
+    for step_idx, (p_click, n_detectors) in enumerate(steps):
         u = rng.random()
-        if u < step.p_click:
+        if u < p_click:
             detector = None
-            if step.detectors is not None:
-                m = len(step.detectors)
-                detector = step.detectors[min(int(u / step.p_click * m), m - 1)]
+            if n_detectors is not None:
+                detector = min(int(u / p_click * n_detectors), n_detectors - 1)
             return TrialRecord(index, step_idx, detector, None, None, None)
-    if compiled.final_cumulative is None:
+    if buckets is None:
         raise ZeroSurvival("plan has no surviving path past its last step")
     u = rng.random()
-    position = 0
-    for threshold in compiled.final_cumulative:
+    for threshold, result_a, result_b, agreement in buckets:
         if u < threshold:
-            break
-        position += 1
-    result_a, result_b = compiled.final_results[position]
-    if config.preparation.kind is PrepKind.SINGLE_PHOTON:
-        agreement = result_a is config.preparation.branch
-        return TrialRecord(index, None, None, result_a, None, agreement)
-    return TrialRecord(index, None, None, result_a, result_b, result_a is result_b)
-
-
-def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
-    """Run one trial on its own (master_seed, index) stream."""
-    return _run_compiled_trial(_compile_plan(config), config, index)
+            return TrialRecord(index, None, None, result_a, result_b, agreement)
 
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
@@ -295,47 +296,29 @@ def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
         yield _run_compiled_trial(compiled, config, index)
 
 
-def surviving_state(config: ExperimentConfig):
-    """Deterministic state conditioned on every measurement staying silent."""
-    single = config.preparation.kind is PrepKind.SINGLE_PHOTON
-    state = prepared_state(config)
-    for step in config.plan:
-        op = step.op
-        if single:
-            state = no_click_map(op, state, config.mode)
-        else:
-            state = apply_partial_pair(state, step.photon, op, config.mode)
-    return state
-
-
 def analytic_agreement(config: ExperimentConfig) -> float:
     """Born agreement probability of the folded no-click state.
 
-    Clipped into [0, 1]: summed squared magnitudes can overshoot by a few
-    ulp, and the estimator divides by a possibly zero standard error.
+    Raises ZeroSurvival when the no-click path is impossible.  Clipped into
+    [0, 1]: summed squared magnitudes can overshoot by a few ulp, and the
+    estimator divides by a possibly zero standard error.
     """
-    state = surviving_state(config)
-    if config.preparation.kind is PrepKind.SINGLE_PHOTON:
-        p = branch_probability(state, config.final_axis, config.preparation.branch)
-    else:
-        n = pair_axis_amplitudes(state, config.final_axis)
-        p = abs(n[0][0]) ** 2 + abs(n[1][1]) ** 2
+    state, _, silent = _algebra(config.preparation)
+    for step in config.plan:
+        state = silent(state, step.photon, step.op)
+    outcomes = _final_outcomes(config.preparation, state, config.final_axis)
+    p = sum(p for p, _, _, agrees in outcomes if agrees)
     return min(1.0, max(0.0, p))
 
 
 def analytic_survival(config: ExperimentConfig) -> float:
     """Probability that a trial survives the whole plan without a click."""
-    single = config.preparation.kind is PrepKind.SINGLE_PHOTON
-    state = prepared_state(config)
+    p_clicks, state = _walk(config)
+    if state is None:
+        return 0.0
     prob = 1.0
-    for step in config.plan:
-        op = step.op
-        if single:
-            prob *= 1.0 - click_probability(op, state)
-            state = no_click_map(op, state, TrackingMode.NORMALIZED)
-        else:
-            prob *= 1.0 - pair_click_probability(state, step.photon, op)
-            state = apply_partial_pair(state, step.photon, op, TrackingMode.NORMALIZED)
+    for p_click in p_clicks:
+        prob *= 1.0 - p_click
     return prob
 
 
@@ -391,15 +374,11 @@ def disagreed(record: TrialRecord) -> bool:
     return record.agreement is False
 
 
-def counter_stage_click(config: ExperimentConfig) -> Callable[[TrialRecord], bool]:
-    """Predicate: the trial's click happened at or after ``counter_from``."""
+def counter_stage_click(start: int) -> Callable[[TrialRecord], bool]:
+    """Predicate: the trial clicked at plan step ``start`` or later."""
 
     def _event(record: TrialRecord) -> bool:
-        return (
-            record.click_step is not None
-            and config.counter_from is not None
-            and record.click_step >= config.counter_from
-        )
+        return record.click_step is not None and record.click_step >= start
 
     return _event
 
@@ -407,18 +386,16 @@ def counter_stage_click(config: ExperimentConfig) -> Callable[[TrialRecord], boo
 def conditional_click_stat(
     config: ExperimentConfig,
     condition: Callable[[TrialRecord], bool],
-    event: Callable[[TrialRecord], bool] | None = None,
+    event: Callable[[TrialRecord], bool],
 ) -> float:
     """Empirical probability of ``event`` among trials satisfying
     ``condition``.
 
-    ``event`` defaults to a click in the counter-measurement stage (the
-    plan suffix starting at ``config.counter_from``).  Raises
-    InsufficientStatistics when fewer than 100 trials satisfy the
-    condition.
+    For the click rate of a counter-measurement stage, pass
+    ``counter_stage_click(start)`` with the plan index where that stage
+    begins.  Raises InsufficientStatistics when fewer than 100 trials
+    satisfy the condition.
     """
-    if event is None:
-        event = counter_stage_click(config)
     selected_total = 0
     event_count = 0
     for record in iter_trials(config):
@@ -451,38 +428,24 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     probabilities.  Leaf probabilities sum to 1.  This enumerator is an
     oracle for the sampler and never feeds the sampling path.
     """
-    single = config.preparation.kind is PrepKind.SINGLE_PHOTON
+    prepared, click, silent = _algebra(config.preparation)
     leaves: list[EventLeaf] = []
-
-    def finalize(state, prob: float, path: tuple[str, ...]) -> None:
-        if single:
-            for branch in (Branch.PLUS, Branch.MINUS):
-                p = branch_probability(state, config.final_axis, branch)
-                agreement = branch is config.preparation.branch
-                leaves.append(
-                    EventLeaf(path + (f"final:{branch.value}",), prob * p, False, agreement)
-                )
-        else:
-            n = pair_axis_amplitudes(state, config.final_axis)
-            names = (Branch.PLUS, Branch.MINUS)
-            for k in range(2):
-                for l in range(2):
-                    p = abs(n[k][l]) ** 2
-                    label = f"final:{names[k].value},{names[l].value}"
-                    leaves.append(
-                        EventLeaf(path + (label,), prob * p, False, k == l)
-                    )
 
     def recurse(state, step_idx: int, prob: float, path: tuple[str, ...]) -> None:
         if step_idx == len(config.plan):
-            finalize(state, prob, path)
+            for p, result_a, result_b, agreement in _final_outcomes(
+                config.preparation, state, config.final_axis
+            ):
+                label = result_a.value if result_b is None else (
+                    f"{result_a.value},{result_b.value}"
+                )
+                leaves.append(
+                    EventLeaf(path + (f"final:{label}",), prob * p, False, agreement)
+                )
             return
         step = config.plan[step_idx]
         op = step.op
-        if single:
-            p_click = click_probability(op, state)
-        else:
-            p_click = pair_click_probability(state, step.photon, op)
+        p_click = click(state, step.photon, op)
         if isinstance(step, CascadeStep):
             p_per = p_click / step.n_detectors if step.n_detectors else 0.0
             for det in range(step.n_detectors):
@@ -497,13 +460,8 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
             )
         p_pass = 1.0 - p_click
         if p_pass > 0.0:
-            if single:
-                next_state = no_click_map(op, state, TrackingMode.NORMALIZED)
-            else:
-                next_state = apply_partial_pair(
-                    state, step.photon, op, TrackingMode.NORMALIZED
-                )
+            next_state = silent(state, step.photon, op)
             recurse(next_state, step_idx + 1, prob * p_pass, path + (f"pass@{step_idx}",))
 
-    recurse(prepared_state(config), 0, 1.0, ())
+    recurse(prepared, 0, 1.0, ())
     return tuple(leaves)

@@ -201,9 +201,3 @@ def amplitude_distance(a: PolarizationState, b: PolarizationState) -> float:
         abs(a.amp_up - b.amp_up) ** 2 + abs(a.amp_right - b.amp_right) ** 2
     )
 
-
-def states_close(
-    a: PolarizationState, b: PolarizationState, tol: float = NORM_TOL
-) -> bool:
-    """Amplitude-wise equality within ``tol`` (weights not compared)."""
-    return amplitude_distance(a, b) <= tol

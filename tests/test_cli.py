@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -34,7 +35,6 @@ preparation = epr
 trials = 20000
 seed = 42
 final_axis = y
-counter_from = 1
 op = A,x,plus,0.5
 op = B,x,minus,0.5
 """
@@ -44,6 +44,22 @@ preparation = epr
 trials = 5000
 seed = 7
 """
+
+# The first detector set leaves only the right branch, the second one
+# measures all of it, so no trial survives both.
+ZERO_SURVIVAL = """
+preparation = single:plus
+trials = 500
+seed = 3
+op = A,x,plus,0
+op = A,x,minus,0
+"""
+
+
+def assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert fragment in err
 
 
 class TestChart:
@@ -159,6 +175,34 @@ class TestRun:
             ["run", str(config), "--output", str(out), "--gate", "1e-12"]
         ) == 3
 
+    @pytest.mark.parametrize("gate", ["nan", "inf", "-1"])
+    def test_bad_gate_is_config_error(self, tmp_path, capsys, gate):
+        config = write_config(tmp_path, EPR_HALF)
+        out = tmp_path / "stats.csv"
+        assert main(["run", str(config), "--output", str(out), "--gate", gate]) == 2
+        assert_one_line_error(capsys, "gate")
+        assert not out.exists()
+
+    def test_zero_survival_plan_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, ZERO_SURVIVAL)
+        assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
+        assert_one_line_error(capsys, "no-click impossible")
+
+    @pytest.mark.parametrize("line", ["mode = normalized", "counter_from = 1"])
+    def test_removed_config_keys_rejected(self, tmp_path, capsys, line):
+        config = write_config(tmp_path, EPR_HALF + line + "\n")
+        assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
+        assert_one_line_error(capsys, "unknown key")
+
+    def test_removed_mode_flag_rejected(self, tmp_path):
+        config = write_config(tmp_path, EPR_HALF)
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["run", str(config), "--output", str(tmp_path / "s.csv"),
+                 "--mode", "normalized"]
+            )
+        assert exc.value.code == 2
+
     def test_config_error_exit_code(self, tmp_path):
         config = write_config(tmp_path, "trials = 10\n")
         assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
@@ -222,10 +266,15 @@ class TestInequalityScan:
         assert header == ["rho", "delta_ab_plus_bc", "delta_ac", "margin"]
         assert len(rows) == 200
 
-    def test_bad_tolerance(self, tmp_path):
-        assert main(
-            ["inequality-scan", "--tolerance", "-1", "--output", str(tmp_path / "c.csv")]
-        ) == 2
+    def test_bad_tolerance(self, tmp_path, capsys):
+        for tolerance in ("-1", "nan", "inf"):
+            assert main(
+                [
+                    "inequality-scan", "--tolerance", tolerance,
+                    "--output", str(tmp_path / "c.csv"),
+                ]
+            ) == 2, tolerance
+            assert_one_line_error(capsys, "tolerance")
 
     def test_bracketing_failure_exit_code(self, tmp_path, monkeypatch):
         from partial_eraser import cli
@@ -265,6 +314,20 @@ class TestCascadeDemo:
         empirical = float(printed.split("survival=")[1].split()[0])
         assert abs(empirical - 0.5) < 4 * math.sqrt(0.25 / 20000)
 
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["--seed", "-1"], "master_seed"),
+            (["--trials", "0"], "trials"),
+            (["--trials", "-5"], "trials"),
+        ],
+    )
+    def test_bad_numbers_are_config_errors(self, tmp_path, capsys, flags, fragment):
+        out = tmp_path / "demo.csv"
+        assert main(["cascade-demo", *flags, "--output", str(out)]) == 2
+        assert_one_line_error(capsys, fragment)
+        assert not out.exists()
+
     def test_demo_reproducible(self, capsys):
         args = ["cascade-demo", "--detectors", "3", "--trials", "5000", "--seed", "9"]
         assert main(args) == 0
@@ -273,9 +336,44 @@ class TestCascadeDemo:
         assert capsys.readouterr().out == first
 
 
+# sha256 of the summary and --log-trials CSVs of each shipped config at
+# 2,000 trials.  A change that alters any fixed-seed output byte fails here.
+GOLDEN_DIGESTS = {
+    "empty_plan.cfg": (
+        "da94262527472d848f96d930e8ab496fa895c684c66e3fdf09225890d9e55e0f",
+        "5645df2277ff9732473414c9817df532bb48818e0c408374ec1f041d9d8ceb52",
+    ),
+    "epr_k05.cfg": (
+        "ba0bdd14455bed797ca954054c035c1cd75c7472e4adc0152cd965e4c0375f1b",
+        "802bb7bf0e15fcdcfec39759c3119ec4e4c834d44bcca71e403d65fe9708b316",
+    ),
+    "erasure.cfg": (
+        "07b5da146b7dbf6a0f19613fc82c336fc77aca9d8dff0b6267d108bfafbe9ed1",
+        "d99afe1038e3e795a8a1334167b233f668ab58a36ef81a7441081a0a9c1f01f3",
+    ),
+    "single_half.cfg": (
+        "a19e8b38f0601767be52e2a713d49646111799ccbedc45825823b72b87e62c66",
+        "21ef29152f7a223267ed517305856f5ef2ca2bf347a644060a859482a51b579c",
+    ),
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_shipped_golden_configs(tmp_path, capsys):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    config = os.path.join(here, "configs", "epr_k05.cfg")
+    configs = os.path.join(here, "configs")
+    config = os.path.join(configs, "epr_k05.cfg")
     out = tmp_path / "golden.csv"
     assert main(["run", config, "--output", str(out), "--trials", "20000", "--gate", "4"]) == 0
     assert "predicted=0.9714" in capsys.readouterr().out
+
+    assert sorted(os.listdir(configs)) == sorted(GOLDEN_DIGESTS)
+    for name, (summary, log) in GOLDEN_DIGESTS.items():
+        out = tmp_path / f"{name}.csv"
+        argv = ["run", os.path.join(configs, name), "--output", str(out)]
+        assert main(argv + ["--trials", "2000", "--log-trials"]) == 0
+        assert sha256_of(out) == summary, name
+        assert sha256_of(tmp_path / f"{name}.csv.trials.csv") == log, name

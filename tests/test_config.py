@@ -10,7 +10,6 @@ from partial_eraser import (
     PartialMeasurementOp,
     Photon,
     Preparation,
-    TrackingMode,
 )
 from partial_eraser.config import (
     SEED_ENV_VAR,
@@ -23,11 +22,9 @@ from partial_eraser.config import (
 GOLDEN_TEXT = """
 # a comment line
 preparation = epr
-mode = weighted
 trials = 500
 seed = 9
 final_axis = y
-counter_from = 1
 op = A,x,plus,0.5     # trailing comment
 op = B,x,minus,0.5
 cascade = A,plus,30,100
@@ -38,11 +35,9 @@ def test_parse_golden_text():
     parsed = parse_experiment_text(GOLDEN_TEXT)
     config = resolve_config(parsed)
     assert config.preparation == Preparation.epr()
-    assert config.mode is TrackingMode.WEIGHTED
     assert config.trials == 500
     assert config.master_seed == 9
     assert config.final_axis is Axis.Y
-    assert config.counter_from == 1
     assert config.plan == (
         MeasureStep(Photon.A, PartialMeasurementOp(Axis.X, Branch.PLUS, 0.5)),
         MeasureStep(Photon.B, PartialMeasurementOp(Axis.X, Branch.MINUS, 0.5)),
@@ -64,7 +59,6 @@ def test_round_trip_single_photon():
         final_axis=Axis.Z,
         trials=10,
         master_seed=3,
-        mode=TrackingMode.WEIGHTED,
     )
     assert resolve_config(parse_experiment_text(format_experiment(config))) == config
 
@@ -112,7 +106,6 @@ def test_missing_preparation_rejected():
 def test_defaults():
     config = resolve_config(parse_experiment_text("preparation = epr"), env={})
     assert config.trials == 100_000
-    assert config.mode is TrackingMode.NORMALIZED
     assert config.final_axis is Axis.Y
     assert config.master_seed == 0
 
@@ -137,9 +130,5 @@ class TestSeedPrecedence:
 
 def test_overrides():
     parsed = parse_experiment_text("preparation = epr\ntrials = 10\nseed = 1")
-    config = resolve_config(parsed, seed=2, trials=20, mode=TrackingMode.WEIGHTED)
-    assert (config.master_seed, config.trials, config.mode) == (
-        2,
-        20,
-        TrackingMode.WEIGHTED,
-    )
+    config = resolve_config(parsed, seed=2, trials=20)
+    assert (config.master_seed, config.trials) == (2, 20)

@@ -11,6 +11,7 @@ from partial_eraser import (
     Branch,
     DomainError,
     PartialMeasurementOp,
+    PolarizationState,
     TrackingMode,
     ZeroSurvival,
     apply_sequence,
@@ -127,6 +128,15 @@ class TestClickProbability:
 
     def test_empty_branch_never_clicks(self):
         assert click_probability(op(Axis.X, Branch.PLUS, 0.4), RIGHT) == 0.0
+
+    def test_certain_click_when_silence_is_impossible(self):
+        # |amp_up|^2 rounds to 1 - 2^-52 here, but nothing lies outside the
+        # measured branch, so a complete measurement must click.
+        state = PolarizationState(complex(0.7071067811865475, 0.7071067811865475), 0.0)
+        complete = op(Axis.X, Branch.PLUS, 0.0)
+        assert click_probability(complete, state) == 1.0
+        with pytest.raises(ZeroSurvival):
+            no_click_map(complete, state)
 
     def test_half_measurement_quarter(self):
         assert click_probability(op(Axis.X, Branch.PLUS, 0.5), DIAG) == pytest.approx(

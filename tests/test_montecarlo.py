@@ -19,28 +19,34 @@ from partial_eraser import (
     TrialStats,
     analytic_agreement,
     analytic_survival,
+    apply_partial_pair,
     conditional_click_stat,
     enumerate_event_tree,
     estimate_vs_analytic,
+    make_epr,
     run_experiment,
     y_correlation_pair,
     y_correlation_single,
 )
-from partial_eraser.montecarlo import disagreed, iter_trials, survived, surviving_state
+from partial_eraser.montecarlo import (
+    counter_stage_click,
+    disagreed,
+    iter_trials,
+    survived,
+)
 
 
 def measure(photon, axis, branch, alpha):
     return MeasureStep(photon, PartialMeasurementOp(axis, branch, alpha))
 
 
-def epr_config(plan, trials=100_000, seed=42, **kwargs):
+def epr_config(plan, trials=100_000, seed=42):
     return ExperimentConfig(
         preparation=Preparation.epr(),
         plan=tuple(plan),
         final_axis=Axis.Y,
         trials=trials,
         master_seed=seed,
-        **kwargs,
     )
 
 
@@ -109,12 +115,27 @@ class TestRunExperiment:
         assert abs(stats.surviving / stats.total - survival) < 3 * sigma
 
     def test_weighted_weight_equals_survival(self):
-        config = epr_config(
-            [HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=10, mode=TrackingMode.WEIGHTED
+        config = epr_config([HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=10)
+        state = make_epr()
+        for step in config.plan:
+            state = apply_partial_pair(state, step.photon, step.op, TrackingMode.WEIGHTED)
+        assert state.weight == pytest.approx(analytic_survival(config), abs=1e-12)
+
+    def test_zero_survival_plan(self):
+        config = ExperimentConfig(
+            preparation=Preparation.single(Branch.PLUS),
+            plan=(
+                measure(Photon.A, Axis.X, Branch.PLUS, 0.0),
+                measure(Photon.A, Axis.X, Branch.MINUS, 0.0),
+            ),
+            final_axis=Axis.Y,
+            trials=10,
+            master_seed=0,
         )
-        assert surviving_state(config).weight == pytest.approx(
-            analytic_survival(config), abs=1e-12
-        )
+        assert analytic_survival(config) == 0.0
+        leaves = enumerate_event_tree(config)
+        assert sum(leaf.probability for leaf in leaves if not leaf.clicked) == 0.0
+        assert sum(leaf.probability for leaf in leaves) == pytest.approx(1.0, abs=1e-12)
 
     def test_cascade_step_equivalent_to_op(self):
         by_op = epr_config([HALF_UP_ON_A], trials=30_000, seed=5)
@@ -151,10 +172,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             epr_config([], seed=2**64)
 
-    def test_counter_from_range(self):
-        with pytest.raises(ConfigError):
-            epr_config([HALF_UP_ON_A], counter_from=2)
-
     def test_cascade_step_bounds(self):
         with pytest.raises(ConfigError):
             CascadeStep(Photon.A, Branch.PLUS, 5, 4)
@@ -169,27 +186,24 @@ class TestConditionalClickStat:
         assert abs(rate - expected) < 3 * sigma
 
     def test_counter_measurement_removes_disagreement(self):
-        config = epr_config(
-            [HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=60_000, seed=99, counter_from=1
-        )
+        config = epr_config([HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=60_000, seed=99)
         assert conditional_click_stat(config, survived, event=disagreed) == 0.0
 
     def test_counter_stage_click_mass(self):
-        config = epr_config(
-            [HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=60_000, seed=17, counter_from=1
-        )
-        rate = conditional_click_stat(config, lambda record: True)
+        config = epr_config([HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=60_000, seed=17)
+        rate = conditional_click_stat(config, lambda record: True, counter_stage_click(1))
         sigma = math.sqrt(0.25 * 0.75 / config.trials)
         assert abs(rate - 0.25) < 3 * sigma
 
     def test_vacuous_condition_empty_plan(self):
         config = epr_config([], trials=500)
-        assert conditional_click_stat(config, lambda record: True) == 0.0
+        rate = conditional_click_stat(config, lambda record: True, counter_stage_click(0))
+        assert rate == 0.0
 
     def test_insufficient_statistics(self):
         config = epr_config([HALF_UP_ON_A], trials=200, seed=3)
         with pytest.raises(InsufficientStatistics):
-            conditional_click_stat(config, disagreed)
+            conditional_click_stat(config, disagreed, counter_stage_click(0))
 
 
 class TestEstimator:
