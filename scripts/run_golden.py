@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Run every shipped experiment config with a 4-sigma regression gate."""
+"""Run every shipped experiment config with a 4-sigma regression gate,
+printing each run's wall time after its gate line."""
 
 import argparse
 import pathlib
 import sys
+import time
 
 from partial_eraser.cli import main as cli_main
 
@@ -21,9 +23,11 @@ def main() -> int:
     for config in sorted(CONFIG_DIR.glob("*.cfg")):
         out = args.out_dir / f"{config.stem}.csv"
         print(f"== {config.stem}")
+        start = time.perf_counter()
         code = cli_main(
             ["run", str(config), "--output", str(out), "--gate", str(args.gate)]
         )
+        print(f"   exit {code} in {time.perf_counter() - start:.3f} s")
         worst = max(worst, code)
     return worst
 

@@ -83,6 +83,7 @@ from .montecarlo import (
     estimate_vs_analytic,
     run_experiment,
     trial_stream,
+    trial_uniforms,
 )
 
 __version__ = "0.1.0"

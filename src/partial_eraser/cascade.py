@@ -24,14 +24,16 @@ from .measurement import (
     OutcomeKind,
     PartialMeasurementOp,
     TrackingMode,
+    _silent_state,
     no_click_map,
 )
 from .polarization import (
     Axis,
     Branch,
     PolarizationState,
+    _trusted_state,
     amplitude_distance,
-    basis_state,
+    basis_vector,
 )
 
 
@@ -123,16 +125,15 @@ def cascade_measure(
     if u < p_click:
         # u is uniform on [0, p_click); reuse it to pick the detector.
         which = min(int(u / p_click * m), m - 1)
+        up, right = basis_vector(Axis.X, placement.branch)
         return MeasurementOutcome(
             OutcomeKind.CLICK,
             p_click,
-            basis_state(Axis.X, placement.branch),
+            _trusted_state(up, right, 1.0),
             detector=placement._ordered[which],
         )
-    op = PartialMeasurementOp(Axis.X, placement.branch, (n - m) / n)
-    return MeasurementOutcome(
-        OutcomeKind.NO_CLICK, 1.0 - p_click, no_click_map(op, state, mode)
-    )
+    post = _silent_state(Axis.X, placement.branch, (n - m) / n, state, mode)
+    return MeasurementOutcome(OutcomeKind.NO_CLICK, 1.0 - p_click, post)
 
 
 def cascade_no_click_state(

@@ -26,17 +26,19 @@ from .config import (
     resolve_config,
     resolve_seed,
 )
-from .cascade import DetectorPlacement, build_cascade, cascade_measure
-from .epr import IntensityQuadruple, weighted_epr_track
+from .epr import IntensityQuadruple, Photon, weighted_epr_track
 from .errors import ConfigError, ConvergenceFailure, DomainError, PartialEraserError
 from .inequality import delta_ac, delta_pair, inequality_margin, violation_region
 from .measurement import PartialMeasurementOp, no_click_map
 from .montecarlo import (
-    aggregate_records,
-    check_trials_and_seed,
+    CascadeStep,
+    ExperimentConfig,
+    Preparation,
+    analytic_survival,
+    count_trials,
     estimate_vs_analytic,
     iter_trials,
-    trial_stream,
+    run_experiment,
 )
 from .polarization import Axis, Branch, basis_state, polarization_angle, uncertainty_spreads
 
@@ -149,12 +151,10 @@ def cmd_run(args) -> int:
         raise ConfigError(f"gate must be a finite number >= 0, got {args.gate!r}")
     parsed = parse_experiment_file(args.config)
     config = resolve_config(parsed, seed=args.seed, trials=args.trials)
+    stats = run_experiment(config)
     if args.log_trials:
-        records = list(iter_trials(config))
-        stats = aggregate_records(config, records)
-        log_path = str(args.output) + ".trials.csv"
         write_csv(
-            log_path,
+            str(args.output) + ".trials.csv",
             ["trial", "click_step", "detector", "result_a", "result_b", "agreement"],
             (
                 [
@@ -165,11 +165,9 @@ def cmd_run(args) -> int:
                     "" if r.result_b is None else r.result_b.value,
                     "" if r.agreement is None else int(r.agreement),
                 ]
-                for r in records
+                for r in iter_trials(config)
             ),
         )
-    else:
-        stats = aggregate_records(config, iter_trials(config))
     z = estimate_vs_analytic(stats) if stats.surviving > 0 else math.nan
     write_csv(
         args.output,
@@ -218,30 +216,16 @@ def cmd_inequality_scan(args) -> int:
 
 
 def cmd_cascade_demo(args) -> int:
-    seed = resolve_seed(args.seed, None)
-    check_trials_and_seed(args.trials, seed)
-    rng = trial_stream(seed, 0)
-    cascade = build_cascade(args.n_beams)
-    measure = DetectorPlacement(Branch.PLUS, frozenset(range(args.detectors)))
-    erase = DetectorPlacement(Branch.MINUS, frozenset(range(args.detectors)))
-    source = basis_state(Axis.Y, Branch.PLUS)
-
-    clicks = 0
-    survivors = 0
-    for _ in range(args.trials):
-        outcome = cascade_measure(source, measure, cascade, rng)
-        if outcome.clicked:
-            clicks += 1
-            continue
-        if args.erase:
-            outcome = cascade_measure(outcome.post_state, erase, cascade, rng)
-            if outcome.clicked:
-                clicks += 1
-                continue
-        survivors += 1
-
     n, m = args.n_beams, args.detectors
-    analytic = (2 * n - 2 * m) / (2 * n) if args.erase else (2 * n - m) / (2 * n)
+    plan = [CascadeStep(Photon.A, Branch.PLUS, m, n)]
+    if args.erase:
+        plan.append(CascadeStep(Photon.A, Branch.MINUS, m, n))
+    config = ExperimentConfig(
+        Preparation.single(Branch.PLUS), tuple(plan), Axis.Y, args.trials,
+        resolve_seed(args.seed, None),
+    )
+    clicks, survivors, _ = count_trials(config)
+    analytic = analytic_survival(config)
     empirical = survivors / args.trials
     print(
         f"trials={args.trials} clicks={clicks} survivors={survivors} "

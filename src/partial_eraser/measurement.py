@@ -37,9 +37,10 @@ from .polarization import (
     Axis,
     Branch,
     PolarizationState,
+    _normalized_amplitudes,
+    _trusted_state,
     basis_state,
     components_in,
-    from_components,
 )
 
 
@@ -128,28 +129,45 @@ def no_click_map(
     outcome is impossible (alpha = 0 with everything in the measured
     branch).
     """
-    if op.is_identity:
+    return _silent_state(op.axis, op.branch, op.alpha, state, mode)
+
+
+def _silent_state(
+    axis: Axis,
+    branch: Branch,
+    alpha: float,
+    state: PolarizationState,
+    mode: TrackingMode,
+) -> PolarizationState:
+    """``no_click_map`` for an op given by its parts, so that hot loops
+    need not build a ``PartialMeasurementOp`` per call.  ``alpha`` must be
+    a float in [0, 1].  The result is built without re-running the state
+    checks: its amplitudes are normalized here and its weight is the
+    input's, times the survival probability in WEIGHTED mode."""
+    if alpha == 1.0:
         return state
-    c_plus, c_minus = components_in(state, op.axis)
-    if op.branch is Branch.PLUS:
+    c_plus, c_minus = components_in(state, axis)
+    if branch is Branch.PLUS:
         c_meas, c_other = c_plus, c_minus
     else:
         c_meas, c_other = c_minus, c_plus
 
-    survival = op.alpha * abs(c_meas) ** 2 + abs(c_other) ** 2
+    survival = alpha * abs(c_meas) ** 2 + abs(c_other) ** 2
     if survival <= 0.0:
         raise ZeroSurvival(
-            f"no-click impossible: alpha={op.alpha} on a fully measured branch"
+            f"no-click impossible: alpha={alpha} on a fully measured branch"
         )
 
-    scale = math.sqrt(op.alpha) / math.sqrt(survival)
+    scale = math.sqrt(alpha) / math.sqrt(survival)
     c_meas = c_meas * scale
     c_other = c_other / math.sqrt(survival)
 
     weight = state.weight * survival if mode is TrackingMode.WEIGHTED else state.weight
-    if op.branch is Branch.PLUS:
-        return from_components(op.axis, c_meas, c_other, weight)
-    return from_components(op.axis, c_other, c_meas, weight)
+    if branch is Branch.PLUS:
+        up, right = _normalized_amplitudes(axis, c_meas, c_other)
+    else:
+        up, right = _normalized_amplitudes(axis, c_other, c_meas)
+    return _trusted_state(up, right, weight)
 
 
 def sample(

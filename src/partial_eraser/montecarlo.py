@@ -11,7 +11,9 @@ other (pair).
 
 Every trial draws from its own random stream derived from
 (master_seed, trial_index), so runs are reproducible bit for bit and
-trials may be evaluated in any order or in parallel.
+trials may be evaluated in any order or in parallel.  ``trial_stream``
+builds one such stream; the runner computes the same draws for a whole
+chunk of trials at once with ``trial_uniforms``, bit for bit.
 
 ``enumerate_event_tree`` walks every click / no-click branch of the same
 plan deterministically, which serves as an independent oracle for the
@@ -176,8 +178,126 @@ class TrialStats:
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent random stream for one trial (splittable by index)."""
+    """Independent random stream for one trial (splittable by index).
+
+    ``trial_uniforms`` is the batch form: it computes the first draws of
+    many of these streams at once without building a Generator for each.
+    """
     return np.random.default_rng([master_seed, trial_index])
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.  The
+# hash constants follow a fixed sequence that does not depend on the
+# data, so each call's pair (xor constant, multiplier) is listed up front.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    consts = []
+    for _ in range(count):
+        consts.append((init, init * mult & _MASK32))
+        init = init * mult & _MASK32
+    return tuple(consts)
+
+
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
+
+
+def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
+    xor, mult = consts
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence entropy words of ``n``: least significant first, >= 1."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
+    low, shift = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = a & low, a >> shift
+    b0, b1 = b & low, b >> shift
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> shift) + (p01 & low) + (p10 & low)
+    return a1 * b1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    new_lo = lo + add_lo
+    return hi + add_hi + (new_lo < lo).astype(np.uint64), new_lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step ``state * M + inc`` of PCG64."""
+    prod_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO)
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """Row ``i`` equals ``trial_stream(master_seed, start + i).random(k)``.
+
+    Reproduces numpy's SeedSequence and PCG64 (XSL-RR output) in uint32 and
+    uint64 array arithmetic, bit for bit, for every trial of the range at
+    once.  Indices from 2^32 on have a second entropy word, so a range
+    that crosses 2^32 is computed in two parts.
+    """
+    if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
+        raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
+    if start < 2**32 < stop:
+        return np.concatenate(
+            [trial_uniforms(master_seed, start, 2**32, k),
+             trial_uniforms(master_seed, 2**32, stop, k)]
+        )
+    n = stop - start
+    with np.errstate(over="ignore"):
+        index = np.arange(start, stop, dtype=np.uint64)
+        entropy = [np.full(n, word, np.uint32) for word in _uint32_words(master_seed)]
+        entropy.append((index & np.uint64(_MASK32)).astype(np.uint32))
+        if start >= 2**32:
+            entropy.append((index >> np.uint64(32)).astype(np.uint32))
+        entropy += [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
+
+        consts = iter(_MIX_HASH)
+        pool = [_hashmix(word, next(consts)) for word in entropy]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+        out = [
+            _hashmix(pool[i % _POOL], c).astype(np.uint64)
+            for i, c in enumerate(_STATE_HASH)
+        ]
+        w0, w1, w2, w3 = (out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4))
+
+        # PCG64 seeding: inc = 2 seq + 1; from state 0 step, add, step.
+        inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
+        inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
+        hi, lo = _add128(inc_hi, inc_lo, w0, w1)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+        draws = np.empty((n, k))
+        for j in range(k):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            rot = hi >> np.uint64(58)
+            x = hi ^ lo
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            draws[:, j] = (x >> np.uint64(11)) * (1.0 / 2**53)
+    return draws
 
 
 def _algebra(preparation: Preparation):
@@ -272,28 +392,75 @@ def _compile_plan(config: ExperimentConfig) -> tuple[tuple, tuple | None]:
     )
 
 
-def _run_compiled_trial(compiled, config: ExperimentConfig, index: int) -> TrialRecord:
+# Trials sampled per array batch: large enough to amortize numpy's
+# per-call cost, small enough that a lazy consumer of ``iter_trials`` gets
+# its first record fast and the batch's temporaries stay a few megabytes.
+_CHUNK = 4096
+
+
+def _sample_chunk(compiled, master_seed: int, start: int, stop: int):
+    """Outcomes of trials ``start .. stop-1`` as three int arrays.
+
+    Trial ``i`` draws one uniform per plan step and one for the final
+    measurement from ``trial_stream(master_seed, i)``; step ``s`` clicks
+    when its uniform is below ``p_click``.  Returns the click step, the
+    clicking detector and the final bucket of every trial, each -1 where
+    it does not apply (the detector also for abstract ops).
+    """
     steps, buckets = compiled
-    rng = trial_stream(config.master_seed, index)
+    u = trial_uniforms(master_seed, start, stop, len(steps) + 1)
+    click_step = np.full(stop - start, -1)
+    detector = np.full(stop - start, -1)
+    alive = np.ones(stop - start, dtype=bool)
     for step_idx, (p_click, n_detectors) in enumerate(steps):
-        u = rng.random()
-        if u < p_click:
-            detector = None
-            if n_detectors is not None:
-                detector = min(int(u / p_click * n_detectors), n_detectors - 1)
-            return TrialRecord(index, step_idx, detector, None, None, None)
+        hit = alive & (u[:, step_idx] < p_click)
+        click_step[hit] = step_idx
+        if n_detectors is not None:
+            scaled = np.trunc(u[hit, step_idx] / p_click * n_detectors)
+            detector[hit] = np.minimum(scaled, n_detectors - 1)
+        alive &= ~hit
     if buckets is None:
-        raise ZeroSurvival("plan has no surviving path past its last step")
-    u = rng.random()
-    for threshold, result_a, result_b, agreement in buckets:
-        if u < threshold:
-            return TrialRecord(index, None, None, result_a, result_b, agreement)
+        if alive.any():
+            raise ZeroSurvival("plan has no surviving path past its last step")
+        return click_step, detector, np.full(stop - start, -1)
+    thresholds = [threshold for threshold, *_ in buckets]
+    bucket = np.searchsorted(thresholds, u[:, -1], side="right")
+    return click_step, detector, np.where(alive, bucket, -1)
+
+
+def _chunks(config: ExperimentConfig, compiled):
+    for start in range(0, config.trials, _CHUNK):
+        stop = min(start + _CHUNK, config.trials)
+        yield start, _sample_chunk(compiled, config.master_seed, start, stop)
 
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
+    """Every trial's record, in index order, sampled a chunk at a time."""
     compiled = _compile_plan(config)
-    for index in range(config.trials):
-        yield _run_compiled_trial(compiled, config, index)
+    steps, buckets = compiled
+    for start, arrays in _chunks(config, compiled):
+        rows = zip(*(a.tolist() for a in arrays))
+        for index, (click_step, detector, bucket) in enumerate(rows, start):
+            if click_step < 0:
+                yield TrialRecord(index, None, None, *buckets[bucket][1:])
+            elif steps[click_step][1] is None:
+                yield TrialRecord(index, click_step, None, None, None, None)
+            else:
+                yield TrialRecord(index, click_step, detector, None, None, None)
+
+
+def count_trials(config: ExperimentConfig) -> tuple[int, int, int]:
+    """Clicked, surviving and agreeing trial counts, without records."""
+    compiled = _compile_plan(config)
+    _, buckets = compiled
+    agrees = [bool(agreement) for *_, agreement in buckets or ()]
+    clicked = agreeing = 0
+    for _, (click_step, _, bucket) in _chunks(config, compiled):
+        clicked += int(np.count_nonzero(click_step >= 0))
+        if agrees:
+            counts = np.bincount(bucket[bucket >= 0], minlength=len(agrees))
+            agreeing += int(counts[agrees].sum())
+    return clicked, config.trials - clicked, agreeing
 
 
 def analytic_agreement(config: ExperimentConfig) -> float:
@@ -334,8 +501,14 @@ def aggregate_records(config: ExperimentConfig, records) -> TrialStats:
                 agreement_count += 1
         else:
             clicked += 1
+    return _stats(config, clicked, surviving, agreement_count)
+
+
+def _stats(
+    config: ExperimentConfig, clicked: int, surviving: int, agreeing: int
+) -> TrialStats:
     if surviving > 0:
-        rate = agreement_count / surviving
+        rate = agreeing / surviving
         std_error = math.sqrt(rate * (1.0 - rate) / surviving)
     else:
         rate = math.nan
@@ -344,7 +517,7 @@ def aggregate_records(config: ExperimentConfig, records) -> TrialStats:
         total=config.trials,
         clicked=clicked,
         surviving=surviving,
-        agreement_count=agreement_count,
+        agreement_count=agreeing,
         agreement_rate=rate,
         std_error=std_error,
         analytic_prediction=analytic_agreement(config),
@@ -353,7 +526,7 @@ def aggregate_records(config: ExperimentConfig, records) -> TrialStats:
 
 def run_experiment(config: ExperimentConfig) -> TrialStats:
     """Run every trial on its own stream and aggregate the counts."""
-    return aggregate_records(config, iter_trials(config))
+    return _stats(config, *count_trials(config))
 
 
 def estimate_vs_analytic(stats: TrialStats) -> float:

@@ -81,6 +81,18 @@ def basis_vector(axis: Axis, branch: Branch) -> tuple[complex, complex]:
     return _BASIS_VECTORS[axis][branch]
 
 
+# Per axis, the (plus, minus) kets and their conjugates (the bras), so the
+# basis changes below look up one entry instead of conjugating per call.
+_KETS = {
+    axis: (vectors[Branch.PLUS], vectors[Branch.MINUS])
+    for axis, vectors in _BASIS_VECTORS.items()
+}
+_BRAS = {
+    axis: tuple((up.conjugate(), right.conjugate()) for up, right in kets)
+    for axis, kets in _KETS.items()
+}
+
+
 @dataclass(frozen=True)
 class PolarizationState:
     """Pure single-photon polarization state with an intensity weight.
@@ -114,18 +126,39 @@ def basis_state(axis: Axis, branch: Branch, weight: float = 1.0) -> Polarization
     return PolarizationState(up, right, weight)
 
 
-def from_components(
-    axis: Axis, c_plus: complex, c_minus: complex, weight: float = 1.0
+def _trusted_state(
+    amp_up: complex, amp_right: complex, weight: float
 ) -> PolarizationState:
-    """Build a state from its components along ``axis`` (normalizing)."""
-    p_up, p_right = basis_vector(axis, Branch.PLUS)
-    m_up, m_right = basis_vector(axis, Branch.MINUS)
+    """A state built without ``__post_init__``: no type conversions and no
+    norm or weight check.  Only for amplitudes the caller has just
+    normalized (or copied from a valid state), as complex numbers, with a
+    float weight already known to be valid."""
+    state = object.__new__(PolarizationState)
+    fields = state.__dict__
+    fields["amp_up"] = amp_up
+    fields["amp_right"] = amp_right
+    fields["weight"] = weight
+    return state
+
+
+def _normalized_amplitudes(
+    axis: Axis, c_plus: complex, c_minus: complex
+) -> tuple[complex, complex]:
+    """Unit (amp_up, amp_right) of c_plus |plus> + c_minus |minus>."""
+    (p_up, p_right), (m_up, m_right) = _KETS[axis]
     up = c_plus * p_up + c_minus * m_up
     right = c_plus * p_right + c_minus * m_right
     norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
     if norm < 1e-15:
         raise DegenerateState("cannot normalize a zero vector")
-    return PolarizationState(up / norm, right / norm, weight)
+    return up / norm, right / norm
+
+
+def from_components(
+    axis: Axis, c_plus: complex, c_minus: complex, weight: float = 1.0
+) -> PolarizationState:
+    """Build a state from its components along ``axis`` (normalizing)."""
+    return PolarizationState(*_normalized_amplitudes(axis, c_plus, c_minus), weight)
 
 
 def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, complex]:
@@ -134,10 +167,9 @@ def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, comple
     The squared magnitudes sum to 1, so they are the Born probabilities of
     the two outcomes of a complete measurement along that axis.
     """
-    p_up, p_right = basis_vector(axis, Branch.PLUS)
-    m_up, m_right = basis_vector(axis, Branch.MINUS)
-    c_plus = p_up.conjugate() * state.amp_up + p_right.conjugate() * state.amp_right
-    c_minus = m_up.conjugate() * state.amp_up + m_right.conjugate() * state.amp_right
+    (p_up, p_right), (m_up, m_right) = _BRAS[axis]
+    c_plus = p_up * state.amp_up + p_right * state.amp_right
+    c_minus = m_up * state.amp_up + m_right * state.amp_right
     return c_plus, c_minus
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from partial_eraser import (
@@ -8,6 +9,8 @@ from partial_eraser import (
     DetectorPlacement,
     DomainError,
     PartialMeasurementOp,
+    PolarizationState,
+    TrackingMode,
     basis_state,
     beam_intensities,
     build_cascade,
@@ -96,6 +99,29 @@ class TestCascadeMeasure:
                 survived += 1
         sigma = math.sqrt(0.5 * 0.5 / trials)
         assert abs(survived / trials - 0.5) < 3 * sigma
+
+    @pytest.mark.parametrize("mode", list(TrackingMode))
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_outcomes_match_measurement_layer(self, mode, branch):
+        # each pass takes a fresh random state: a click leaves the checked
+        # basis state, a silence the checked no-click map
+        gen = np.random.default_rng(17)
+        cascade = build_cascade(100)
+        for _ in range(300):
+            parts = gen.normal(size=4)
+            up, right = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+            norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
+            state = PolarizationState(up / norm, right / norm, float(gen.uniform()))
+            size = int(gen.integers(0, 101))
+            placement = DetectorPlacement(
+                branch, frozenset(gen.choice(100, size, replace=False).tolist())
+            )
+            outcome = cascade_measure(state, placement, cascade, gen, mode)
+            if outcome.clicked:
+                assert outcome.post_state == basis_state(Axis.X, branch)
+            else:
+                op = equivalent_op(placement, cascade)
+                assert outcome.post_state == no_click_map(op, state, mode)
 
     def test_out_of_range_indices_rejected(self, rng):
         cascade = build_cascade(10)

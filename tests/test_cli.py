@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import pytest
 from scipy.optimize import brentq
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 from partial_eraser.cli import main
 from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
+from partial_eraser.montecarlo import _CHUNK
 
 
 def read_rows(path):
@@ -236,6 +238,37 @@ class TestRun:
         assert lines[0] == "trial,click_step,detector,result_a,result_b,agreement"
         assert len(lines) == 501
 
+    def test_trial_log_across_chunks_matches_summary(self, tmp_path):
+        config = write_config(tmp_path, ERASURE)
+        out = tmp_path / "stats.csv"
+        trials = 3 * _CHUNK + 77
+        assert main(
+            ["run", str(config), "--output", str(out), "--trials", str(trials), "--log-trials"]
+        ) == 0
+        _, summary = read_rows(out)
+        total, clicked, surviving, agreeing = summary[0][:4]
+        lines = (tmp_path / "stats.csv.trials.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [int(row[0]) for row in rows] == list(range(trials)) and total == trials
+        assert sum(row[1] != "" for row in rows) == clicked
+        assert sum(row[5] == "1" for row in rows) == agreeing
+        assert sum(row[5] != "" for row in rows) == surviving
+
+    def test_trial_log_memory_is_bounded(self, tmp_path):
+        config = write_config(tmp_path, EPR_HALF)
+        out = tmp_path / "stats.csv"
+        tracemalloc.start()
+        try:
+            code = main(
+                ["run", str(config), "--output", str(out), "--trials", "200000", "--log-trials"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Holding all 200k records at once takes tens of megabytes.
+        assert peak < 8 * 2**20, peak
+
     def test_seed_override_changes_counts(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -320,6 +353,8 @@ class TestCascadeDemo:
             (["--seed", "-1"], "master_seed"),
             (["--trials", "0"], "trials"),
             (["--trials", "-5"], "trials"),
+            (["--detectors", "-1", "--trials", "1000", "--seed", "1"], "n_detectors must lie in"),
+            (["--detectors", "5", "--n-beams", "3"], "n_detectors must lie in"),
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, flags, fragment):

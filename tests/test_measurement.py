@@ -119,6 +119,23 @@ class TestNoClickMap:
         assert abs(result.amp_up - expected[0]) < 1e-12
         assert abs(result.amp_right - expected[1]) < 1e-12
 
+    @given(
+        polarization_states(),
+        axes,
+        branches,
+        alphas_positive,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(list(TrackingMode)),
+    )
+    def test_result_passes_the_state_checks(self, state, axis, branch, alpha, weight, mode):
+        # the map builds its result without re-running the state checks;
+        # the checked constructor must accept it unchanged
+        state = PolarizationState(state.amp_up, state.amp_right, weight)
+        result = no_click_map(op(axis, branch, alpha), state, mode)
+        assert type(result.amp_up) is complex and type(result.amp_right) is complex
+        assert type(result.weight) is float
+        assert PolarizationState(result.amp_up, result.amp_right, result.weight) == result
+
 
 class TestClickProbability:
     def test_single_detector_is_half_percent(self):

@@ -1,13 +1,18 @@
 import math
+import random
 from collections import Counter
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from partial_eraser import (
     Axis,
     Branch,
     CascadeStep,
     ConfigError,
+    DomainError,
     ExperimentConfig,
     InsufficientStatistics,
     IntensityQuadruple,
@@ -16,7 +21,9 @@ from partial_eraser import (
     Photon,
     Preparation,
     TrackingMode,
+    TrialRecord,
     TrialStats,
+    ZeroSurvival,
     analytic_agreement,
     analytic_survival,
     apply_partial_pair,
@@ -29,10 +36,15 @@ from partial_eraser import (
     y_correlation_single,
 )
 from partial_eraser.montecarlo import (
+    _CHUNK,
+    _compile_plan,
+    aggregate_records,
     counter_stage_click,
     disagreed,
     iter_trials,
     survived,
+    trial_stream,
+    trial_uniforms,
 )
 
 
@@ -304,3 +316,132 @@ class TestEventTree:
                 assert leaf.agreement is None
             else:
                 assert leaf.agreement is (leaf_key(leaf) == "final:plus")
+
+
+# --- batch streams and the chunked sampler ----------------------------------
+
+
+class TestTrialUniforms:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("start, stop", [(0, 3000), (2**32 - 5, 2**32 + 5)])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_equals_trial_stream(self, seed, start, stop, k):
+        expected = np.array([trial_stream(seed, i).random(k) for i in range(start, stop)])
+        got = trial_uniforms(seed, start, stop, k)
+        assert got.shape == (stop - start, k)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**64 - 8),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_random_seed_and_start(self, seed, start, k):
+        expected = np.array([trial_stream(seed, i).random(k) for i in range(start, start + 8)])
+        assert trial_uniforms(seed, start, start + 8, k).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed, start, stop", [(-1, 0, 5), (2**64, 0, 5), (0, 5, 4)])
+    def test_out_of_range_is_domain_error(self, seed, start, stop):
+        with pytest.raises(DomainError):
+            trial_uniforms(seed, start, stop, 1)
+
+
+def reference_trial(compiled, config, index):
+    """One trial on its own Generator, the scalar form of the chunked sampler."""
+    steps, buckets = compiled
+    rng = trial_stream(config.master_seed, index)
+    for step_idx, (p_click, n_detectors) in enumerate(steps):
+        u = rng.random()
+        if u < p_click:
+            detector = None
+            if n_detectors is not None:
+                detector = min(int(u / p_click * n_detectors), n_detectors - 1)
+            return TrialRecord(index, step_idx, detector, None, None, None)
+    if buckets is None:
+        raise ZeroSurvival("plan has no surviving path past its last step")
+    u = rng.random()
+    for threshold, result_a, result_b, agreement in buckets:
+        if u < threshold:
+            return TrialRecord(index, None, None, result_a, result_b, agreement)
+
+
+def reference_records(config):
+    compiled = _compile_plan(config)
+    return [reference_trial(compiled, config, i) for i in range(config.trials)]
+
+
+def random_plan(gen, trials):
+    """Single photon or pair, 0-5 steps: ops with alpha 0, 1 or random,
+    cascades with 0 to all detectors."""
+    single = gen.random() < 0.5
+    steps = []
+    for _ in range(gen.randint(0, 5)):
+        photon = Photon.A if single else gen.choice(list(Photon))
+        branch = gen.choice(list(Branch))
+        if gen.random() < 0.4:
+            n_beams = gen.randint(1, 12)
+            steps.append(CascadeStep(photon, branch, gen.randint(0, n_beams), n_beams))
+        else:
+            alpha = gen.choice([0.0, 1.0, gen.random()])
+            steps.append(measure(photon, gen.choice(list(Axis)), branch, alpha))
+    preparation = Preparation.single(gen.choice(list(Branch))) if single else Preparation.epr()
+    return ExperimentConfig(
+        preparation, tuple(steps), gen.choice(list(Axis)), trials, gen.randrange(2**64)
+    )
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the ZeroSurvival it raises."""
+    try:
+        return fn(*args)
+    except ZeroSurvival:
+        return ZeroSurvival
+
+
+def same_stats(one, two):
+    if one is ZeroSurvival or two is ZeroSurvival:
+        return one is two
+    # NaN rates (no survivors) must match too.
+    return repr(one) == repr(two)
+
+
+_GEN = random.Random(20261018)
+# Two full chunks and a partial third, so every plan crosses chunk edges.
+RANDOM_PLANS = [random_plan(_GEN, 2 * _CHUNK + _GEN.randint(1, 200)) for _ in range(30)]
+EDGE_PLANS = [
+    # clicks with certainty at the first step
+    ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        (measure(Photon.A, Axis.Y, Branch.PLUS, 0.0),),
+        Axis.Y, 2 * _CHUNK + 7, 3,
+    ),
+    # the second step measures all of what the first one left silent
+    ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        (
+            measure(Photon.A, Axis.X, Branch.PLUS, 0.0),
+            measure(Photon.A, Axis.X, Branch.MINUS, 0.0),
+        ),
+        Axis.Y, 2 * _CHUNK + 7, 3,
+    ),
+]
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize(
+        "config",
+        RANDOM_PLANS + EDGE_PLANS,
+        ids=[f"plan{i}" for i in range(len(RANDOM_PLANS))]
+        + ["certain-click", "silence-impossible"],
+    )
+    def test_records_match_scalar_reference(self, config):
+        assert config.trials > 2 * _CHUNK and config.trials % _CHUNK
+        reference = outcome(reference_records, config)
+        assert outcome(lambda: list(iter_trials(config))) == reference
+        if reference is not ZeroSurvival:
+            assert same_stats(
+                outcome(run_experiment, config),
+                outcome(aggregate_records, config, reference),
+            )
+
