@@ -37,8 +37,8 @@ from .montecarlo import (
     analytic_survival,
     count_trials,
     estimate_vs_analytic,
-    iter_trials,
     run_experiment,
+    trial_log,
 )
 from .polarization import Axis, Branch, basis_state, polarization_angle, uncertainty_spreads
 
@@ -64,6 +64,8 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise DomainError(f"grid bounds must be finite, got [{self.low}, {self.high}]")
         if self.steps < 2:
             raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
         if not self.low < self.high:
@@ -153,21 +155,10 @@ def cmd_run(args) -> int:
     config = resolve_config(parsed, seed=args.seed, trials=args.trials)
     stats = run_experiment(config)
     if args.log_trials:
-        write_csv(
-            str(args.output) + ".trials.csv",
-            ["trial", "click_step", "detector", "result_a", "result_b", "agreement"],
-            (
-                [
-                    r.index,
-                    "" if r.click_step is None else r.click_step,
-                    "" if r.detector is None else r.detector,
-                    "" if r.result_a is None else r.result_a.value,
-                    "" if r.result_b is None else r.result_b.value,
-                    "" if r.agreement is None else int(r.agreement),
-                ]
-                for r in iter_trials(config)
-            ),
-        )
+        with open(
+            str(args.output) + ".trials.csv", "w", encoding="utf-8", newline="\n"
+        ) as handle:
+            handle.writelines(trial_log(config))
     z = estimate_vs_analytic(stats) if stats.surviving > 0 else math.nan
     write_csv(
         args.output,

@@ -14,6 +14,9 @@ Every trial draws from its own random stream derived from
 trials may be evaluated in any order or in parallel.  ``trial_stream``
 builds one such stream; the runner computes the same draws for a whole
 chunk of trials at once with ``trial_uniforms``, bit for bit.
+Each trial's outcome is a key into one table of the plan's outcomes:
+``count_trials`` counts keys, ``trial_log`` renders the ``run
+--log-trials`` CSV from them, and only ``iter_trials`` builds records.
 
 ``enumerate_event_tree`` walks every click / no-click branch of the same
 plan deterministically, which serves as an independent oracle for the
@@ -398,68 +401,94 @@ def _compile_plan(config: ExperimentConfig) -> tuple[tuple, tuple | None]:
 _CHUNK = 4096
 
 
-def _sample_chunk(compiled, master_seed: int, start: int, stop: int):
-    """Outcomes of trials ``start .. stop-1`` as three int arrays.
+def _sample_chunk(compiled, offsets, master_seed: int, start: int, stop: int):
+    """Outcome-table keys of trials ``start .. stop-1``, as an int array.
 
     Trial ``i`` draws one uniform per plan step and one for the final
     measurement from ``trial_stream(master_seed, i)``; step ``s`` clicks
-    when its uniform is below ``p_click``.  Returns the click step, the
-    clicking detector and the final bucket of every trial, each -1 where
-    it does not apply (the detector also for abstract ops).
+    when its uniform is below ``p_click``, on the cascade detector given
+    by the uniform's place in ``[0, p_click)``.  Survivors take the key of
+    their final bucket.
     """
     steps, buckets = compiled
     u = trial_uniforms(master_seed, start, stop, len(steps) + 1)
-    click_step = np.full(stop - start, -1)
-    detector = np.full(stop - start, -1)
-    alive = np.ones(stop - start, dtype=bool)
-    for step_idx, (p_click, n_detectors) in enumerate(steps):
-        hit = alive & (u[:, step_idx] < p_click)
-        click_step[hit] = step_idx
-        if n_detectors is not None:
-            scaled = np.trunc(u[hit, step_idx] / p_click * n_detectors)
-            detector[hit] = np.minimum(scaled, n_detectors - 1)
-        alive &= ~hit
     if buckets is None:
-        if alive.any():
-            raise ZeroSurvival("plan has no surviving path past its last step")
-        return click_step, detector, np.full(stop - start, -1)
-    thresholds = [threshold for threshold, *_ in buckets]
-    bucket = np.searchsorted(thresholds, u[:, -1], side="right")
-    return click_step, detector, np.where(alive, bucket, -1)
+        key = np.full(stop - start, -1)
+    else:
+        thresholds = [threshold for threshold, *_ in buckets]
+        key = np.searchsorted(thresholds, u[:, -1], side="right")
+    alive = np.ones(stop - start, dtype=bool)
+    for step_idx, ((p_click, n_detectors), offset) in enumerate(zip(steps, offsets)):
+        hit = alive & (u[:, step_idx] < p_click)
+        if n_detectors is None:
+            key[hit] = offset
+        else:
+            scaled = np.trunc(u[hit, step_idx] / p_click * n_detectors)
+            key[hit] = offset + np.minimum(scaled, n_detectors - 1)
+        alive &= ~hit
+    if buckets is None and alive.any():
+        raise ZeroSurvival("plan has no surviving path past its last step")
+    return key
 
 
-def _chunks(config: ExperimentConfig, compiled):
-    for start in range(0, config.trials, _CHUNK):
-        stop = min(start + _CHUNK, config.trials)
-        yield start, _sample_chunk(compiled, config.master_seed, start, stop)
+def _outcomes(config: ExperimentConfig):
+    """The plan's outcome table, and ``(start, keys)`` per chunk of trials.
+
+    Table rows are ``(click_step, detector, result_a, result_b,
+    agreement)``: one per final bucket, at the bucket's index, then per
+    step one per cascade detector, or one for an abstract op.  A trial's
+    key is the index of its row.  The chunks are sampled lazily.
+    """
+    compiled = steps, buckets = _compile_plan(config)
+    table = [(None, None, *results) for _, *results in buckets or ()]
+    offsets = []
+    for step_idx, (_, n_detectors) in enumerate(steps):
+        offsets.append(len(table))
+        detectors = [None] if n_detectors is None else range(n_detectors)
+        table += [(step_idx, detector, None, None, None) for detector in detectors]
+
+    def chunks():
+        for start in range(0, config.trials, _CHUNK):
+            stop = min(start + _CHUNK, config.trials)
+            yield start, _sample_chunk(compiled, offsets, config.master_seed, start, stop)
+
+    return table, chunks()
 
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
-    """Every trial's record, in index order, sampled a chunk at a time."""
-    compiled = _compile_plan(config)
-    steps, buckets = compiled
-    for start, arrays in _chunks(config, compiled):
-        rows = zip(*(a.tolist() for a in arrays))
-        for index, (click_step, detector, bucket) in enumerate(rows, start):
-            if click_step < 0:
-                yield TrialRecord(index, None, None, *buckets[bucket][1:])
-            elif steps[click_step][1] is None:
-                yield TrialRecord(index, click_step, None, None, None, None)
-            else:
-                yield TrialRecord(index, click_step, detector, None, None, None)
+    """Every trial's record, in index order, sampled a chunk at a time.
+    Records are built here only; the counts and the log decode the keys."""
+    table, chunks = _outcomes(config)
+    for start, keys in chunks:
+        for index, key in enumerate(keys.tolist(), start):
+            yield TrialRecord(index, *table[key])
+
+
+def _log_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Branch):
+        return value.value
+    return str(int(value))  # agreement is written as 0 or 1
+
+
+def trial_log(config: ExperimentConfig) -> Iterator[str]:
+    """The ``run --log-trials`` CSV text: the header, then one text per
+    chunk.  A row is the trial index, click step, detector, final results
+    and agreement (0 or 1), each empty where it does not apply."""
+    table, chunks = _outcomes(config)
+    tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
+    yield "trial,click_step,detector,result_a,result_b,agreement\n"
+    for start, keys in chunks:
+        yield "".join([f"{index}{tails[key]}" for index, key in enumerate(keys.tolist(), start)])
 
 
 def count_trials(config: ExperimentConfig) -> tuple[int, int, int]:
     """Clicked, surviving and agreeing trial counts, without records."""
-    compiled = _compile_plan(config)
-    _, buckets = compiled
-    agrees = [bool(agreement) for *_, agreement in buckets or ()]
-    clicked = agreeing = 0
-    for _, (click_step, _, bucket) in _chunks(config, compiled):
-        clicked += int(np.count_nonzero(click_step >= 0))
-        if agrees:
-            counts = np.bincount(bucket[bucket >= 0], minlength=len(agrees))
-            agreeing += int(counts[agrees].sum())
+    table, chunks = _outcomes(config)
+    counts = sum(np.bincount(keys, minlength=len(table)) for _, keys in chunks).tolist()
+    clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
+    agreeing = sum(n for n, (*_, agreement) in zip(counts, table) if agreement)
     return clicked, config.trials - clicked, agreeing
 
 

@@ -144,6 +144,21 @@ class TestChart:
             ]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--min", "0", "--max", "inf"],
+            ["--min=-inf", "--max", "1"],
+            ["--min", "nan", "--max", "1"],
+            ["--min", "1", "--max", "inf", "--scale", "log"],
+        ],
+    )
+    def test_non_finite_grid_is_config_error(self, tmp_path, capsys, bounds):
+        out = tmp_path / "o.csv"
+        assert main(["chart", "angle_vs_alpha", *bounds, "--output", str(out)]) == 2
+        assert_one_line_error(capsys, "finite")
+        assert not out.exists()
+
 
 class TestRun:
     def test_golden_summary(self, tmp_path, capsys):
@@ -187,8 +202,12 @@ class TestRun:
 
     def test_zero_survival_plan_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, ZERO_SURVIVAL)
-        assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
-        assert_one_line_error(capsys, "no-click impossible")
+        out = tmp_path / "s.csv"
+        for flags in ([], ["--log-trials"]):
+            assert main(["run", str(config), "--output", str(out), *flags]) == 2
+            assert_one_line_error(capsys, "no-click impossible")
+            # The summary runs first, so a plan that raises writes no log.
+            assert not out.exists() and not (tmp_path / "s.csv.trials.csv").exists()
 
     @pytest.mark.parametrize("line", ["mode = normalized", "counter_from = 1"])
     def test_removed_config_keys_rejected(self, tmp_path, capsys, line):

@@ -43,6 +43,7 @@ from partial_eraser.montecarlo import (
     disagreed,
     iter_trials,
     survived,
+    trial_log,
     trial_stream,
     trial_uniforms,
 )
@@ -371,6 +372,23 @@ def reference_records(config):
     return [reference_trial(compiled, config, i) for i in range(config.trials)]
 
 
+def reference_log(records):
+    """The trial log's lines written row by row from records, as ``run``
+    did before the log was rendered from the sampler's outcome table."""
+    lines = ["trial,click_step,detector,result_a,result_b,agreement\n"]
+    for r in records:
+        row = [
+            r.index,
+            "" if r.click_step is None else r.click_step,
+            "" if r.detector is None else r.detector,
+            "" if r.result_a is None else r.result_a.value,
+            "" if r.result_b is None else r.result_b.value,
+            "" if r.agreement is None else int(r.agreement),
+        ]
+        lines.append(",".join(str(v) for v in row) + "\n")
+    return lines
+
+
 def random_plan(gen, trials):
     """Single photon or pair, 0-5 steps: ops with alpha 0, 1 or random,
     cascades with 0 to all detectors."""
@@ -428,13 +446,16 @@ EDGE_PLANS = [
 ]
 
 
+SAMPLER_PLANS = pytest.mark.parametrize(
+    "config",
+    RANDOM_PLANS + EDGE_PLANS,
+    ids=[f"plan{i}" for i in range(len(RANDOM_PLANS))]
+    + ["certain-click", "silence-impossible"],
+)
+
+
 class TestChunkedSampler:
-    @pytest.mark.parametrize(
-        "config",
-        RANDOM_PLANS + EDGE_PLANS,
-        ids=[f"plan{i}" for i in range(len(RANDOM_PLANS))]
-        + ["certain-click", "silence-impossible"],
-    )
+    @SAMPLER_PLANS
     def test_records_match_scalar_reference(self, config):
         assert config.trials > 2 * _CHUNK and config.trials % _CHUNK
         reference = outcome(reference_records, config)
@@ -445,3 +466,12 @@ class TestChunkedSampler:
                 outcome(aggregate_records, config, reference),
             )
 
+    @SAMPLER_PLANS
+    def test_log_matches_row_formula(self, config):
+        reference = outcome(reference_records, config)
+        text = outcome(lambda: "".join(trial_log(config)))
+        if reference is ZeroSurvival:
+            assert text is ZeroSurvival
+        else:
+            # Compared line by line: pytest's diff of two long strings is slow.
+            assert text.splitlines(keepends=True) == reference_log(reference)
