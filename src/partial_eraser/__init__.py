@@ -17,7 +17,6 @@ from .polarization import (
     PolarizationState,
     basis_state,
     basis_vector,
-    branch_probability,
     components_in,
     from_components,
     polarization_angle,
@@ -33,7 +32,6 @@ from .measurement import (
     click_probability,
     compose_same_axis,
     no_click_map,
-    sample,
 )
 from .cascade import (
     Cascade,
@@ -55,7 +53,6 @@ from .epr import (
     epr_decompose,
     make_epr,
     sample_partial_pair,
-    sample_y_pair,
     weighted_epr_track,
     y_correlation_pair,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,31 +160,8 @@ def cmd_run(args) -> int:
         ) as handle:
             handle.writelines(trial_log(config))
     z = estimate_vs_analytic(stats) if stats.surviving > 0 else math.nan
-    write_csv(
-        args.output,
-        [
-            "total",
-            "clicked",
-            "surviving",
-            "agreement_count",
-            "agreement_rate",
-            "std_error",
-            "analytic_prediction",
-            "z_score",
-        ],
-        [
-            [
-                stats.total,
-                stats.clicked,
-                stats.surviving,
-                stats.agreement_count,
-                stats.agreement_rate,
-                stats.std_error,
-                stats.analytic_prediction,
-                z,
-            ]
-        ],
-    )
+    columns = [field.name for field in fields(stats)]
+    write_csv(args.output, columns + ["z_score"], [[getattr(stats, c) for c in columns] + [z]])
     print(
         f"agreement={stats.agreement_rate:.4f} ± {stats.std_error:.4f} "
         f"predicted={stats.analytic_prediction:.4f} z={z:.1f}"
@@ -251,8 +228,14 @@ def cmd_cascade_demo(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A bad command line is one ``error:`` line and exit code 2."""
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partial-eraser",
         description="Partial polarization measurement and erasure simulator.",
     )

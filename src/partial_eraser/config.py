@@ -211,11 +211,13 @@ def resolve_config(
     """Combine file contents with command-line overrides."""
     if parsed.preparation is None:
         raise ConfigError("config must declare a preparation")
+    if trials is None:
+        trials = parsed.trials if parsed.trials is not None else DEFAULT_TRIALS
     return ExperimentConfig(
         preparation=parsed.preparation,
         plan=tuple(parsed.plan),
         final_axis=parsed.final_axis if parsed.final_axis is not None else Axis.Y,
-        trials=trials if trials is not None else (parsed.trials or DEFAULT_TRIALS),
+        trials=trials,
         master_seed=resolve_seed(seed, parsed.seed, env),
     )
 

@@ -154,20 +154,25 @@ def apply_partial_pair(
     return _from_matrix(out, weight)
 
 
+def _partner_amplitudes(pair: PairState, photon: Photon, b) -> list[complex]:
+    """<b| applied to ``photon``: the partner's (up, right) amplitudes."""
+    bra_up, bra_right = b[0].conjugate(), b[1].conjugate()
+    if photon is Photon.A:
+        return [
+            bra_up * pair.amp_uu + bra_right * pair.amp_ru,
+            bra_up * pair.amp_ur + bra_right * pair.amp_rr,
+        ]
+    return [
+        bra_up * pair.amp_uu + bra_right * pair.amp_ur,
+        bra_up * pair.amp_ru + bra_right * pair.amp_rr,
+    ]
+
+
 def pair_click_probability(
     pair: PairState, photon: Photon, op: PartialMeasurementOp
 ) -> float:
     """Probability that the op's detectors fire on the chosen photon."""
-    b = basis_vector(op.axis, op.branch)
-    m = _to_matrix(pair)
-    if photon is Photon.A:
-        comps = [
-            b[0].conjugate() * m[0][j] + b[1].conjugate() * m[1][j] for j in range(2)
-        ]
-    else:
-        comps = [
-            b[0].conjugate() * m[i][0] + b[1].conjugate() * m[i][1] for i in range(2)
-        ]
+    comps = _partner_amplitudes(pair, photon, basis_vector(op.axis, op.branch))
     mass = sum(abs(c) ** 2 for c in comps)
     return (1.0 - op.alpha) * mass
 
@@ -180,17 +185,11 @@ def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> 
     history is discarded (the click ends the interference bookkeeping).
     """
     b = basis_vector(op.axis, op.branch)
-    m = _to_matrix(pair)
+    partner = _partner_amplitudes(pair, photon, b)
     if photon is Photon.A:
-        row = [
-            b[0].conjugate() * m[0][j] + b[1].conjugate() * m[1][j] for j in range(2)
-        ]
-        out = [[b[i] * row[j] for j in range(2)] for i in range(2)]
+        out = [[b[i] * partner[j] for j in range(2)] for i in range(2)]
     else:
-        col = [
-            b[0].conjugate() * m[i][0] + b[1].conjugate() * m[i][1] for i in range(2)
-        ]
-        out = [[col[i] * b[j] for j in range(2)] for i in range(2)]
+        out = [[partner[i] * b[j] for j in range(2)] for i in range(2)]
     norm2 = sum(abs(out[i][j]) ** 2 for i in range(2) for j in range(2))
     if norm2 <= 0.0:
         raise ZeroSurvival("click impossible: measured branch is empty")
@@ -321,26 +320,6 @@ def pair_axis_amplitudes(pair: PairState, axis: Axis):
         ]
         for k in range(2)
     ]
-
-
-def sample_pair_axis(pair: PairState, axis: Axis, rng) -> tuple[Branch, Branch]:
-    """Joint Born sample of both photons measured along the same axis."""
-    n = pair_axis_amplitudes(pair, axis)
-    branches = (Branch.PLUS, Branch.MINUS)
-    u = rng.random()
-    acc = 0.0
-    for k in range(2):
-        for l in range(2):
-            acc += abs(n[k][l]) ** 2
-            if u < acc:
-                return branches[k], branches[l]
-    return Branch.MINUS, Branch.MINUS
-
-
-def sample_y_pair(pair: PairState, rng) -> tuple[int, int]:
-    """Diagonal-basis results for both photons as (+1, -1) values."""
-    a, b = sample_pair_axis(pair, Axis.Y, rng)
-    return (1 if a is Branch.PLUS else -1), (1 if b is Branch.PLUS else -1)
 
 
 def pair_distance(a: PairState, b: PairState) -> float:

@@ -71,7 +71,8 @@ def violation_region(tolerance: float) -> tuple[float, float]:
 
     The lower boundary is 1 (the margin vanishes quadratically and is
     positive on a dense grid just above it).  The upper boundary is the
-    sign change of the margin, located by bisection to ``tolerance``.
+    sign change of the margin, located by bisection to ``tolerance`` (or
+    to adjacent floats).
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -90,6 +91,8 @@ def violation_region(tolerance: float) -> tuple[float, float]:
 
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: no finer bracket exists
+            break
         if inequality_margin(mid) > 0.0:
             lo = mid
         else:

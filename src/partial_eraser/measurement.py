@@ -39,7 +39,6 @@ from .polarization import (
     PolarizationState,
     _normalized_amplitudes,
     _trusted_state,
-    basis_state,
     components_in,
 )
 
@@ -168,26 +167,6 @@ def _silent_state(
     else:
         up, right = _normalized_amplitudes(axis, c_other, c_meas)
     return _trusted_state(up, right, weight)
-
-
-def sample(
-    op: PartialMeasurementOp,
-    state: PolarizationState,
-    mode: TrackingMode,
-    rng,
-) -> MeasurementOutcome:
-    """Draw a click / no-click event from ``rng`` (a numpy Generator).
-
-    The recorded probability is the analytic one for the realized outcome.
-    """
-    p_click = click_probability(op, state)
-    if rng.random() < p_click:
-        return MeasurementOutcome(
-            OutcomeKind.CLICK, p_click, basis_state(op.axis, op.branch)
-        )
-    return MeasurementOutcome(
-        OutcomeKind.NO_CLICK, 1.0 - p_click, no_click_map(op, state, mode)
-    )
 
 
 def compose_same_axis(

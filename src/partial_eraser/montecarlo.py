@@ -15,8 +15,9 @@ trials may be evaluated in any order or in parallel.  ``trial_stream``
 builds one such stream; the runner computes the same draws for a whole
 chunk of trials at once with ``trial_uniforms``, bit for bit.
 Each trial's outcome is a key into one table of the plan's outcomes:
-``count_trials`` counts keys, ``trial_log`` renders the ``run
---log-trials`` CSV from them, and only ``iter_trials`` builds records.
+``count_trials`` and ``conditional_click_stat`` count keys, ``trial_log``
+renders the ``run --log-trials`` CSV from them, and only ``iter_trials``
+builds per-trial records.
 
 ``enumerate_event_tree`` walks every click / no-click branch of the same
 plan deterministically, which serves as an independent oracle for the
@@ -168,7 +169,8 @@ class TrialStats:
     ``agreement_rate`` is conditional on survival (no click anywhere);
     ``analytic_prediction`` is the Born agreement probability of the
     deterministically folded no-click state, and ``std_error`` the
-    binomial standard error of the empirical rate.
+    binomial standard error of the empirical rate.  The field order is the
+    column order of the ``run`` summary CSV.
     """
 
     total: int
@@ -457,7 +459,8 @@ def _outcomes(config: ExperimentConfig):
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
     """Every trial's record, in index order, sampled a chunk at a time.
-    Records are built here only; the counts and the log decode the keys."""
+    Per-trial records are built here only; the counts and the log decode
+    the keys."""
     table, chunks = _outcomes(config)
     for start, keys in chunks:
         for index, key in enumerate(keys.tolist(), start):
@@ -483,10 +486,16 @@ def trial_log(config: ExperimentConfig) -> Iterator[str]:
         yield "".join([f"{index}{tails[key]}" for index, key in enumerate(keys.tolist(), start)])
 
 
-def count_trials(config: ExperimentConfig) -> tuple[int, int, int]:
-    """Clicked, surviving and agreeing trial counts, without records."""
+def _row_counts(config: ExperimentConfig) -> tuple[list, list[int]]:
+    """The plan's outcome table and how many trials landed on each row."""
     table, chunks = _outcomes(config)
     counts = sum(np.bincount(keys, minlength=len(table)) for _, keys in chunks).tolist()
+    return table, counts
+
+
+def count_trials(config: ExperimentConfig) -> tuple[int, int, int]:
+    """Clicked, surviving and agreeing trial counts, without records."""
+    table, counts = _row_counts(config)
     clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
     agreeing = sum(n for n, (*_, agreement) in zip(counts, table) if agreement)
     return clicked, config.trials - clicked, agreeing
@@ -593,18 +602,21 @@ def conditional_click_stat(
     """Empirical probability of ``event`` among trials satisfying
     ``condition``.
 
-    For the click rate of a counter-measurement stage, pass
-    ``counter_stage_click(start)`` with the plan index where that stage
-    begins.  Raises InsufficientStatistics when fewer than 100 trials
-    satisfy the condition.
+    The predicates are called once per outcome-table row, on a record with
+    ``index`` None that counts for every trial on that row, so they must
+    not read ``index``.  For the click rate of a counter-measurement
+    stage, pass ``counter_stage_click(start)`` with the plan index where
+    that stage begins.  Raises InsufficientStatistics when fewer than 100
+    trials satisfy the condition.
     """
     selected_total = 0
     event_count = 0
-    for record in iter_trials(config):
+    for row, count in zip(*_row_counts(config)):
+        record = TrialRecord(None, *row)
         if condition(record):
-            selected_total += 1
+            selected_total += count
             if event(record):
-                event_count += 1
+                event_count += count
     if selected_total < 100:
         raise InsufficientStatistics(
             f"only {selected_total} trials satisfy the condition (need >= 100)"

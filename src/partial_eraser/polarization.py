@@ -173,13 +173,6 @@ def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, comple
     return c_plus, c_minus
 
 
-def branch_probability(state: PolarizationState, axis: Axis, branch: Branch) -> float:
-    """Born probability of finding the photon in ``branch`` of ``axis``."""
-    c_plus, c_minus = components_in(state, axis)
-    c = c_plus if branch is Branch.PLUS else c_minus
-    return abs(c) ** 2
-
-
 def polarization_angle(state: PolarizationState) -> float:
     """Polarization-plane angle in degrees, atan(|up| / |right|).
 

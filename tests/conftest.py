@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
@@ -45,3 +49,17 @@ def quadruples(draw, low: float = 0.01):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(args, cwd, timeout=120):
+    """Run ``python *args`` in a child process that imports this checkout's
+    package, and return the completed process."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )

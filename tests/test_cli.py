@@ -11,6 +11,8 @@ from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
 from partial_eraser.montecarlo import _CHUNK
 
+from conftest import run_python
+
 
 def read_rows(path):
     lines = path.read_text().splitlines()
@@ -62,6 +64,24 @@ def assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert fragment in err
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["run", "--trials", "abc"], "invalid int value"),
+            (["run", "exp.cfg"], "--output"),
+            (["chart", "angle_vs_alpha", "--min", "-inf", "--output", "x"], "--min"),
+            (["no-such-command"], "invalid choice"),
+        ],
+        ids=["trials-abc", "run-without-output", "bare-minus-inf", "unknown-command"],
+    )
+    def test_one_line_error(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert_one_line_error(capsys, fragment)
 
 
 class TestChart:
@@ -228,6 +248,11 @@ class TestRun:
         config = write_config(tmp_path, "trials = 10\n")
         assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
 
+    def test_zero_trials_in_config_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, EPR_HALF.replace("trials = 20000", "trials = 0"))
+        assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
+        assert_one_line_error(capsys, "trials must be >= 1")
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(
             ["run", str(tmp_path / "absent.cfg"), "--output", str(tmp_path / "s.csv")]
@@ -327,6 +352,11 @@ class TestInequalityScan:
                 ]
             ) == 2, tolerance
             assert_one_line_error(capsys, "tolerance")
+
+    def test_tolerance_below_float_spacing(self, tmp_path):
+        argv = ["inequality-scan", "--tolerance", "1e-16", "--output", str(tmp_path / "c.csv")]
+        result = run_python(["-m", "partial_eraser.cli", *argv], cwd=tmp_path, timeout=30)
+        assert result.returncode == 0, result.stderr
 
     def test_bracketing_failure_exit_code(self, tmp_path, monkeypatch):
         from partial_eraser import cli

@@ -9,10 +9,13 @@ from partial_eraser import (
     Axis,
     Branch,
     DomainError,
+    ExperimentConfig,
     IntensityQuadruple,
+    MeasureStep,
     PairState,
     PartialMeasurementOp,
     Photon,
+    Preparation,
     TrackingMode,
     ZeroSurvival,
     apply_partial_pair,
@@ -21,7 +24,6 @@ from partial_eraser import (
     epr_decompose,
     make_epr,
     sample_partial_pair,
-    sample_y_pair,
     weighted_epr_track,
     y_correlation_pair,
 )
@@ -30,6 +32,7 @@ from partial_eraser.epr import (
     pair_click_probability,
     pair_distance,
 )
+from partial_eraser.montecarlo import count_trials
 
 from conftest import alphas_positive, axes, branches, quadruples
 
@@ -333,26 +336,27 @@ class TestWeightedTracking:
         assert measured.weight - erased.weight == pytest.approx(click_mass, abs=1e-12)
 
 
+def y_agreement(plan, trials):
+    """Sampled diagonal agreement among the pairs that survive ``plan``
+    (on the seed of the ``rng`` fixture), and the number of survivors."""
+    config = ExperimentConfig(Preparation.epr(), tuple(plan), Axis.Y, trials, 20240817)
+    _, surviving, agreeing = count_trials(config)
+    return agreeing / surviving, surviving
+
+
 class TestSampling:
-    def test_epr_always_agrees(self, rng):
-        pair = make_epr()
-        for _ in range(300):
-            a, b = sample_y_pair(pair, rng)
-            assert a == b
+    def test_epr_always_agrees(self):
+        assert y_agreement([], 300) == (1.0, 300)
 
-    def test_complete_measurement_randomizes(self, rng):
-        pair = apply_partial_pair(make_epr(), Photon.A, op(Axis.X, Branch.PLUS, 0.0))
-        trials = 100_000
-        agree = sum(a == b for a, b in (sample_y_pair(pair, rng) for _ in range(trials)))
-        sigma = math.sqrt(0.25 / trials)
-        assert abs(agree / trials - 0.5) < 3 * sigma
+    def test_complete_measurement_randomizes(self):
+        rate, n = y_agreement([MeasureStep(Photon.A, op(Axis.X, Branch.PLUS, 0.0))], 100_000)
+        sigma = math.sqrt(0.25 / n)
+        assert abs(rate - 0.5) < 3 * sigma
 
-    def test_k_four_agreement(self, rng):
-        pair = apply_quadruple(make_epr(), IntensityQuadruple(0.25, 1.0, 1.0, 1.0))
-        trials = 100_000
-        agree = sum(a == b for a, b in (sample_y_pair(pair, rng) for _ in range(trials)))
-        sigma = math.sqrt(0.9 * 0.1 / trials)
-        assert abs(agree / trials - 0.9) < 3 * sigma
+    def test_k_four_agreement(self):
+        rate, n = y_agreement([MeasureStep(Photon.A, op(Axis.X, Branch.PLUS, 0.25))], 100_000)
+        sigma = math.sqrt(0.9 * 0.1 / n)
+        assert abs(rate - 0.9) < 3 * sigma
 
     def test_sample_partial_pair_click_collapses_partner(self, rng):
         the_op = op(Axis.X, Branch.PLUS, 0.0)

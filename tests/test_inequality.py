@@ -7,18 +7,21 @@ from hypothesis import given
 from scipy.optimize import brentq
 
 from partial_eraser import (
+    Axis,
+    Branch,
     DomainError,
-    IntensityQuadruple,
-    apply_quadruple,
+    ExperimentConfig,
+    MeasureStep,
+    PartialMeasurementOp,
+    Photon,
+    Preparation,
     delta_ac,
     delta_pair,
     inequality_margin,
-    make_epr,
-    sample_y_pair,
     violation_region,
     violation_report,
 )
-from partial_eraser.montecarlo import trial_stream
+from partial_eraser.montecarlo import count_trials
 
 # exact boundary: with w = sqrt(rho) + 1/sqrt(rho) the margin vanishes at
 # the positive root of w^3 - 4 w^2 + 8 = 0, i.e. w = 1 + sqrt(5)
@@ -100,24 +103,32 @@ class TestViolation:
         with pytest.raises(DomainError):
             violation_region(0.0)
 
+    def test_tolerance_below_float_spacing(self):
+        # The bisection stops at adjacent floats instead of looping forever.
+        _, high = violation_region(5e-324)
+        assert abs(high - EXACT_BOUNDARY) < 1e-12
+
 
 def disagreement_rate(k, trials, seed):
-    """Sampled diagonal disagreement of a pair prepared at ratio k."""
-    pair = apply_quadruple(make_epr(), IntensityQuadruple(1.0 / k, 1.0, 1.0, 1.0))
-    rng = trial_stream(seed, 0)
-    disagreements = sum(
-        a != b for a, b in (sample_y_pair(pair, rng) for _ in range(trials))
+    """Sampled diagonal disagreement of a pair prepared at ratio k, and the
+    number of surviving trials it is measured over."""
+    config = ExperimentConfig(
+        Preparation.epr(),
+        (MeasureStep(Photon.A, PartialMeasurementOp(Axis.X, Branch.PLUS, 1.0 / k)),),
+        Axis.Y,
+        trials,
+        seed,
     )
-    return disagreements / trials
+    _, surviving, agreeing = count_trials(config)
+    return (surviving - agreeing) / surviving, surviving
 
 
 class TestMonteCarloConsistency:
     @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
     def test_single_leg_rates(self, rho):
-        trials = 100_000
-        rate = disagreement_rate(rho, trials, seed=1234)
+        rate, n = disagreement_rate(rho, 100_000, seed=1234)
         expected = delta_pair(rho)
-        sigma = math.sqrt(expected * (1 - expected) / trials)
+        sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(rate - expected) < 3 * sigma
 
     def test_chained_disagreement_exceeds_sum(self):
@@ -125,8 +136,6 @@ class TestMonteCarloConsistency:
         ab = disagreement_rate(2.0, trials, seed=11)
         bc = disagreement_rate(2.0, trials, seed=22)
         ac = disagreement_rate(4.0, trials, seed=33)
-        excess = ac - ab - bc
-        sigma = math.sqrt(
-            sum(r * (1 - r) / trials for r in (ab, bc, ac))
-        )
+        excess = ac[0] - ab[0] - bc[0]
+        sigma = math.sqrt(sum(r * (1 - r) / n for r, n in (ab, bc, ac)))
         assert excess > 5 * sigma

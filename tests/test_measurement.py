@@ -10,8 +10,12 @@ from partial_eraser import (
     AxisMismatch,
     Branch,
     DomainError,
+    ExperimentConfig,
+    MeasureStep,
     PartialMeasurementOp,
+    Photon,
     PolarizationState,
+    Preparation,
     TrackingMode,
     ZeroSurvival,
     apply_sequence,
@@ -21,9 +25,9 @@ from partial_eraser import (
     compose_same_axis,
     components_in,
     no_click_map,
-    sample,
 )
 from partial_eraser.measurement import no_click_sequence_probability
+from partial_eraser.montecarlo import count_trials
 from partial_eraser.polarization import amplitude_distance
 
 from conftest import alphas, alphas_positive, balanced_states, branches, axes, polarization_states
@@ -177,34 +181,35 @@ class TestClickProbability:
         assert p_click + survival == pytest.approx(1.0, abs=1e-12)
 
 
+def sampled_clicks(ops, trials):
+    """Clicks among ``trials`` diagonal photons sent through ``ops``, on the
+    seed of the ``rng`` fixture."""
+    config = ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        tuple(MeasureStep(Photon.A, the_op) for the_op in ops),
+        Axis.Y,
+        trials,
+        20240817,
+    )
+    clicked, _, _ = count_trials(config)
+    return clicked
+
+
 class TestSample:
-    def test_identity_never_clicks(self, rng):
-        for _ in range(200):
-            outcome = sample(op(Axis.X, Branch.PLUS, 1.0), DIAG, TrackingMode.NORMALIZED, rng)
-            assert not outcome.clicked
+    def test_identity_never_clicks(self):
+        assert sampled_clicks([op(Axis.X, Branch.PLUS, 1.0)], 200) == 0
 
-    def test_complete_measurement_always_clicks(self, rng):
-        for _ in range(200):
-            outcome = sample(op(Axis.X, Branch.PLUS, 0.0), UP, TrackingMode.NORMALIZED, rng)
-            assert outcome.clicked
-            assert outcome.post_state.amp_up == 1.0
+    def test_complete_measurement_always_clicks(self):
+        # The first op leaves only the right branch, which the second
+        # measures completely.
+        ops = [op(Axis.X, Branch.PLUS, 0.0), op(Axis.X, Branch.MINUS, 0.0)]
+        assert sampled_clicks(ops, 200) == 200
 
-    def test_click_fraction_matches_probability(self, rng):
+    def test_click_fraction_matches_probability(self):
         n = 100_000
-        clicks = sum(
-            sample(op(Axis.X, Branch.PLUS, 0.5), DIAG, TrackingMode.NORMALIZED, rng).clicked
-            for _ in range(n)
-        )
+        clicks = sampled_clicks([op(Axis.X, Branch.PLUS, 0.5)], n)
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(clicks / n - 0.25) < 3 * sigma
-
-    def test_recorded_probability_matches_analytic(self, rng):
-        the_op = op(Axis.X, Branch.PLUS, 0.3)
-        p_click = click_probability(the_op, DIAG)
-        for _ in range(50):
-            outcome = sample(the_op, DIAG, TrackingMode.NORMALIZED, rng)
-            expected = p_click if outcome.clicked else 1.0 - p_click
-            assert outcome.probability == pytest.approx(expected, abs=1e-12)
 
 
 class TestComposition:

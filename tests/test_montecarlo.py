@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -367,6 +368,9 @@ def reference_trial(compiled, config, index):
             return TrialRecord(index, None, None, result_a, result_b, agreement)
 
 
+# Cached, so that the tests below share one scalar pass per plan (about
+# 40 MB of records for all plans, against seconds of trial_stream calls).
+@functools.cache
 def reference_records(config):
     compiled = _compile_plan(config)
     return [reference_trial(compiled, config, i) for i in range(config.trials)]
@@ -415,6 +419,26 @@ def outcome(fn, *args):
         return fn(*args)
     except ZeroSurvival:
         return ZeroSurvival
+
+
+def stat_outcome(fn, *args):
+    """What ``fn`` returns, or the statistics error it raises."""
+    try:
+        return fn(*args)
+    except (InsufficientStatistics, ZeroSurvival) as exc:
+        return type(exc)
+
+
+def always(record):
+    return True
+
+
+def record_ratio(records, condition, event):
+    """``conditional_click_stat`` evaluated one record at a time."""
+    selected = [record for record in records if condition(record)]
+    if len(selected) < 100:
+        raise InsufficientStatistics(f"only {len(selected)} trials satisfy the condition")
+    return sum(1 for record in selected if event(record)) / len(selected)
 
 
 def same_stats(one, two):
@@ -475,3 +499,17 @@ class TestChunkedSampler:
         else:
             # Compared line by line: pytest's diff of two long strings is slow.
             assert text.splitlines(keepends=True) == reference_log(reference)
+
+    @SAMPLER_PLANS
+    def test_conditional_click_stat_matches_records(self, config):
+        reference = outcome(reference_records, config)
+        for condition, event in (
+            (survived, disagreed),
+            (always, counter_stage_click(1)),
+            (disagreed, counter_stage_click(0)),
+        ):
+            if reference is ZeroSurvival:
+                expected = ZeroSurvival
+            else:
+                expected = stat_outcome(record_ratio, reference, condition, event)
+            assert stat_outcome(conditional_click_stat, config, condition, event) == expected
