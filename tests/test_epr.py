@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from partial_eraser import (
     y_correlation_pair,
 )
 from partial_eraser.epr import (
+    collapse_pair,
     pair_axis_amplitudes,
     pair_click_probability,
     pair_distance,
@@ -368,3 +370,61 @@ class TestSampling:
         post = outcome.post_state
         assert abs(post.amp_uu) == pytest.approx(1.0, abs=1e-12)
         assert post.weight == 1.0
+
+
+# --- pinned bits of the pair algebra ---------------------------------------
+
+PINNED_SEED = 20261018
+# sha256 over the reprs below; any change to the bits of a pair result,
+# a signed zero or a raised ZeroSurvival changes it.
+PAIR_ALGEBRA_DIGEST = "c1732c2ddc64859d584668f4783e94de605f9f3d62fc2d6392f6b7a571ea0cfb"
+
+
+def pinned_pairs(gen):
+    """make_epr(), the four product basis pairs, then random pairs with
+    random weights, all drawn with ``gen.random()`` (stable across numpy
+    versions, unlike ``normal``)."""
+    yield make_epr()
+    for amps in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+        yield PairState(*amps)
+    for _ in range(50):
+        parts = [2.0 * gen.random() - 1.0 for _ in range(8)]
+        norm = math.sqrt(sum(p * p for p in parts))
+        amps = [complex(parts[2 * i] / norm, parts[2 * i + 1] / norm) for i in range(4)]
+        yield PairState(*amps, gen.random())
+
+
+def pinned_text(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ZeroSurvival:
+        return "ZeroSurvival"
+
+
+def test_pair_algebra_bits_pinned():
+    """1,980 (pair, photon, op) cases: ``apply_partial_pair`` in both
+    modes, ``collapse_pair``, ``pair_axis_amplitudes``, and
+    ``pair_click_probability`` wherever the silence is possible."""
+    gen = np.random.default_rng(PINNED_SEED)
+    lines = []
+    for pair in pinned_pairs(gen):
+        for photon in Photon:
+            for axis in Axis:
+                lines.append(repr(pair_axis_amplitudes(pair, axis)))
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        silent = pinned_text(apply_partial_pair, pair, photon, the_op)
+                        lines += [
+                            silent,
+                            pinned_text(
+                                apply_partial_pair, pair, photon, the_op,
+                                TrackingMode.WEIGHTED,
+                            ),
+                            pinned_text(collapse_pair, pair, photon, the_op),
+                        ]
+                        if silent != "ZeroSurvival":
+                            lines.append(repr(pair_click_probability(pair, photon, the_op)))
+    assert len(lines) == 8242 and lines.count("ZeroSurvival") == 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PAIR_ALGEBRA_DIGEST
