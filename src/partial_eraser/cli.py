@@ -76,9 +76,11 @@ class GridSpec:
             raise DomainError("log grids need a positive lower bound")
 
     def points(self) -> list[float]:
-        if self.scale == "log":
-            return [float(x) for x in np.geomspace(self.low, self.high, self.steps)]
-        return [float(x) for x in np.linspace(self.low, self.high, self.steps)]
+        spacing = np.geomspace if self.scale == "log" else np.linspace
+        try:
+            return spacing(self.low, self.high, self.steps).tolist()
+        except MemoryError as exc:
+            raise DomainError(f"{self.steps} grid steps do not fit in memory") from exc
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ so everything observable about the diagonal correlation depends only on
 the ratio K = bd / ag; K = 1 restores |EPR> exactly, however the four
 fractions are distributed over the two photons.  That is the whole point:
 an erasing counter-measurement works just as well on the *other* photon.
+
+Photon A and photon B differ only in which tensor index a single-photon
+map acts on, so every such map here reads the pair as rows over the
+measured photon's (up, right) index and has one formula for both.  As in
+``measurement``, the click probability is at least 1 wherever the no-click
+update finds the silence impossible.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .measurement import (
     PartialMeasurementOp,
     TrackingMode,
 )
-from .polarization import NORM_TOL, Axis, Branch, basis_vector
+from .polarization import _BRAS, _KETS, NORM_TOL, Axis, Branch
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -61,15 +67,12 @@ class PairState:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        norm2 = 0.0
         for name in ("amp_uu", "amp_rr", "amp_ur", "amp_ru"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            amp = complex(getattr(self, name))
+            object.__setattr__(self, name, amp)
+            norm2 += abs(amp) ** 2
         object.__setattr__(self, "weight", float(self.weight))
-        norm2 = (
-            abs(self.amp_uu) ** 2
-            + abs(self.amp_rr) ** 2
-            + abs(self.amp_ur) ** 2
-            + abs(self.amp_ru) ** 2
-        )
         if abs(norm2 - 1.0) > NORM_TOL:
             raise DomainError(
                 f"pair amplitudes must have unit norm, got |psi|^2 = {norm2!r}"
@@ -91,30 +94,55 @@ def make_epr() -> PairState:
     return PairState(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0, 1.0)
 
 
-def _to_matrix(pair: PairState):
-    # m[i][j]: photon A index i, photon B index j; 0 = up, 1 = right.
-    return [
-        [pair.amp_uu, pair.amp_ur],
-        [pair.amp_ru, pair.amp_rr],
-    ]
+def _rows(pair: PairState, photon: Photon):
+    """The pair's amplitudes as rows over ``photon``'s (up, right) index,
+    each row over the partner's (up, right) index.  In this view a map on
+    either photon has one formula."""
+    if photon is Photon.A:
+        return (pair.amp_uu, pair.amp_ur), (pair.amp_ru, pair.amp_rr)
+    return (pair.amp_uu, pair.amp_ru), (pair.amp_ur, pair.amp_rr)
 
 
-def _from_matrix(m, weight: float) -> PairState:
-    return PairState(m[0][0], m[1][1], m[0][1], m[1][0], weight)
+def _write_back(rows, photon: Photon) -> tuple[tuple, float]:
+    """The inverse of ``_rows``: the (uu, rr, ur, ru) amplitudes and their
+    squared norm, summed in the order uu, ur, ru, rr for either photon."""
+    (uu, first), (second, rr) = rows
+    ur, ru = (first, second) if photon is Photon.A else (second, first)
+    return (uu, rr, ur, ru), abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
 
 
-def _scaling_matrix(op: PartialMeasurementOp):
-    """sqrt(alpha) |b><b| + |o><o| in up/right coordinates."""
-    b = basis_vector(op.axis, op.branch)
-    o = basis_vector(op.axis, op.branch.other())
+def _unit_pair(amps, norm2: float, weight: float) -> PairState:
+    """The pair of ``_write_back``'s amplitudes scaled to unit norm."""
+    norm = math.sqrt(norm2)
+    uu, rr, ur, ru = amps
+    return PairState(uu / norm, rr / norm, ur / norm, ru / norm, weight)
+
+
+def _contract(rows, w0: complex, w1: complex) -> tuple[complex, complex]:
+    """w0 rows[0] + w1 rows[1]: a row vector applied to the photon's index."""
+    (m00, m01), (m10, m11) = rows
+    return w0 * m00 + w1 * m10, w0 * m01 + w1 * m11
+
+
+def _kets_and_bras(op: PartialMeasurementOp):
+    """The measured and the other branch's ket, then their bras."""
+    i = 0 if op.branch is Branch.PLUS else 1
+    kets, bras = _KETS[op.axis], _BRAS[op.axis]
+    return kets[i], kets[1 - i], bras[i], bras[1 - i]
+
+
+def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
+    """``_write_back`` of sqrt(alpha) |b><b| + |o><o| applied to
+    ``photon``: the unnormalized no-click amplitudes and the survival
+    probability."""
+    (b0, b1), (o0, o1), (bb0, bb1), (ob0, ob1) = _kets_and_bras(op)
     root = math.sqrt(op.alpha)
-    return [
-        [
-            root * b[i] * b[j].conjugate() + o[i] * o[j].conjugate()
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
+    rows = _rows(pair, photon)
+    out = (
+        _contract(rows, root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1),
+        _contract(rows, root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1),
+    )
+    return _write_back(out, photon)
 
 
 def apply_partial_pair(
@@ -131,50 +159,26 @@ def apply_partial_pair(
     """
     if op.is_identity:
         return pair
-    s = _scaling_matrix(op)
-    m = _to_matrix(pair)
-    if photon is Photon.A:
-        out = [
-            [s[i][0] * m[0][j] + s[i][1] * m[1][j] for j in range(2)]
-            for i in range(2)
-        ]
-    else:
-        out = [
-            [m[i][0] * s[j][0] + m[i][1] * s[j][1] for j in range(2)]
-            for i in range(2)
-        ]
-    survival = sum(abs(out[i][j]) ** 2 for i in range(2) for j in range(2))
+    amps, survival = _silence(pair, photon, op)
     if survival <= 0.0:
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-    norm = math.sqrt(survival)
-    out = [[out[i][j] / norm for j in range(2)] for i in range(2)]
     weight = pair.weight * survival if mode is TrackingMode.WEIGHTED else pair.weight
-    return _from_matrix(out, weight)
-
-
-def _partner_amplitudes(pair: PairState, photon: Photon, b) -> list[complex]:
-    """<b| applied to ``photon``: the partner's (up, right) amplitudes."""
-    bra_up, bra_right = b[0].conjugate(), b[1].conjugate()
-    if photon is Photon.A:
-        return [
-            bra_up * pair.amp_uu + bra_right * pair.amp_ru,
-            bra_up * pair.amp_ur + bra_right * pair.amp_rr,
-        ]
-    return [
-        bra_up * pair.amp_uu + bra_right * pair.amp_ur,
-        bra_up * pair.amp_ru + bra_right * pair.amp_rr,
-    ]
+    return _unit_pair(amps, survival, weight)
 
 
 def pair_click_probability(
     pair: PairState, photon: Photon, op: PartialMeasurementOp
 ) -> float:
-    """Probability that the op's detectors fire on the chosen photon."""
-    comps = _partner_amplitudes(pair, photon, basis_vector(op.axis, op.branch))
-    mass = sum(abs(c) ** 2 for c in comps)
-    return (1.0 - op.alpha) * mass
+    """Probability that the op's detectors fire on the chosen photon; at
+    least 1 wherever ``apply_partial_pair`` finds the silence impossible."""
+    _, _, bra, _ = _kets_and_bras(op)
+    c0, c1 = _contract(_rows(pair, photon), *bra)
+    p_click = (1.0 - op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
+    if _silence(pair, photon, op)[1] <= 0.0:
+        return max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
+    return p_click
 
 
 def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
@@ -184,18 +188,12 @@ def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> 
     correlated family means it acquires the matching branch.  Weight
     history is discarded (the click ends the interference bookkeeping).
     """
-    b = basis_vector(op.axis, op.branch)
-    partner = _partner_amplitudes(pair, photon, b)
-    if photon is Photon.A:
-        out = [[b[i] * partner[j] for j in range(2)] for i in range(2)]
-    else:
-        out = [[partner[i] * b[j] for j in range(2)] for i in range(2)]
-    norm2 = sum(abs(out[i][j]) ** 2 for i in range(2) for j in range(2))
+    (b0, b1), _, bra, _ = _kets_and_bras(op)
+    c0, c1 = _contract(_rows(pair, photon), *bra)  # the partner's amplitudes
+    amps, norm2 = _write_back(((b0 * c0, b0 * c1), (b1 * c0, b1 * c1)), photon)
     if norm2 <= 0.0:
         raise ZeroSurvival("click impossible: measured branch is empty")
-    norm = math.sqrt(norm2)
-    out = [[out[i][j] / norm for j in range(2)] for i in range(2)]
-    return _from_matrix(out, 1.0)
+    return _unit_pair(amps, norm2, 1.0)
 
 
 def sample_partial_pair(
@@ -307,18 +305,14 @@ def weighted_epr_track(q: IntensityQuadruple) -> tuple[float, float]:
 def pair_axis_amplitudes(pair: PairState, axis: Axis):
     """2x2 amplitudes of the pair in ``axis`` x ``axis`` coordinates,
     indexed [branch of A][branch of B] with 0 = PLUS, 1 = MINUS."""
-    vecs = (basis_vector(axis, Branch.PLUS), basis_vector(axis, Branch.MINUS))
-    m = _to_matrix(pair)
-    return [
+    (m00, m01), (m10, m11) = _rows(pair, Photon.A)
+    bras = _BRAS[axis]
+    return [  # sum() starts from 0, so a sum of -0.0 parts reads +0.0
         [
-            sum(
-                vecs[k][i].conjugate() * vecs[l][j].conjugate() * m[i][j]
-                for i in range(2)
-                for j in range(2)
-            )
-            for l in range(2)
+            sum((k0 * l0 * m00, k0 * l1 * m01, k1 * l0 * m10, k1 * l1 * m11))
+            for l0, l1 in bras
         ]
-        for k in range(2)
+        for k0, k1 in bras
     ]
 
 

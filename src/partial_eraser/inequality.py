@@ -30,17 +30,24 @@ def delta_pair(rho: float) -> float:
     """Disagreement rate between two observers at ratio mismatch ``rho``.
 
     Clipped at zero: near rho = 1 the cancellation can round a hair below.
+    Where the denominator overflows, the equal rate at 1 / rho is returned.
     """
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    return max(0.0, 1.0 - (1.0 + math.sqrt(rho)) ** 2 / (2.0 + 2.0 * rho))
+    denominator = 2.0 + 2.0 * rho
+    if denominator == math.inf:
+        return delta_pair(1.0 / rho)
+    return max(0.0, 1.0 - (1.0 + math.sqrt(rho)) ** 2 / denominator)
 
 
 def delta_ac(rho: float) -> float:
     """Disagreement rate across the chain, at squared mismatch rho^2."""
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    return max(0.0, 1.0 - (1.0 + rho) ** 2 / (2.0 + 2.0 * rho * rho))
+    denominator = 2.0 + 2.0 * rho * rho
+    if denominator == math.inf:  # as in delta_pair, the rate at 1 / rho is equal
+        return delta_ac(1.0 / rho)
+    return max(0.0, 1.0 - (1.0 + rho) ** 2 / denominator)
 
 
 def inequality_margin(rho: float) -> float:

@@ -318,13 +318,7 @@ def _algebra(preparation: Preparation):
             lambda state, photon, op: click_probability(op, state),
             lambda state, photon, op: no_click_map(op, state, TrackingMode.NORMALIZED),
         )
-    return (
-        make_epr(),
-        pair_click_probability,
-        lambda state, photon, op: apply_partial_pair(
-            state, photon, op, TrackingMode.NORMALIZED
-        ),
-    )
+    return make_epr(), pair_click_probability, apply_partial_pair
 
 
 def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
@@ -354,8 +348,9 @@ def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
     """Follow the plan along its no-click path.
 
     Returns the click probability of every step reached and the state that
-    survives the whole plan, or None for the state when no trial survives
-    (a step clicks with certainty, or its silence is impossible).
+    survives the whole plan, or None for the state when a step clicks with
+    certainty.  Both click functions return at least 1 wherever the step's
+    silence is impossible, so the no-click function never raises here.
     """
     state, click, silent = _algebra(config.preparation)
     p_clicks: list[float] = []
@@ -365,10 +360,7 @@ def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
         p_clicks.append(p_click)
         if p_click >= 1.0:
             return p_clicks, None
-        try:
-            state = silent(state, step.photon, op)
-        except ZeroSurvival:
-            return p_clicks, None
+        state = silent(state, step.photon, op)
     return p_clicks, state
 
 

@@ -164,6 +164,31 @@ class TestChart:
             ]
         ) == 2
 
+    def test_inequality_chart_up_to_huge_ratio(self, tmp_path):
+        out = tmp_path / "ineq.csv"
+        assert main(
+            [
+                "chart", "inequality_deltas_vs_rho",
+                "--min", "1", "--max", "1e300", "--scale", "log", "--output", str(out),
+            ]
+        ) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 101 and all(math.isfinite(v) for row in rows for v in row)
+        assert rows[-1][1:] == pytest.approx([1.0, 0.5, -0.5], abs=1e-12)
+
+    def test_grid_too_large_for_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        from partial_eraser import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli.np, "linspace", no_memory)
+        out = tmp_path / "c.csv"
+        argv = ["chart", "angle_vs_alpha", "--steps", "100000000000", "--output", str(out)]
+        assert main(argv) == 2
+        assert_one_line_error(capsys, "100000000000 grid steps do not fit in memory")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bounds",
         [

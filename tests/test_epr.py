@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import assume, example, given
 
 from partial_eraser import (
     Axis,
@@ -34,15 +34,27 @@ from partial_eraser.epr import (
     pair_click_probability,
     pair_distance,
 )
-from partial_eraser.montecarlo import count_trials
+from partial_eraser.montecarlo import analytic_survival, count_trials, enumerate_event_tree
 
-from conftest import alphas_positive, axes, branches, quadruples
+from conftest import alphas_positive, axes, branches, finite, quadruples
 
 SQRT_HALF = math.sqrt(0.5)
+
+photons = st.sampled_from(list(Photon))
 
 
 def op(axis, branch, alpha):
     return PartialMeasurementOp(axis, branch, alpha)
+
+
+@st.composite
+def pair_states(draw):
+    """Random normalized pair; almost never symmetric under swapping the
+    photons, so an A/B index mix-up shows."""
+    parts = [draw(st.floats(min_value=-1.0, max_value=1.0, **finite)) for _ in range(8)]
+    norm = math.sqrt(sum(p * p for p in parts))
+    assume(norm > 1e-3)
+    return PairState(*(complex(parts[2 * i], parts[2 * i + 1]) / norm for i in range(4)))
 
 
 # --- independent 4x4 oracle ------------------------------------------------
@@ -56,6 +68,18 @@ def scaling_2x2(the_op):
     b = np.array(basis_vector(the_op.axis, the_op.branch))
     o = np.array(basis_vector(the_op.axis, the_op.branch.other()))
     return math.sqrt(the_op.alpha) * np.outer(b, b.conj()) + np.outer(o, o.conj())
+
+
+def on_photon(photon, matrix):
+    """A 2x2 single-photon matrix acting on ``photon``'s tensor factor."""
+    eye = np.eye(2)
+    return np.kron(matrix, eye) if photon is Photon.A else np.kron(eye, matrix)
+
+
+def projected(pair, photon, the_op):
+    """(|b><b| on ``photon``) applied to the pair's 4-vector."""
+    b = np.array(basis_vector(the_op.axis, the_op.branch))
+    return on_photon(photon, np.outer(b, b.conj())) @ pair_to_vec(pair)
 
 
 def pair_oracle(steps, pair):
@@ -152,6 +176,67 @@ class TestApplyPartialPair:
     @given(axes, branches, alphas_positive, st.sampled_from(list(Photon)))
     def test_matches_kron_oracle(self, axis, branch, alpha, photon):
         assert_matches_oracle(make_epr(), [(photon, op(axis, branch, alpha))])
+
+    @given(pair_states(), st.lists(st.tuples(photons, axes, branches, alphas_positive),
+                                   min_size=1, max_size=4))
+    def test_matches_kron_oracle_on_asymmetric_pairs(self, pair, steps):
+        assert_matches_oracle(pair, [(photon, op(*args)) for photon, *args in steps])
+
+
+class TestPairOracles:
+    """The click, collapse and basis-change maps against 4x4 kron oracles,
+    on random pairs that are not symmetric under swapping the photons."""
+
+    @given(pair_states(), photons, axes, branches, st.floats(0.0, 1.0))
+    def test_click_probability(self, pair, photon, axis, branch, alpha):
+        the_op = op(axis, branch, alpha)
+        expected = (1.0 - alpha) * np.linalg.norm(projected(pair, photon, the_op)) ** 2
+        assert abs(pair_click_probability(pair, photon, the_op) - expected) < 1e-12
+
+    @given(pair_states(), photons, axes, branches)
+    def test_collapse(self, pair, photon, axis, branch):
+        the_op = op(axis, branch, 0.5)
+        vec = projected(pair, photon, the_op)
+        assume(np.linalg.norm(vec) > 1e-6)
+        result = pair_to_vec(collapse_pair(pair, photon, the_op))
+        assert np.allclose(result, vec / np.linalg.norm(vec), atol=1e-12, rtol=0.0)
+
+    @given(pair_states(), axes)
+    def test_axis_amplitudes(self, pair, axis):
+        kets = [np.array(basis_vector(axis, branch)) for branch in (Branch.PLUS, Branch.MINUS)]
+        n = pair_axis_amplitudes(pair, axis)
+        for k in range(2):
+            for l in range(2):
+                expected = np.vdot(np.kron(kets[k], kets[l]), pair_to_vec(pair))
+                assert abs(n[k][l] - expected) < 1e-12
+
+
+# z,plus then x,minus then x,plus, all complete measurements: the third
+# silence is impossible, but rounding leaves its click mass below 1.
+CERTAIN_CLICK_PLAN = ((Axis.Z, Branch.PLUS), (Axis.X, Branch.MINUS), (Axis.X, Branch.PLUS))
+
+
+class TestClickSilenceContract:
+    @pytest.mark.parametrize("photon", list(Photon))
+    def test_event_tree_when_silence_impossible(self, photon):
+        plan = tuple(MeasureStep(photon, op(a, b, 0.0)) for a, b in CERTAIN_CLICK_PLAN)
+        config = ExperimentConfig(Preparation.epr(), plan, Axis.Y, 1, 0)
+        leaves = enumerate_event_tree(config)
+        assert abs(sum(leaf.probability for leaf in leaves) - 1.0) < 1e-12
+        assert analytic_survival(config) == 0.0
+
+    @given(st.lists(st.tuples(photons, axes, branches), min_size=1, max_size=8))
+    @example([(Photon.A, axis, branch) for axis, branch in CERTAIN_CLICK_PLAN])
+    @example([(Photon.B, axis, branch) for axis, branch in CERTAIN_CLICK_PLAN])
+    def test_click_certain_wherever_silence_impossible(self, chain):
+        pair = make_epr()
+        for photon, axis, branch in chain:
+            the_op = op(axis, branch, 0.0)
+            try:
+                pair = apply_partial_pair(pair, photon, the_op)
+            except ZeroSurvival:
+                assert pair_click_probability(pair, photon, the_op) >= 1.0
+                return
 
 
 class TestEprDecompose:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ from partial_eraser.montecarlo import count_trials
 EXACT_BOUNDARY = ((1 + math.sqrt(5) + math.sqrt(2 + 2 * math.sqrt(5))) / 2) ** 2
 
 log_rhos = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x)
+HUGE_RHOS = [9.5e153, 1e154, 1.34e154, 1e300, 9e307, 1.7976931348623157e308]
+
+
+def decimal_delta(r: Decimal) -> float:
+    """delta(r) in 60-digit decimal arithmetic, rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(1 - (1 + r.sqrt()) ** 2 / (2 + 2 * r))
 
 
 class TestDeltaFunctions:
@@ -68,6 +77,14 @@ class TestDeltaFunctions:
     def test_range(self, rho):
         assert 0.0 <= delta_pair(rho) < 0.5
 
+    @pytest.mark.parametrize("rho", HUGE_RHOS)
+    def test_delta_ac_at_huge_ratio(self, rho):
+        assert abs(delta_ac(rho) - decimal_delta(Decimal(rho) ** 2)) < 1e-12
+
+    @pytest.mark.parametrize("rho", [1e154, 9e307, 1.7976931348623157e308])
+    def test_delta_pair_at_huge_ratio(self, rho):
+        assert abs(delta_pair(rho) - decimal_delta(Decimal(rho))) < 1e-12
+
 
 class TestViolation:
     def test_margin_at_two(self):
@@ -79,6 +96,10 @@ class TestViolation:
     def test_margin_far_outside(self):
         assert inequality_margin(100.0) < 0.0
         assert not violation_report(100.0).violated
+
+    def test_margin_at_huge_ratio(self):
+        # both rates tend to 1/2, so the margin tends to 1/2 - 2 (1/2)
+        assert violation_report(1e154).margin == pytest.approx(-0.5, abs=1e-12)
 
     def test_margin_positive_just_above_one(self):
         for rho in np.linspace(1.0 + 1e-4, 1.1, 200):
