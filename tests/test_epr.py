@@ -85,11 +85,8 @@ def projected(pair, photon, the_op):
 def pair_oracle(steps, pair):
     """Fold kron-product scaling maps over the 4-vector and renormalize."""
     vec = pair_to_vec(pair)
-    eye = np.eye(2)
     for photon, the_op in steps:
-        s = scaling_2x2(the_op)
-        full = np.kron(s, eye) if photon is Photon.A else np.kron(eye, s)
-        vec = full @ vec
+        vec = on_photon(photon, scaling_2x2(the_op)) @ vec
     return vec / np.linalg.norm(vec)
 
 
@@ -177,8 +174,10 @@ class TestApplyPartialPair:
     def test_matches_kron_oracle(self, axis, branch, alpha, photon):
         assert_matches_oracle(make_epr(), [(photon, op(axis, branch, alpha))])
 
-    @given(pair_states(), st.lists(st.tuples(photons, axes, branches, alphas_positive),
-                                   min_size=1, max_size=4))
+    @given(
+        pair_states(),
+        st.lists(st.tuples(photons, axes, branches, alphas_positive), min_size=1, max_size=4),
+    )
     def test_matches_kron_oracle_on_asymmetric_pairs(self, pair, steps):
         assert_matches_oracle(pair, [(photon, op(*args)) for photon, *args in steps])
 
