@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from partial_eraser import (
     PartialMeasurementOp,
     PolarizationState,
     TrackingMode,
+    ZeroSurvival,
     basis_state,
     beam_intensities,
     build_cascade,
@@ -202,3 +204,58 @@ class TestPlacementInvariance:
     def test_size_out_of_range(self, rng):
         with pytest.raises(DomainError):
             placement_invariance_check(DIAG, build_cascade(10), [11], 100, rng)
+
+
+CASCADE_PINNED_SEED = 20261018
+# sha256 over the reprs below; any change to the bits of an outcome, a
+# signed zero, a reported detector or a raised ZeroSurvival changes it.
+CASCADE_DIGEST = "82629f9d79c2e66cdfe7aefc093973baf356f48856cb7c5ce2f561fc14115578"
+
+
+def pinned_cascade_states(gen):
+    """The six basis states, then random states with random weights, all
+    drawn with ``gen.random()`` (stable across numpy versions)."""
+    for axis in Axis:
+        for branch in Branch:
+            yield basis_state(axis, branch)
+    for _ in range(60):
+        parts = [2.0 * gen.random() - 1.0 for _ in range(4)]
+        norm = math.sqrt(sum(p * p for p in parts))
+        yield PolarizationState(
+            complex(parts[0] / norm, parts[1] / norm),
+            complex(parts[2] / norm, parts[3] / norm),
+            gen.random(),
+        )
+
+
+def pinned_placements(gen, branch):
+    """No detectors, every beam, and random subsets, each on a cascade of
+    1 to 100 beams; the last case is all 100 beams of a 100-beam cascade."""
+    for size in ("none", "all", "random", "random", "random", "random"):
+        n = 1 + int(gen.random() * 100)
+        m = {"none": 0, "all": n}.get(size, int(gen.random() * (n + 1)))
+        keys = gen.random(n)
+        beams = sorted(range(n), key=keys.__getitem__)[:m]
+        yield DetectorPlacement(branch, frozenset(beams)), build_cascade(n)
+    yield DetectorPlacement(branch, frozenset(range(100))), build_cascade(100)
+
+
+def test_cascade_bits_pinned():
+    """1,848 (state, branch, mode, placement) passes of ``cascade_measure``
+    on one seeded stream: the outcome's repr and ``.clicked``."""
+    gen = np.random.default_rng(CASCADE_PINNED_SEED)
+    stream = np.random.default_rng(CASCADE_PINNED_SEED + 1)
+    lines = []
+    for state in pinned_cascade_states(gen):
+        for branch in Branch:
+            for mode in TrackingMode:
+                for placement, cascade in pinned_placements(gen, branch):
+                    try:
+                        outcome = cascade_measure(state, placement, cascade, stream, mode)
+                    except ZeroSurvival:
+                        lines.append("ZeroSurvival")
+                        continue
+                    lines.append(f"{outcome!r} {outcome.clicked}")
+    assert len(lines) == 1848
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CASCADE_DIGEST
