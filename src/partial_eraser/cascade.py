@@ -17,24 +17,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
-from .errors import DomainError
+from .errors import DegenerateState, DomainError, ZeroSurvival
 from .measurement import (
     MeasurementOutcome,
     OutcomeKind,
     PartialMeasurementOp,
     TrackingMode,
-    _silent_state,
+    _outcome,
     no_click_map,
 )
 from .polarization import (
+    _BRAS,
+    _KETS,
     Axis,
     Branch,
     PolarizationState,
     _trusted_state,
     amplitude_distance,
-    basis_vector,
+    basis_state,
 )
+
+# A cascade measures on the X axis.  Its bras and kets, unpacked once for
+# the silent pass in ``cascade_measure``, and the state each click leaves.
+(_BRA_PLUS_UP, _BRA_PLUS_RIGHT), (_BRA_MINUS_UP, _BRA_MINUS_RIGHT) = _BRAS[Axis.X]
+(_KET_PLUS_UP, _KET_PLUS_RIGHT), (_KET_MINUS_UP, _KET_MINUS_RIGHT) = _KETS[Axis.X]
+_CLICK_PLUS = basis_state(Axis.X, Branch.PLUS)
+_CLICK_MINUS = basis_state(Axis.X, Branch.MINUS)
 
 
 @dataclass(frozen=True)
@@ -45,11 +55,18 @@ class Cascade:
     n_beams: int
     transmissions: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if self.n_beams < 1:
+            raise DomainError(f"n_beams must be >= 1, got {self.n_beams!r}")
+        if len(self.transmissions) != self.n_beams:
+            raise DomainError(
+                f"a {self.n_beams}-beam cascade needs {self.n_beams} "
+                f"transmissions, got {len(self.transmissions)}"
+            )
+
 
 def build_cascade(n_beams: int) -> Cascade:
     """Cascade with transmissions (n-1-i)/(n-i); the last mirror is solid."""
-    if n_beams < 1:
-        raise DomainError(f"n_beams must be >= 1, got {n_beams!r}")
     transmissions = tuple(
         (n_beams - 1 - i) / (n_beams - i) for i in range(n_beams)
     )
@@ -74,6 +91,9 @@ class DetectorPlacement:
     beam_indices: frozenset[int]
 
     def __post_init__(self) -> None:
+        for index in self.beam_indices:
+            if isinstance(index, bool) or not isinstance(index, Integral):
+                raise DomainError(f"beam indices must be integers, got {index!r}")
         ordered = tuple(sorted(self.beam_indices))
         object.__setattr__(self, "beam_indices", frozenset(ordered))
         # cached for the sampling hot path
@@ -113,27 +133,58 @@ def cascade_measure(
 
     Click probability is (m/n) |<branch|psi>|^2, spread uniformly over the
     m placed detectors; the click outcome records which one fired.  A
-    silent pass applies the equivalent partial measurement's no-click map.
+    silent pass applies the equivalent partial measurement's no-click map,
+    written out here for the X axis step by step as ``no_click_map`` takes
+    it, so the two agree to the bit.
     """
     _check_indices(placement, cascade)
     n = cascade.n_beams
-    m = placement.n_detectors
-    c_branch = state.amp_up if placement.branch is Branch.PLUS else state.amp_right
+    m = len(placement._ordered)
+    plus = placement.branch is Branch.PLUS
+    c_branch = state.amp_up if plus else state.amp_right
     p_click = (m / n) * abs(c_branch) ** 2
 
     u = rng.random()
     if u < p_click:
         # u is uniform on [0, p_click); reuse it to pick the detector.
         which = min(int(u / p_click * m), m - 1)
-        up, right = basis_vector(Axis.X, placement.branch)
-        return MeasurementOutcome(
+        return _outcome(
             OutcomeKind.CLICK,
             p_click,
-            _trusted_state(up, right, 1.0),
-            detector=placement._ordered[which],
+            _CLICK_PLUS if plus else _CLICK_MINUS,
+            placement._ordered[which],
         )
-    post = _silent_state(Axis.X, placement.branch, (n - m) / n, state, mode)
-    return MeasurementOutcome(OutcomeKind.NO_CLICK, 1.0 - p_click, post)
+    alpha = (n - m) / n
+    if alpha == 1.0:
+        return _outcome(OutcomeKind.NO_CLICK, 1.0 - p_click, state, None)
+    up = state.amp_up
+    right = state.amp_right
+    c_plus = _BRA_PLUS_UP * up + _BRA_PLUS_RIGHT * right
+    c_minus = _BRA_MINUS_UP * up + _BRA_MINUS_RIGHT * right
+    c_meas, c_other = (c_plus, c_minus) if plus else (c_minus, c_plus)
+
+    survival = alpha * abs(c_meas) ** 2 + abs(c_other) ** 2
+    if survival <= 0.0:
+        raise ZeroSurvival(
+            f"no-click impossible: alpha={alpha} on a fully measured branch"
+        )
+    root = math.sqrt(survival)
+    c_meas = c_meas * (math.sqrt(alpha) / root)
+    c_other = c_other / root
+    c_plus, c_minus = (c_meas, c_other) if plus else (c_other, c_meas)
+
+    up = c_plus * _KET_PLUS_UP + c_minus * _KET_MINUS_UP
+    right = c_plus * _KET_PLUS_RIGHT + c_minus * _KET_MINUS_RIGHT
+    norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
+    if norm < 1e-15:
+        raise DegenerateState("cannot normalize a zero vector")
+    weight = state.weight * survival if mode is TrackingMode.WEIGHTED else state.weight
+    return _outcome(
+        OutcomeKind.NO_CLICK,
+        1.0 - p_click,
+        _trusted_state(up / norm, right / norm, weight),
+        None,
+    )
 
 
 def cascade_no_click_state(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -230,7 +231,18 @@ def cmd_cascade_demo(args) -> int:
     return EXIT_OK
 
 
+# A bare negative number in any form ``float`` reads, such as -1e-3 or
+# -inf, is an option's value; argparse alone takes only -1 and -1.5 so.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):
         """A bad command line is one ``error:`` line and exit code 2."""
         self.exit(EXIT_CONFIG, f"error: {message}\n")

@@ -44,6 +44,7 @@ from .measurement import (
     OutcomeKind,
     PartialMeasurementOp,
     TrackingMode,
+    _outcome,
 )
 from .polarization import _BRAS, _KETS, NORM_TOL, Axis, Branch
 
@@ -206,11 +207,9 @@ def sample_partial_pair(
     """Draw a click / no-click event for a partial measurement on a pair."""
     p_click = pair_click_probability(pair, photon, op)
     if rng.random() < p_click:
-        return MeasurementOutcome(
-            OutcomeKind.CLICK, p_click, collapse_pair(pair, photon, op)
-        )
-    return MeasurementOutcome(
-        OutcomeKind.NO_CLICK, 1.0 - p_click, apply_partial_pair(pair, photon, op, mode)
+        return _outcome(OutcomeKind.CLICK, p_click, collapse_pair(pair, photon, op), None)
+    return _outcome(
+        OutcomeKind.NO_CLICK, 1.0 - p_click, apply_partial_pair(pair, photon, op, mode), None
     )
 
 

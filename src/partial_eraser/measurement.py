@@ -28,7 +28,7 @@ two branches' unmeasured fractions matters for the surviving state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -88,17 +88,34 @@ class MeasurementOutcome:
     relative to the state's current weight).  A CLICK collapses the state
     onto the measured branch and discards weight history; a NO_CLICK
     carries the reshaped state.  ``detector`` identifies which detector
-    fired when the event came from a beam cascade.
+    fired when the event came from a beam cascade.  ``clicked`` is derived
+    from ``kind`` and takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     kind: OutcomeKind
     probability: float
     post_state: object
     detector: int | None = None
+    clicked: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def clicked(self) -> bool:
-        return self.kind is OutcomeKind.CLICK
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clicked", self.kind is OutcomeKind.CLICK)
+
+
+def _outcome(
+    kind: OutcomeKind, probability: float, post_state, detector: int | None
+) -> MeasurementOutcome:
+    """An outcome built without ``__init__``, for the sampling hot paths;
+    the fields are the constructor's and ``clicked`` is set as
+    ``__post_init__`` sets it."""
+    outcome = object.__new__(MeasurementOutcome)
+    fields = outcome.__dict__
+    fields["kind"] = kind
+    fields["probability"] = probability
+    fields["post_state"] = post_state
+    fields["detector"] = detector
+    fields["clicked"] = kind is OutcomeKind.CLICK
+    return outcome
 
 
 def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> float:
@@ -127,22 +144,13 @@ def no_click_map(
     opposite branch is untouched.  Raises ZeroSurvival when the no-click
     outcome is impossible (alpha = 0 with everything in the measured
     branch).
+
+    This is the general formula; ``cascade.cascade_measure`` writes out
+    the same steps for the X axis.  The result is built without re-running
+    the state checks: its amplitudes are normalized here and its weight
+    is the input's, times the survival probability in WEIGHTED mode.
     """
-    return _silent_state(op.axis, op.branch, op.alpha, state, mode)
-
-
-def _silent_state(
-    axis: Axis,
-    branch: Branch,
-    alpha: float,
-    state: PolarizationState,
-    mode: TrackingMode,
-) -> PolarizationState:
-    """``no_click_map`` for an op given by its parts, so that hot loops
-    need not build a ``PartialMeasurementOp`` per call.  ``alpha`` must be
-    a float in [0, 1].  The result is built without re-running the state
-    checks: its amplitudes are normalized here and its weight is the
-    input's, times the survival probability in WEIGHTED mode."""
+    axis, branch, alpha = op.axis, op.branch, op.alpha
     if alpha == 1.0:
         return state
     c_plus, c_minus = components_in(state, axis)

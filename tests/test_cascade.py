@@ -22,6 +22,7 @@ from partial_eraser import (
     no_click_map,
     placement_invariance_check,
 )
+from partial_eraser.cascade import Cascade
 from partial_eraser.polarization import amplitude_distance
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
@@ -65,6 +66,25 @@ class TestBuildCascade:
     def test_intensity_conservation(self, n):
         total = sum(beam_intensities(build_cascade(n)))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("index", [2.0, 1.5, True, False], ids=repr)
+    def test_placement_rejects_non_integer_indices(self, index):
+        with pytest.raises(DomainError, match="integers"):
+            DetectorPlacement(Branch.PLUS, frozenset({5, index}))
+
+    def test_placement_accepts_numpy_integers(self):
+        placement = DetectorPlacement(Branch.PLUS, frozenset(np.arange(3)))
+        assert placement.n_detectors == 3
+
+    @pytest.mark.parametrize(
+        "n_beams, transmissions",
+        [(0, ()), (-2, ()), (2, (0.0,)), (1, (0.5, 0.0))],
+    )
+    def test_cascade_validates_itself(self, n_beams, transmissions):
+        with pytest.raises(DomainError):
+            Cascade(n_beams, transmissions)
 
 
 class TestCascadeMeasure:

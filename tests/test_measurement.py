@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ from partial_eraser import (
     Axis,
     AxisMismatch,
     Branch,
+    DetectorPlacement,
     DomainError,
     ExperimentConfig,
+    MeasurementOutcome,
     MeasureStep,
+    OutcomeKind,
     PartialMeasurementOp,
     Photon,
     PolarizationState,
@@ -21,10 +25,14 @@ from partial_eraser import (
     apply_sequence,
     basis_state,
     basis_vector,
+    build_cascade,
+    cascade_measure,
     click_probability,
     compose_same_axis,
     components_in,
+    make_epr,
     no_click_map,
+    sample_partial_pair,
 )
 from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import count_trials
@@ -369,3 +377,53 @@ def walk_event_tree(ops, state):
 def test_probability_conservation_over_event_tree(state, raw_ops):
     ops = [op(axis, branch, alpha) for axis, branch, alpha in raw_ops]
     assert sum(walk_event_tree(ops, state)) == pytest.approx(1.0, abs=1e-9)
+
+
+def sampled_outcomes():
+    """Clicks (with a detector) and silences from ``cascade_measure``, and
+    clicks and silences from ``sample_partial_pair``, on one seeded stream."""
+    gen = np.random.default_rng(808)
+    cascade = build_cascade(10)
+    for branch in Branch:
+        placement = DetectorPlacement(branch, frozenset({1, 4, 7}))
+        for mode in TrackingMode:
+            for _ in range(40):
+                yield cascade_measure(DIAG, placement, cascade, gen, mode)
+    the_op = op(Axis.X, Branch.PLUS, 0.5)
+    for photon in Photon:
+        for mode in TrackingMode:
+            for _ in range(40):
+                yield sample_partial_pair(make_epr(), photon, the_op, mode, gen)
+
+
+class TestOutcomeContract:
+    """Sampled outcomes are built without ``__init__``; they must be the
+    outcomes the public constructor builds from the same fields."""
+
+    def test_sampled_outcomes_equal_constructed_ones(self):
+        kinds = set()
+        for outcome in sampled_outcomes():
+            built = MeasurementOutcome(
+                outcome.kind, outcome.probability, outcome.post_state, outcome.detector
+            )
+            assert outcome == built
+            assert repr(outcome) == repr(built)
+            assert hash(outcome) == hash(built)
+            assert outcome.clicked is built.clicked is (outcome.kind is OutcomeKind.CLICK)
+            assert vars(outcome) == vars(built)
+            kinds.add((type(outcome.post_state).__name__, outcome.kind, outcome.detector is None))
+        assert kinds == {
+            ("PolarizationState", OutcomeKind.CLICK, False),
+            ("PolarizationState", OutcomeKind.NO_CLICK, True),
+            ("PairState", OutcomeKind.CLICK, True),
+            ("PairState", OutcomeKind.NO_CLICK, True),
+        }
+
+    def test_replace_recomputes_clicked(self):
+        for outcome in sampled_outcomes():
+            other = (
+                OutcomeKind.NO_CLICK if outcome.kind is OutcomeKind.CLICK else OutcomeKind.CLICK
+            )
+            flipped = dataclasses.replace(outcome, kind=other)
+            assert flipped.clicked is (other is OutcomeKind.CLICK)
+            assert dataclasses.replace(flipped, kind=outcome.kind) == outcome
