@@ -510,3 +510,51 @@ def test_shipped_golden_configs(tmp_path, capsys):
         assert main(argv + ["--trials", "2000", "--log-trials"]) == 0
         assert sha256_of(out) == summary, name
         assert sha256_of(tmp_path / f"{name}.csv.trials.csv") == log, name
+
+
+# sha256 of every subcommand's output but ``run`` (GOLDEN_DIGESTS pins
+# that): for each command line, its exit code, stdout and stderr, then the
+# bytes of the CSV it writes, if any.  Run from the output directory, so
+# stdout names the file the same way each time.  The default 0..1 grid
+# holds rho = 0, so the inequality chart needs its own grid.
+CLI_DIGESTS = {
+    "chart angle_vs_alpha": (
+        "0f08d12ada5d3f5c1fd6f6b51bc01371e1bb12b7676140a890111e09ce6f861b"
+    ),
+    "chart uncertainty_vs_alpha": (
+        "dad351aa04b2ec15ddf3be64d76a8b15e20c5f990fab06c0c85a2568a056475a"
+    ),
+    "chart epr_parts_vs_alpha": (
+        "e99f6f2dc04da1cfad4ac75a240afe1c5137e6bf0061961deb747fc3178e8811"
+    ),
+    "chart inequality_deltas_vs_rho": (
+        "17b4dad2452d8c78096e52a6c4293cb3ffd32727cfab42289d340fb1cde168a6"
+    ),
+    "chart inequality_deltas_vs_rho --min 1 --max 20 --steps 200 --scale log": (
+        "58958fba5182f20e645ec82dbeb4e67221b8b534575782a781e2a152955548a5"
+    ),
+    "inequality-scan": (
+        "2f9c38058583be749818be4cbe6bd8bae008cce1d53440d28aaff1a9562c59bf"
+    ),
+    "cascade-demo --detectors 3 --trials 5000 --seed 9": (
+        "687f15438361960b69bf883e327f36f7c48bf657b04722aa224342189584af64"
+    ),
+    "cascade-demo --detectors 50 --erase --trials 5000 --seed 9": (
+        "7ef102475207b2be50554bc914ece750621247fe06beb4796cf3e36995ae1ec6"
+    ),
+}
+
+
+def cli_output_digest(command, directory, capsys):
+    code = main([*command.split(), "--output", "out.csv"])
+    captured = capsys.readouterr()
+    out = directory / "out.csv"
+    written = out.read_bytes() if out.exists() else b""
+    text = f"{code}\0{captured.out}\0{captured.err}\0".encode()
+    return hashlib.sha256(text + written).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_cli_bytes_pinned(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli_output_digest(command, tmp_path, capsys) == CLI_DIGESTS[command]
