@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -279,3 +280,44 @@ def test_cascade_bits_pinned():
     assert len(lines) == 1848
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CASCADE_DIGEST
+
+
+class _AlwaysSilent:
+    """An rng stub whose every draw is the largest uniform below 1, so a
+    pass with fewer detectors than beams never clicks."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def signed_part_states():
+    """States whose four real parts take every sign class of +0, -0, +x
+    and -x with at least one nonzero part, with equal and with unequal
+    magnitudes."""
+    for signs in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4):
+        if not any(signs):
+            continue
+        for magnitudes in ((1.0, 1.0, 1.0, 1.0), (0.1, 0.7, 0.3, 0.9)):
+            parts = [s * m for s, m in zip(signs, magnitudes)]
+            norm = math.sqrt(sum(p * p for p in parts))
+            parts = [p / norm for p in parts]
+            yield PolarizationState(
+                complex(parts[0], parts[1]), complex(parts[2], parts[3]), 0.75
+            )
+
+
+def test_silent_pass_bits_match_no_click_map():
+    """The silent post-state of ``cascade_measure`` is the general
+    ``no_click_map`` of its equivalent op, bit for bit, on signed zeros."""
+    cascade = build_cascade(4)
+    cases = mismatches = 0
+    for state in signed_part_states():
+        for branch in Branch:
+            for m in range(1, cascade.n_beams):
+                placement = DetectorPlacement(branch, frozenset(range(m)))
+                for mode in TrackingMode:
+                    outcome = cascade_measure(state, placement, cascade, _AlwaysSilent(), mode)
+                    expected = no_click_map(equivalent_op(placement, cascade), state, mode)
+                    cases += 1
+                    mismatches += repr(outcome.post_state) != repr(expected)
+    assert (cases, mismatches) == (5760, 0)
