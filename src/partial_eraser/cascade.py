@@ -29,7 +29,6 @@ from .measurement import (
     no_click_map,
 )
 from .polarization import (
-    _BRAS,
     _KETS,
     Axis,
     Branch,
@@ -39,9 +38,8 @@ from .polarization import (
     basis_state,
 )
 
-# A cascade measures on the X axis.  Its bras and kets, unpacked once for
-# the silent pass in ``cascade_measure``, and the state each click leaves.
-(_BRA_PLUS_UP, _BRA_PLUS_RIGHT), (_BRA_MINUS_UP, _BRA_MINUS_RIGHT) = _BRAS[Axis.X]
+# A cascade measures on the X axis.  Its kets, unpacked once for the silent
+# pass in ``cascade_measure``, and the state each click leaves.
 (_KET_PLUS_UP, _KET_PLUS_RIGHT), (_KET_MINUS_UP, _KET_MINUS_RIGHT) = _KETS[Axis.X]
 _CLICK_PLUS = basis_state(Axis.X, Branch.PLUS)
 _CLICK_MINUS = basis_state(Axis.X, Branch.MINUS)
@@ -53,24 +51,21 @@ class Cascade:
     ``n_beams`` equal-intensity beams."""
 
     n_beams: int
-    transmissions: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_beams < 1:
             raise DomainError(f"n_beams must be >= 1, got {self.n_beams!r}")
-        if len(self.transmissions) != self.n_beams:
-            raise DomainError(
-                f"a {self.n_beams}-beam cascade needs {self.n_beams} "
-                f"transmissions, got {len(self.transmissions)}"
-            )
+
+    @property
+    def transmissions(self) -> tuple[float, ...]:
+        """(n-1-i)/(n-i) for mirror i; the last mirror is solid."""
+        n = self.n_beams
+        return tuple((n - 1 - i) / (n - i) for i in range(n))
 
 
 def build_cascade(n_beams: int) -> Cascade:
-    """Cascade with transmissions (n-1-i)/(n-i); the last mirror is solid."""
-    transmissions = tuple(
-        (n_beams - 1 - i) / (n_beams - i) for i in range(n_beams)
-    )
-    return Cascade(n_beams, transmissions)
+    """The graded cascade of ``n_beams`` equal-intensity beams."""
+    return Cascade(n_beams)
 
 
 def beam_intensities(cascade: Cascade) -> tuple[float, ...]:
@@ -134,8 +129,8 @@ def cascade_measure(
     Click probability is (m/n) |<branch|psi>|^2, spread uniformly over the
     m placed detectors; the click outcome records which one fired.  A
     silent pass applies the equivalent partial measurement's no-click map,
-    written out here for the X axis step by step as ``no_click_map`` takes
-    it, so the two agree to the bit.
+    written out here for the X axis as ``no_click_map`` takes it, so the
+    two agree to the bit.
     """
     _check_indices(placement, cascade)
     n = cascade.n_beams
@@ -157,10 +152,9 @@ def cascade_measure(
     alpha = (n - m) / n
     if alpha == 1.0:
         return _outcome(OutcomeKind.NO_CLICK, 1.0 - p_click, state, None)
-    up = state.amp_up
-    right = state.amp_right
-    c_plus = _BRA_PLUS_UP * up + _BRA_PLUS_RIGHT * right
-    c_minus = _BRA_MINUS_UP * up + _BRA_MINUS_RIGHT * right
+    # The X-axis bras are 1-0j and 0-0j: their products give back the
+    # amplitudes bit for bit (``test_silent_pass_bits_match_no_click_map``).
+    c_plus, c_minus = state.amp_up, state.amp_right
     c_meas, c_other = (c_plus, c_minus) if plus else (c_minus, c_plus)
 
     survival = alpha * abs(c_meas) ** 2 + abs(c_other) ** 2

@@ -14,6 +14,7 @@ failure, 4 I/O error, 5 root-finding failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -49,12 +50,34 @@ EXIT_GATE = 3
 EXIT_IO = 4
 EXIT_CONVERGENCE = 5
 
-CHART_IDS = (
-    "angle_vs_alpha",
-    "uncertainty_vs_alpha",
-    "epr_parts_vs_alpha",
-    "inequality_deltas_vs_rho",
-)
+_DIAG = basis_state(Axis.Y, Branch.PLUS)
+
+
+def _angle_row(alpha: float) -> list[float]:
+    state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAG)
+    return [alpha, polarization_angle(state)]
+
+
+def _deltas_row(rho: float) -> list[float]:
+    d_sum = 2.0 * delta_pair(rho)
+    d_ac = delta_ac(rho)
+    return [rho, d_sum, d_ac, d_ac - d_sum]
+
+
+# Each chart's CSV header and its row at one grid point.
+_CHARTS = {
+    "angle_vs_alpha": (["alpha", "theta_deg"], _angle_row),
+    "uncertainty_vs_alpha": (
+        ["alpha", "delta_px", "delta_py"],
+        lambda alpha: [alpha, *uncertainty_spreads(alpha)],
+    ),
+    "epr_parts_vs_alpha": (
+        ["alpha", "epr_amp", "anti_epr_amp"],
+        lambda alpha: [alpha, *weighted_epr_track(IntensityQuadruple(alpha, 1.0, 1.0, 1.0))],
+    ),
+    "inequality_deltas_vs_rho": (["rho", "delta_ab_plus_bc", "delta_ac", "margin"], _deltas_row),
+}
+CHART_IDS = tuple(_CHARTS)
 
 
 @dataclass(frozen=True)
@@ -111,34 +134,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def chart_table(request: ChartRequest) -> tuple[list[str], list[list[float]]]:
     """Header and rows for one analytic chart."""
-    points = request.grid.points()
-    if request.chart_id == "angle_vs_alpha":
-        diag = basis_state(Axis.Y, Branch.PLUS)
-        rows = []
-        for alpha in points:
-            state = no_click_map(
-                PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), diag
-            )
-            rows.append([alpha, polarization_angle(state)])
-        return ["alpha", "theta_deg"], rows
-    if request.chart_id == "uncertainty_vs_alpha":
-        rows = []
-        for alpha in points:
-            spread_x, spread_y = uncertainty_spreads(alpha)
-            rows.append([alpha, spread_x, spread_y])
-        return ["alpha", "delta_px", "delta_py"], rows
-    if request.chart_id == "epr_parts_vs_alpha":
-        rows = []
-        for alpha in points:
-            epr, anti = weighted_epr_track(IntensityQuadruple(alpha, 1.0, 1.0, 1.0))
-            rows.append([alpha, epr, anti])
-        return ["alpha", "epr_amp", "anti_epr_amp"], rows
-    rows = []
-    for rho in points:
-        d_sum = 2.0 * delta_pair(rho)
-        d_ac = delta_ac(rho)
-        rows.append([rho, d_sum, d_ac, d_ac - d_sum])
-    return ["rho", "delta_ab_plus_bc", "delta_ac", "margin"], rows
+    header, row = _CHARTS[request.chart_id]
+    return list(header), [row(x) for x in request.grid.points()]
 
 
 def cmd_chart(args) -> int:
@@ -203,31 +200,17 @@ def cmd_cascade_demo(args) -> int:
         f"survival={empirical:.5f} analytic={analytic:.5f}"
     )
     if args.output:
-        write_csv(
-            args.output,
-            [
-                "n_beams",
-                "detectors",
-                "erase",
-                "trials",
-                "clicks",
-                "survivors",
-                "empirical_survival",
-                "analytic_survival",
-            ],
-            [
-                [
-                    n,
-                    m,
-                    int(args.erase),
-                    args.trials,
-                    clicks,
-                    survivors,
-                    empirical,
-                    analytic,
-                ]
-            ],
-        )
+        columns = {
+            "n_beams": n,
+            "detectors": m,
+            "erase": int(args.erase),
+            "trials": args.trials,
+            "clicks": clicks,
+            "survivors": survivors,
+            "empirical_survival": empirical,
+            "analytic_survival": analytic,
+        }
+        write_csv(args.output, list(columns), [list(columns.values())])
     return EXIT_OK
 
 
@@ -248,7 +231,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves no state in it."""
     parser = _Parser(
         prog="partial-eraser",
         description="Partial polarization measurement and erasure simulator.",
@@ -291,22 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (PartialEraserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PartialEraserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, ConvergenceFailure):
+            return EXIT_CONVERGENCE
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 
 def main_entry() -> None:

@@ -178,8 +178,14 @@ def parse_experiment_text(text: str) -> ParsedExperiment:
 
 
 def parse_experiment_file(path) -> ParsedExperiment:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_experiment_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise _fail(lineno, f"not UTF-8 text ({exc.reason})") from None
+    return parse_experiment_text(text)
 
 
 def resolve_seed(

@@ -79,13 +79,14 @@ class TestValidation:
         placement = DetectorPlacement(Branch.PLUS, frozenset(np.arange(3)))
         assert placement.n_detectors == 3
 
-    @pytest.mark.parametrize(
-        "n_beams, transmissions",
-        [(0, ()), (-2, ()), (2, (0.0,)), (1, (0.5, 0.0))],
-    )
-    def test_cascade_validates_itself(self, n_beams, transmissions):
+    @pytest.mark.parametrize("n_beams", [0, -2])
+    def test_cascade_validates_itself(self, n_beams):
         with pytest.raises(DomainError):
-            Cascade(n_beams, transmissions)
+            Cascade(n_beams)
+
+    @pytest.mark.parametrize("n", [1, 3, 100])
+    def test_transmissions_follow_from_the_beam_count(self, n):
+        assert Cascade(n).transmissions == build_cascade(n).transmissions
 
 
 class TestCascadeMeasure:

@@ -297,6 +297,12 @@ class TestRun:
         config = write_config(tmp_path, "trials = 10\n")
         assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"preparation = epr\n\xff\xfe bad\n")
+        assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
+        assert_one_line_error(capsys, "line 2: not UTF-8 text")
+
     def test_zero_trials_in_config_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, EPR_HALF.replace("trials = 20000", "trials = 0"))
         assert main(["run", str(config), "--output", str(tmp_path / "s.csv")]) == 2
@@ -467,6 +473,46 @@ class TestCascadeDemo:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    """``main`` parses with one parser per process; no value of one call
+    reaches the next, so each call gives a fresh process's bytes."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    for directory in (shared, fresh):
+        directory.mkdir()
+        write_config(directory, EPR_HALF)
+    commands = [
+        "run exp.cfg --output run1.csv --trials 2000 --log-trials",
+        "run exp.cfg --trials abc",
+        "chart epr_parts_vs_alpha --steps 11 --output chart.csv",
+        "cascade-demo --detectors 3 --erase --trials 2000 --seed 9 --output demo.csv",
+        "run exp.cfg --output run2.csv --trials 2000 --seed 5",
+        "run exp.cfg --output run3.csv --trials 2000",
+    ]
+    monkeypatch.chdir(shared)
+    codes = []
+    for command in commands:
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        result = run_python(["-m", "partial_eraser.cli", *command.split()], cwd=fresh)
+        assert (code, captured.out, captured.err) == (
+            result.returncode, result.stdout, result.stderr
+        ), command
+        codes.append(code)
+        if code:
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert codes == [0, 2, 0, 0, 0, 0]
+    assert sorted(os.listdir(shared)) == sorted(os.listdir(fresh))
+    for name in os.listdir(shared):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+    # the last run takes the config's seed, not the --seed 5 before it
+    assert (shared / "run3.csv").read_bytes() == (shared / "run1.csv").read_bytes()
+    assert (shared / "run2.csv").read_bytes() != (shared / "run1.csv").read_bytes()
 
 
 # sha256 of the summary and --log-trials CSVs of each shipped config at
