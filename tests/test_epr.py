@@ -9,11 +9,13 @@ from hypothesis import assume, example, given
 from partial_eraser import (
     Axis,
     Branch,
+    CascadeStep,
     DomainError,
     ExperimentConfig,
     IntensityQuadruple,
     MeasureStep,
     PairState,
+    PartialEraserError,
     PartialMeasurementOp,
     Photon,
     Preparation,
@@ -34,7 +36,12 @@ from partial_eraser.epr import (
     pair_click_probability,
     pair_distance,
 )
-from partial_eraser.montecarlo import analytic_survival, count_trials, enumerate_event_tree
+from partial_eraser.montecarlo import (
+    analytic_agreement,
+    analytic_survival,
+    count_trials,
+    enumerate_event_tree,
+)
 
 from conftest import alphas_positive, axes, branches, finite, quadruples
 
@@ -512,3 +519,117 @@ def test_pair_algebra_bits_pinned():
     assert len(lines) == 8242 and lines.count("ZeroSurvival") == 40
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PAIR_ALGEBRA_DIGEST
+
+
+# --- pinned bits of the oracles and of pair sampling -------------------------
+
+ORACLE_PINNED_SEED = 20261019
+# sha256 over the reprs below; any change to the bits of an event tree, a
+# survival or agreement probability, a sampled outcome, a raised error or
+# the number of draws taken from the stream changes it.
+ORACLE_SAMPLING_DIGEST = "5ff17cb56f3f5b389840dfdd548f7b69189e3581bbe35a0cec707642d07f7646"
+
+
+def pinned_pick(gen, options):
+    return options[int(gen.random() * len(options))]
+
+
+def pinned_pair_plan(gen):
+    """An EPR plan of one to four steps on random photons and branches: a
+    quarter are 100-beam cascades with 1 to 100 detectors, the rest ops on
+    a random axis with alpha 0, 1 or random.  Drawn with ``gen.random()``."""
+    steps = []
+    for _ in range(1 + int(gen.random() * 4)):
+        photon, branch = pinned_pick(gen, list(Photon)), pinned_pick(gen, list(Branch))
+        if gen.random() < 0.25:
+            steps.append(CascadeStep(photon, branch, 1 + int(gen.random() * 100)))
+        else:
+            alpha = pinned_pick(gen, (0.0, 1.0, gen.random()))
+            steps.append(MeasureStep(photon, op(pinned_pick(gen, list(Axis)), branch, alpha)))
+    return tuple(steps)
+
+
+def pinned_oracles(preparation, plan, axis):
+    """The reprs of the event tree, survival and agreement of one plan."""
+    config = ExperimentConfig(preparation, plan, axis, 1, 0)
+    lines = []
+    for fn in (enumerate_event_tree, analytic_survival, analytic_agreement):
+        try:
+            lines.append(repr(fn(config)))
+        except PartialEraserError as exc:
+            lines.append(type(exc).__name__)
+    return lines
+
+
+def test_oracle_and_pair_sampling_bits_pinned():
+    """One digest over (1) the event tree, survival and agreement of 300
+    seeded EPR plans with each final axis, and of the single-photon
+    cascades with m = 1..100 detectors and with m measuring then m
+    erasing detectors; (2) 7,920 ``sample_partial_pair`` outcomes, repr and
+    ``.clicked``, over both photons, both modes, every axis and branch and
+    alpha 0, 1 and random, all on one seeded stream."""
+    gen = np.random.default_rng(ORACLE_PINNED_SEED)
+    lines = []
+    for _ in range(300):
+        plan = pinned_pair_plan(gen)
+        for axis in Axis:
+            lines += pinned_oracles(Preparation.epr(), plan, axis)
+    for m in range(1, 101):
+        measure = CascadeStep(Photon.A, Branch.PLUS, m)
+        erase = CascadeStep(Photon.A, Branch.MINUS, m)
+        lines += pinned_oracles(Preparation.single(), (measure,), Axis.Y)
+        lines += pinned_oracles(Preparation.single(), (measure, erase), Axis.Y)
+    oracle_lines = len(lines)
+
+    stream = np.random.default_rng(ORACLE_PINNED_SEED + 1)
+    for pair in pinned_pairs(gen):
+        for photon in Photon:
+            for mode in TrackingMode:
+                for axis in Axis:
+                    for branch in Branch:
+                        for alpha in (0.0, 1.0, gen.random()):
+                            the_op = op(axis, branch, alpha)
+                            for _ in range(2):
+                                try:
+                                    outcome = sample_partial_pair(
+                                        pair, photon, the_op, mode, stream
+                                    )
+                                except PartialEraserError as exc:
+                                    lines.append(type(exc).__name__)
+                                    continue
+                                lines.append(f"{outcome!r} {outcome.clicked}")
+    assert oracle_lines == 3300 and len(lines) == 3300 + 7920
+    assert lines.count("ZeroSurvival") == 22
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_SAMPLING_DIGEST
+
+
+# PairState(1, 0, 0, e) under a complete up measurement of photon A: the
+# silence survives with probability e^2, which underflows near e = 1e-160.
+NEAR_ZERO_SURVIVAL = (
+    (1e-150, None),
+    (1e-160, DomainError),
+    (3e-162, DomainError),
+    (1e-162, ZeroSurvival),
+)
+
+
+@pytest.mark.parametrize("mode", list(TrackingMode))
+@pytest.mark.parametrize("e, error", NEAR_ZERO_SURVIVAL)
+def test_near_zero_survival_errors(e, error, mode):
+    """Where the renormalized silence loses its unit norm the pair algebra
+    raises DomainError; where the survival underflows to 0, ZeroSurvival.
+    The click is certain either way."""
+    pair = PairState(1, 0, 0, e)
+    the_op = op(Axis.X, Branch.PLUS, 0.0)
+    assert pair_click_probability(pair, Photon.A, the_op) == 1.0
+    assert sample_partial_pair(pair, Photon.A, the_op, mode, np.random.default_rng(0)).clicked
+    if error is None:
+        post = apply_partial_pair(pair, Photon.A, the_op, mode)
+        assert post == PairState(0, 0, 0, 1, e * e if mode is TrackingMode.WEIGHTED else 1.0)
+        return
+    with pytest.raises(error) as excinfo:
+        apply_partial_pair(pair, Photon.A, the_op, mode)
+    assert type(excinfo.value) is error
+    expected = "pair amplitudes must have unit norm" if error is DomainError else "no-click impossible"
+    assert str(excinfo.value).startswith(expected)
