@@ -5,7 +5,7 @@ import argparse
 import pathlib
 import sys
 
-from partial_eraser.cli import main as cli_main
+from partial_eraser.cli import CHART_IDS, main as cli_main
 
 
 def main() -> int:
@@ -14,18 +14,9 @@ def main() -> int:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        ("angle_vs_alpha", ["--min", "0", "--max", "1", "--steps", "101"]),
-        ("uncertainty_vs_alpha", ["--min", "0", "--max", "1", "--steps", "101"]),
-        ("epr_parts_vs_alpha", ["--min", "0", "--max", "1", "--steps", "101"]),
-        (
-            "inequality_deltas_vs_rho",
-            ["--min", "1", "--max", "20", "--steps", "200", "--scale", "log"],
-        ),
-    ]
-    for chart_id, grid in jobs:
+    for chart_id in CHART_IDS:  # each on its default grid
         out = args.out_dir / f"{chart_id}.csv"
-        code = cli_main(["chart", chart_id, *grid, "--output", str(out)])
+        code = cli_main(["chart", chart_id, "--output", str(out)])
         if code != 0:
             return code
     return 0

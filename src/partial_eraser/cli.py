@@ -18,7 +18,8 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,22 +65,6 @@ def _deltas_row(rho: float) -> list[float]:
     return [rho, d_sum, d_ac, d_ac - d_sum]
 
 
-# Each chart's CSV header and its row at one grid point.
-_CHARTS = {
-    "angle_vs_alpha": (["alpha", "theta_deg"], _angle_row),
-    "uncertainty_vs_alpha": (
-        ["alpha", "delta_px", "delta_py"],
-        lambda alpha: [alpha, *uncertainty_spreads(alpha)],
-    ),
-    "epr_parts_vs_alpha": (
-        ["alpha", "epr_amp", "anti_epr_amp"],
-        lambda alpha: [alpha, *weighted_epr_track(IntensityQuadruple(alpha, 1.0, 1.0, 1.0))],
-    ),
-    "inequality_deltas_vs_rho": (["rho", "delta_ab_plus_bc", "delta_ac", "margin"], _deltas_row),
-}
-CHART_IDS = tuple(_CHARTS)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     low: float
@@ -105,6 +90,34 @@ class GridSpec:
             return spacing(self.low, self.high, self.steps).tolist()
         except MemoryError as exc:
             raise DomainError(f"{self.steps} grid steps do not fit in memory") from exc
+
+
+class _Chart(NamedTuple):
+    header: list[str]
+    row: Callable[[float], list[float]]  # the row at one grid point
+    grid: GridSpec  # the grid when the command line leaves it unset
+
+
+_ALPHA_GRID = GridSpec(0.0, 1.0, 101)
+_CHARTS = {
+    "angle_vs_alpha": _Chart(["alpha", "theta_deg"], _angle_row, _ALPHA_GRID),
+    "uncertainty_vs_alpha": _Chart(
+        ["alpha", "delta_px", "delta_py"],
+        lambda alpha: [alpha, *uncertainty_spreads(alpha)],
+        _ALPHA_GRID,
+    ),
+    "epr_parts_vs_alpha": _Chart(
+        ["alpha", "epr_amp", "anti_epr_amp"],
+        lambda alpha: [alpha, *weighted_epr_track(IntensityQuadruple(alpha, 1.0, 1.0, 1.0))],
+        _ALPHA_GRID,
+    ),
+    "inequality_deltas_vs_rho": _Chart(
+        ["rho", "delta_ab_plus_bc", "delta_ac", "margin"],
+        _deltas_row,
+        GridSpec(1.0, 20.0, 200, "log"),
+    ),
+}
+CHART_IDS = tuple(_CHARTS)
 
 
 @dataclass(frozen=True)
@@ -134,14 +147,16 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def chart_table(request: ChartRequest) -> tuple[list[str], list[list[float]]]:
     """Header and rows for one analytic chart."""
-    header, row = _CHARTS[request.chart_id]
-    return list(header), [row(x) for x in request.grid.points()]
+    chart = _CHARTS[request.chart_id]
+    return list(chart.header), [chart.row(x) for x in request.grid.points()]
 
 
 def cmd_chart(args) -> int:
-    request = ChartRequest(
-        args.chart_id, GridSpec(args.min, args.max, args.steps, args.scale)
+    given = {"low": args.min, "high": args.max, "steps": args.steps, "scale": args.scale}
+    grid = replace(
+        _CHARTS[args.chart_id].grid, **{k: v for k, v in given.items() if v is not None}
     )
+    request = ChartRequest(args.chart_id, grid)
     header, rows = chart_table(request)
     write_csv(args.output, header, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
@@ -174,9 +189,8 @@ def cmd_run(args) -> int:
 
 def cmd_inequality_scan(args) -> int:
     low, high = violation_region(args.tolerance)
-    header, rows = chart_table(
-        ChartRequest("inequality_deltas_vs_rho", GridSpec(1.0, 20.0, 200, "log"))
-    )
+    chart_id = "inequality_deltas_vs_rho"
+    header, rows = chart_table(ChartRequest(chart_id, _CHARTS[chart_id].grid))
     write_csv(args.output, header, rows)
     print(f"margin at rho=1: {_fmt(inequality_margin(1.0))}")
     print(f"violation region: {_fmt(low)} < rho < {_fmt(high)}")
@@ -242,10 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     chart = sub.add_parser("chart", help="write an analytic chart as CSV")
     chart.add_argument("chart_id", choices=CHART_IDS)
-    chart.add_argument("--min", type=float, default=0.0)
-    chart.add_argument("--max", type=float, default=1.0)
-    chart.add_argument("--steps", type=int, default=101)
-    chart.add_argument("--scale", choices=("linear", "log"), default="linear")
+    # Unset grid options take the chart's own grid (see _CHARTS).
+    chart.add_argument("--min", type=float)
+    chart.add_argument("--max", type=float)
+    chart.add_argument("--steps", type=int)
+    chart.add_argument("--scale", choices=("linear", "log"))
     chart.add_argument("--output", required=True)
     chart.set_defaults(func=cmd_chart)
 

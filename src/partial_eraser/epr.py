@@ -74,12 +74,16 @@ class PairState:
             object.__setattr__(self, name, amp)
             norm2 += abs(amp) ** 2
         object.__setattr__(self, "weight", float(self.weight))
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise DomainError(
-                f"pair amplitudes must have unit norm, got |psi|^2 = {norm2!r}"
-            )
-        if not 0.0 <= self.weight <= 1.0 + NORM_TOL:
-            raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
+        _check_pair(norm2, self.weight)
+
+
+def _check_pair(norm2: float, weight: float) -> None:
+    """DomainError unless the squared norm is 1 and the weight in [0, 1],
+    each to within NORM_TOL."""
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise DomainError(f"pair amplitudes must have unit norm, got |psi|^2 = {norm2!r}")
+    if not 0.0 <= weight <= 1.0 + NORM_TOL:
+        raise DomainError(f"weight must lie in [0, 1], got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,24 @@ def _write_back(rows, photon: Photon) -> tuple[tuple, float]:
 
 
 def _unit_pair(amps, norm2: float, weight: float) -> PairState:
-    """The pair of ``_write_back``'s amplitudes scaled to unit norm."""
+    """The pair of ``_write_back``'s amplitudes scaled to unit norm.
+
+    Built without ``__init__``: the amplitudes are already complex and the
+    weight a float, so of ``PairState.__post_init__`` only its checks are
+    left, with the norm summed in the same field order.
+    """
     norm = math.sqrt(norm2)
     uu, rr, ur, ru = amps
-    return PairState(uu / norm, rr / norm, ur / norm, ru / norm, weight)
+    uu, rr, ur, ru = uu / norm, rr / norm, ur / norm, ru / norm
+    _check_pair(abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, weight)
+    pair = object.__new__(PairState)
+    fields = pair.__dict__
+    fields["amp_uu"] = uu
+    fields["amp_rr"] = rr
+    fields["amp_ur"] = ur
+    fields["amp_ru"] = ru
+    fields["weight"] = weight
+    return pair
 
 
 def _contract(rows, w0: complex, w1: complex) -> tuple[complex, complex]:
@@ -133,9 +151,10 @@ def _kets_and_bras(op: PartialMeasurementOp):
 
 
 def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
-    """``_write_back`` of sqrt(alpha) |b><b| + |o><o| applied to
-    ``photon``: the unnormalized no-click amplitudes and the survival
-    probability."""
+    """The click probability, then ``_write_back`` of sqrt(alpha) |b><b| +
+    |o><o| applied to ``photon``: the unnormalized no-click amplitudes and
+    the survival probability.  The click probability is at least 1
+    wherever the survival is not positive."""
     (b0, b1), (o0, o1), (bb0, bb1), (ob0, ob1) = _kets_and_bras(op)
     root = math.sqrt(op.alpha)
     rows = _rows(pair, photon)
@@ -143,7 +162,12 @@ def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
         _contract(rows, root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1),
         _contract(rows, root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1),
     )
-    return _write_back(out, photon)
+    amps, survival = _write_back(out, photon)
+    c0, c1 = _contract(rows, bb0, bb1)
+    p_click = (1.0 - op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
+    if survival <= 0.0:
+        p_click = max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
+    return p_click, amps, survival
 
 
 def apply_partial_pair(
@@ -160,7 +184,7 @@ def apply_partial_pair(
     """
     if op.is_identity:
         return pair
-    amps, survival = _silence(pair, photon, op)
+    _, amps, survival = _silence(pair, photon, op)
     if survival <= 0.0:
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
@@ -169,17 +193,24 @@ def apply_partial_pair(
     return _unit_pair(amps, survival, weight)
 
 
+def _pair_step(pair: PairState, photon: Photon, op: PartialMeasurementOp):
+    """``(p_click, no-click pair)`` from one ``_silence``, the pair as
+    ``apply_partial_pair`` gives it in NORMALIZED mode, or None for it
+    where the click is certain (``p_click >= 1``)."""
+    if op.is_identity:
+        return 0.0, pair
+    p_click, amps, survival = _silence(pair, photon, op)
+    if p_click >= 1.0:
+        return p_click, None
+    return p_click, _unit_pair(amps, survival, pair.weight)
+
+
 def pair_click_probability(
     pair: PairState, photon: Photon, op: PartialMeasurementOp
 ) -> float:
     """Probability that the op's detectors fire on the chosen photon; at
     least 1 wherever ``apply_partial_pair`` finds the silence impossible."""
-    _, _, bra, _ = _kets_and_bras(op)
-    c0, c1 = _contract(_rows(pair, photon), *bra)
-    p_click = (1.0 - op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
-    if _silence(pair, photon, op)[1] <= 0.0:
-        return max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
-    return p_click
+    return _silence(pair, photon, op)[0]
 
 
 def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
@@ -205,12 +236,15 @@ def sample_partial_pair(
     rng,
 ) -> MeasurementOutcome:
     """Draw a click / no-click event for a partial measurement on a pair."""
-    p_click = pair_click_probability(pair, photon, op)
+    p_click, amps, survival = _silence(pair, photon, op)
     if rng.random() < p_click:
         return _outcome(OutcomeKind.CLICK, p_click, collapse_pair(pair, photon, op), None)
-    return _outcome(
-        OutcomeKind.NO_CLICK, 1.0 - p_click, apply_partial_pair(pair, photon, op, mode), None
-    )
+    if op.is_identity:
+        post = pair
+    else:  # p_click < 1 here, so the survival is positive
+        weight = pair.weight * survival if mode is TrackingMode.WEIGHTED else pair.weight
+        post = _unit_pair(amps, survival, weight)
+    return _outcome(OutcomeKind.NO_CLICK, 1.0 - p_click, post, None)
 
 
 def epr_decompose(pair: PairState) -> EprDecomposition:

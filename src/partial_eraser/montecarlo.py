@@ -36,10 +36,10 @@ import numpy as np
 
 from .epr import (
     Photon,
+    _pair_step,
     apply_partial_pair,
     make_epr,
     pair_axis_amplitudes,
-    pair_click_probability,
 )
 from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
 from .measurement import (
@@ -305,20 +305,32 @@ def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarra
     return draws
 
 
+def _single_step(state, photon, op):
+    """The single photon's step function (see ``_algebra``)."""
+    p_click = click_probability(op, state)
+    if p_click >= 1.0:
+        return p_click, None
+    return p_click, no_click_map(op, state, TrackingMode.NORMALIZED)
+
+
 def _algebra(preparation: Preparation):
-    """The prepared state with its click-probability and no-click functions.
+    """The prepared state with its step and no-click functions.
 
     Both functions take ``(state, photon, op)``; the single photon ignores
-    ``photon``.  This and ``_final_outcomes`` are the only places where the
-    sampler and the oracles tell a single photon from a pair.
+    ``photon``.  The step function returns the click probability and the
+    no-click state, or None for the state where the click is certain
+    (``p_click >= 1``); the no-click function raises ZeroSurvival where the
+    silence is impossible.  This and ``_final_outcomes`` are the only
+    places where the sampler and the oracles tell a single photon from a
+    pair.
     """
     if preparation.kind is PrepKind.SINGLE_PHOTON:
         return (
             basis_state(Axis.Y, preparation.branch),
-            lambda state, photon, op: click_probability(op, state),
+            _single_step,
             lambda state, photon, op: no_click_map(op, state, TrackingMode.NORMALIZED),
         )
-    return make_epr(), pair_click_probability, apply_partial_pair
+    return make_epr(), _pair_step, apply_partial_pair
 
 
 def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
@@ -349,18 +361,15 @@ def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
 
     Returns the click probability of every step reached and the state that
     survives the whole plan, or None for the state when a step clicks with
-    certainty.  Both click functions return at least 1 wherever the step's
-    silence is impossible, so the no-click function never raises here.
+    certainty.
     """
-    state, click, silent = _algebra(config.preparation)
+    state, step_fn, _ = _algebra(config.preparation)
     p_clicks: list[float] = []
     for step in config.plan:
-        op = step.op
-        p_click = click(state, step.photon, op)
+        p_click, state = step_fn(state, step.photon, step.op)
         p_clicks.append(p_click)
-        if p_click >= 1.0:
-            return p_clicks, None
-        state = silent(state, step.photon, op)
+        if state is None:
+            break
     return p_clicks, state
 
 
@@ -626,6 +635,19 @@ class EventLeaf:
     agreement: bool | None
 
 
+def _leaf(path: tuple[str, ...], probability: float, clicked: bool, agreement) -> EventLeaf:
+    """An ``EventLeaf`` built without the dataclass ``__init__`` call.  It
+    sets the fields with ``object.__setattr__``, as the frozen
+    ``__init__`` does, which keeps the instance's compact attribute
+    storage: a tree's leaves live as long as the tree."""
+    leaf = object.__new__(EventLeaf)
+    object.__setattr__(leaf, "path", path)
+    object.__setattr__(leaf, "probability", probability)
+    object.__setattr__(leaf, "clicked", clicked)
+    object.__setattr__(leaf, "agreement", agreement)
+    return leaf
+
+
 def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     """Exhaustively walk every click / no-click branch of the plan.
 
@@ -634,7 +656,7 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     probabilities.  Leaf probabilities sum to 1.  This enumerator is an
     oracle for the sampler and never feeds the sampling path.
     """
-    prepared, click, silent = _algebra(config.preparation)
+    prepared, step_fn, _ = _algebra(config.preparation)
     leaves: list[EventLeaf] = []
 
     def recurse(state, step_idx: int, prob: float, path: tuple[str, ...]) -> None:
@@ -645,29 +667,22 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
                 label = result_a.value if result_b is None else (
                     f"{result_a.value},{result_b.value}"
                 )
-                leaves.append(
-                    EventLeaf(path + (f"final:{label}",), prob * p, False, agreement)
-                )
+                leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
             return
         step = config.plan[step_idx]
-        op = step.op
-        p_click = click(state, step.photon, op)
+        p_click, next_state = step_fn(state, step.photon, step.op)
         if isinstance(step, CascadeStep):
-            p_per = p_click / step.n_detectors if step.n_detectors else 0.0
-            for det in range(step.n_detectors):
-                leaves.append(
-                    EventLeaf(
-                        path + (f"click@{step_idx}:det{det}",), prob * p_per, True, None
-                    )
+            if step.n_detectors:
+                p_leaf = prob * (p_click / step.n_detectors)
+                prefix = f"click@{step_idx}:det"
+                leaves.extend(
+                    _leaf(path + (f"{prefix}{det}",), p_leaf, True, None)
+                    for det in range(step.n_detectors)
                 )
         elif p_click > 0.0:
-            leaves.append(
-                EventLeaf(path + (f"click@{step_idx}",), prob * p_click, True, None)
-            )
-        p_pass = 1.0 - p_click
-        if p_pass > 0.0:
-            next_state = silent(state, step.photon, op)
-            recurse(next_state, step_idx + 1, prob * p_pass, path + (f"pass@{step_idx}",))
+            leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
+        if next_state is not None:  # p_click < 1
+            recurse(next_state, step_idx + 1, prob * (1.0 - p_click), path + (f"pass@{step_idx}",))
 
     recurse(prepared, 0, 1.0, ())
     return tuple(leaves)

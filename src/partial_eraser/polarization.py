@@ -44,6 +44,10 @@ class Axis(Enum):
     Y = "y"
     Z = "z"
 
+    # Members are singletons, so identity hashing agrees with ==; it spares
+    # the basis lookups (``_KETS[axis]``) Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
 
 class Branch(Enum):
     """One of the two outcomes of an axis: PLUS or MINUS.
@@ -54,6 +58,8 @@ class Branch(Enum):
 
     PLUS = "plus"
     MINUS = "minus"
+
+    __hash__ = object.__hash__  # as for Axis
 
     def other(self) -> "Branch":
         return Branch.MINUS if self is Branch.PLUS else Branch.PLUS

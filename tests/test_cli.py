@@ -186,12 +186,36 @@ class TestChart:
             ]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "chart_id, low, high, steps",
+        [
+            ("angle_vs_alpha", 0.0, 1.0, 101),
+            ("uncertainty_vs_alpha", 0.0, 1.0, 101),
+            ("epr_parts_vs_alpha", 0.0, 1.0, 101),
+            ("inequality_deltas_vs_rho", 1.0, 20.0, 200),
+        ],
+    )
+    def test_each_chart_has_its_default_grid(self, tmp_path, chart_id, low, high, steps):
+        out = tmp_path / "chart.csv"
+        assert main(["chart", chart_id, "--output", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == steps
+        assert (rows[0][0], rows[-1][0]) == pytest.approx((low, high), abs=1e-12)
+
+    def test_unset_grid_options_take_the_charts_values(self, tmp_path):
+        out = tmp_path / "ineq.csv"
+        argv = ["chart", "inequality_deltas_vs_rho", "--steps", "3", "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows] == pytest.approx([1.0, math.sqrt(20.0), 20.0])
+
     def test_inequality_chart_up_to_huge_ratio(self, tmp_path):
         out = tmp_path / "ineq.csv"
         assert main(
             [
                 "chart", "inequality_deltas_vs_rho",
-                "--min", "1", "--max", "1e300", "--scale", "log", "--output", str(out),
+                "--min", "1", "--max", "1e300", "--steps", "101", "--scale", "log",
+                "--output", str(out),
             ]
         ) == 0
         _, rows = read_rows(out)
@@ -561,8 +585,7 @@ def test_shipped_golden_configs(tmp_path, capsys):
 # sha256 of every subcommand's output but ``run`` (GOLDEN_DIGESTS pins
 # that): for each command line, its exit code, stdout and stderr, then the
 # bytes of the CSV it writes, if any.  Run from the output directory, so
-# stdout names the file the same way each time.  The default 0..1 grid
-# holds rho = 0, so the inequality chart needs its own grid.
+# stdout names the file the same way each time.
 CLI_DIGESTS = {
     "chart angle_vs_alpha": (
         "0f08d12ada5d3f5c1fd6f6b51bc01371e1bb12b7676140a890111e09ce6f861b"
@@ -573,8 +596,10 @@ CLI_DIGESTS = {
     "chart epr_parts_vs_alpha": (
         "e99f6f2dc04da1cfad4ac75a240afe1c5137e6bf0061961deb747fc3178e8811"
     ),
+    # The bare rho chart takes its own default grid, so its bytes are those
+    # of the explicit 1 to 20, 200-step log grid below.
     "chart inequality_deltas_vs_rho": (
-        "17b4dad2452d8c78096e52a6c4293cb3ffd32727cfab42289d340fb1cde168a6"
+        "58958fba5182f20e645ec82dbeb4e67221b8b534575782a781e2a152955548a5"
     ),
     "chart inequality_deltas_vs_rho --min 1 --max 20 --steps 200 --scale log": (
         "58958fba5182f20e645ec82dbeb4e67221b8b534575782a781e2a152955548a5"
