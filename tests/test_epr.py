@@ -633,3 +633,33 @@ def test_near_zero_survival_errors(e, error, mode):
     assert type(excinfo.value) is error
     expected = "pair amplitudes must have unit norm" if error is DomainError else "no-click impossible"
     assert str(excinfo.value).startswith(expected)
+
+
+# --- pinned bits of apply_quadruple ------------------------------------------
+
+QUADRUPLE_PINNED_SEED = 20261020
+# sha256 over the reprs below; any change to the bits of a surviving pair,
+# a signed zero, a weight or a raised ZeroSurvival changes it.
+QUADRUPLE_DIGEST = "d07e444d2dd196371b4518e316bd3f5937739549433592ea08365ee101b31229"
+
+
+def pinned_fraction(gen):
+    """0, 1 or a random fraction, a third each: a 0 measures a branch
+    completely, so some quadruples leave no silence."""
+    edge = pinned_pick(gen, (0.0, 1.0, None))
+    return gen.random() if edge is None else edge
+
+
+def test_apply_quadruple_bits_pinned():
+    """``apply_quadruple`` in both modes on the 55 pinned pairs, 20 seeded
+    quadruples each."""
+    gen = np.random.default_rng(QUADRUPLE_PINNED_SEED)
+    lines = []
+    for pair in pinned_pairs(gen):
+        for _ in range(20):
+            quad = IntensityQuadruple(*(pinned_fraction(gen) for _ in range(4)))
+            for mode in TrackingMode:
+                lines.append(pinned_text(apply_quadruple, pair, quad, mode))
+    assert len(lines) == 2200 and lines.count("ZeroSurvival") == 548
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == QUADRUPLE_DIGEST

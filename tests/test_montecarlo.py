@@ -325,7 +325,9 @@ class TestEventTree:
 
 class TestTrialUniforms:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    @pytest.mark.parametrize("start, stop", [(0, 3000), (2**32 - 5, 2**32 + 5)])
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 3000), (2**32 - 5, 2**32 + 5), (2**32 + 7, 2**32 + 7 + _CHUNK)]
+    )
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_equals_trial_stream(self, seed, start, stop, k):
         expected = np.array([trial_stream(seed, i).random(k) for i in range(start, stop)])
