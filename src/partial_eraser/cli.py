@@ -41,7 +41,6 @@ from .montecarlo import (
     count_trials,
     estimate_vs_analytic,
     run_experiment,
-    trial_log,
 )
 from .polarization import Axis, Branch, basis_state, polarization_angle, uncertainty_spreads
 
@@ -168,12 +167,8 @@ def cmd_run(args) -> int:
         raise ConfigError(f"gate must be a finite number >= 0, got {args.gate!r}")
     parsed = parse_experiment_file(args.config)
     config = resolve_config(parsed, seed=args.seed, trials=args.trials)
-    stats = run_experiment(config)
-    if args.log_trials:
-        with open(
-            str(args.output) + ".trials.csv", "w", encoding="utf-8", newline="\n"
-        ) as handle:
-            handle.writelines(trial_log(config))
+    log_path = str(args.output) + ".trials.csv" if args.log_trials else None
+    stats = run_experiment(config, log_path)
     z = estimate_vs_analytic(stats) if stats.surviving > 0 else math.nan
     columns = [field.name for field in fields(stats)]
     write_csv(args.output, columns + ["z_score"], [[getattr(stats, c) for c in columns] + [z]])

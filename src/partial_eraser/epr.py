@@ -45,6 +45,7 @@ from .measurement import (
     PartialMeasurementOp,
     TrackingMode,
     _outcome,
+    _trusted_op,
 )
 from .polarization import _BRAS, _KETS, NORM_TOL, Axis, Branch
 
@@ -292,7 +293,8 @@ def apply_quadruple(
     mode: TrackingMode = TrackingMode.NORMALIZED,
 ) -> PairState:
     """Apply the four up/right partial measurements (A up, A right,
-    B up, B right) in order."""
+    B up, B right) in order.  The quadruple has checked the fractions, so
+    the ops are built trusted."""
     steps = (
         (Photon.A, Branch.PLUS, q.alpha),
         (Photon.A, Branch.MINUS, q.beta),
@@ -300,9 +302,7 @@ def apply_quadruple(
         (Photon.B, Branch.MINUS, q.delta),
     )
     for photon, branch, alpha in steps:
-        pair = apply_partial_pair(
-            pair, photon, PartialMeasurementOp(Axis.X, branch, alpha), mode
-        )
+        pair = apply_partial_pair(pair, photon, _trusted_op(Axis.X, branch, alpha), mode)
     return pair
 
 

@@ -79,6 +79,17 @@ class PartialMeasurementOp:
         return self.alpha == 1.0
 
 
+def _trusted_op(axis: Axis, branch: Branch, alpha: float) -> PartialMeasurementOp:
+    """An op built without ``__init__``, for an ``alpha`` that is already a
+    float checked to lie in [0, 1]; the fields are the constructor's."""
+    op = object.__new__(PartialMeasurementOp)
+    fields = op.__dict__
+    fields["axis"] = axis
+    fields["branch"] = branch
+    fields["alpha"] = alpha
+    return op
+
+
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """One realized measurement event.

@@ -15,9 +15,9 @@ trials may be evaluated in any order or in parallel.  ``trial_stream``
 builds one such stream; the runner computes the same draws for a whole
 chunk of trials at once with ``trial_uniforms``, bit for bit.
 Each trial's outcome is a key into one table of the plan's outcomes:
-``count_trials`` and ``conditional_click_stat`` count keys, ``trial_log``
-renders the ``run --log-trials`` CSV from them, and only ``iter_trials``
-builds per-trial records.
+``count_trials`` and ``conditional_click_stat`` count keys, and
+``count_trials`` can render the ``run --log-trials`` CSV from the same
+keys in the same pass; only ``iter_trials`` builds per-trial records.
 
 ``enumerate_event_tree`` walks every click / no-click branch of the same
 plan deterministically, which serves as an independent oracle for the
@@ -41,7 +41,7 @@ from .epr import (
     make_epr,
     pair_axis_amplitudes,
 )
-from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
+from .errors import ConfigError, DomainError, InsufficientStatistics
 from .measurement import (
     PartialMeasurementOp,
     TrackingMode,
@@ -208,19 +208,53 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple:
 
 _MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+# SeedSequence mixes x and y as 0xCA01F9DD x - 0x4973F715 y, mod 2^32.
+_MIX_X = 0xCA01F9DD
+_MIX_Y = -0x4973F715 & _MASK32
 _PCG_MULT_HI = np.uint64(2549297995355413924)
 _PCG_MULT_LO = np.uint64(4865540595714422341)
+# The 32-bit limbs of _PCG_MULT_LO.  Their sum is below 2^32, so in
+# ``_pcg_step`` a 32-bit limb times either of them, plus the other limb
+# times the other, stays below 2^64.
+_MULT_LO_0 = np.uint64(int(_PCG_MULT_LO) & _MASK32)
+_MULT_LO_1 = np.uint64(int(_PCG_MULT_LO) >> 32)
+assert int(_MULT_LO_0) + int(_MULT_LO_1) <= _MASK32
 
 
-def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
+def _scale(value, mult: int):
+    """``value * mult`` mod 2^32, in place for an array."""
+    if isinstance(value, int):
+        return value * mult & _MASK32
+    value *= mult
+    return value
+
+
+def _xorshift(value):
+    """``value ^ (value >> 16)``, in place for an array."""
+    if isinstance(value, int):
+        return value ^ value >> 16
+    value ^= value >> 16
+    return value
+
+
+# Pool words are Python ints where they depend on the seed alone, else
+# uint32 arrays over the trials.  Each array is owned by one pool slot or
+# is a temporary, so ``_mix`` may overwrite its arguments.
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of a word, into a new word."""
     xor, mult = consts
-    value = (value ^ np.uint32(xor)) * np.uint32(mult)
-    return value ^ (value >> np.uint32(16))
+    return _xorshift(_scale(value ^ xor, mult))
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return result ^ (result >> np.uint32(16))
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    x, y = _scale(x, _MIX_X), _scale(y, _MIX_Y)
+    if isinstance(x, int):
+        x, y = y, x  # the sum goes into an array where there is one
+    if isinstance(x, int):
+        return _xorshift((x + y) & _MASK32)
+    x += y
+    return _xorshift(x)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -232,25 +266,31 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limbs."""
-    low, shift = np.uint64(_MASK32), np.uint64(32)
-    a0, a1 = a & low, a >> shift
-    b0, b1 = b & low, b >> shift
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> shift) + (p01 & low) + (p10 & low)
-    return a1 * b1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    new_lo = lo + add_lo
-    return hi + add_hi + (new_lo < lo).astype(np.uint64), new_lo
-
-
 def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One 128-bit LCG step ``state * M + inc`` of PCG64."""
-    prod_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO)
-    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    """One 128-bit LCG step ``state * M + inc`` of PCG64, overwriting the
+    state arrays ``hi`` and ``lo``.
+
+    With ``lo = a1 2^32 + a0`` and ``M_lo = b1 2^32 + b0``, the high word
+    of ``lo * M_lo`` is ``a1 b1``, plus the high word of the cross sum
+    ``a0 b1 + a1 b0``, plus the carry out of the low word, which the
+    wrapped product ``lo * M_lo`` shows: three limb multiplies.
+    """
+    lo_1 = lo >> np.uint64(32)
+    cross = lo & np.uint64(_MASK32)
+    cross *= _MULT_LO_1
+    cross += lo_1 * _MULT_LO_0
+    hi *= _PCG_MULT_LO
+    hi += lo * _PCG_MULT_HI
+    lo_1 *= _MULT_LO_1
+    hi += lo_1
+    hi += cross >> np.uint64(32)
+    lo *= _PCG_MULT_LO
+    cross <<= np.uint64(32)
+    hi += lo < cross
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    return hi, lo
 
 
 def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -258,8 +298,9 @@ def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarra
 
     Reproduces numpy's SeedSequence and PCG64 (XSL-RR output) in uint32 and
     uint64 array arithmetic, bit for bit, for every trial of the range at
-    once.  Indices from 2^32 on have a second entropy word, so a range
-    that crosses 2^32 is computed in two parts.
+    once.  Pool words that depend on the seed alone stay Python ints.
+    Indices from 2^32 on have a second entropy word, so a range that
+    crosses 2^32 is computed in two parts.
     """
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
@@ -269,39 +310,48 @@ def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarra
              trial_uniforms(master_seed, 2**32, stop, k)]
         )
     n = stop - start
-    with np.errstate(over="ignore"):
-        index = np.arange(start, stop, dtype=np.uint64)
-        entropy = [np.full(n, word, np.uint32) for word in _uint32_words(master_seed)]
-        entropy.append((index & np.uint64(_MASK32)).astype(np.uint32))
-        if start >= 2**32:
-            entropy.append((index >> np.uint64(32)).astype(np.uint32))
-        entropy += [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
+    index = np.arange(start, stop, dtype="<u8").view("<u4").reshape(n, 2)
+    entropy = _uint32_words(master_seed) + [index[:, 0]]
+    if start >= 2**32:
+        entropy.append(index[:, 1])
+    entropy += [0] * (_POOL - len(entropy))
 
-        consts = iter(_MIX_HASH)
-        pool = [_hashmix(word, next(consts)) for word in entropy]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-        out = [
-            _hashmix(pool[i % _POOL], c).astype(np.uint64)
-            for i, c in enumerate(_STATE_HASH)
-        ]
-        w0, w1, w2, w3 = (out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4))
+    consts = iter(_MIX_HASH)
+    pool = [_hashmix(word, next(consts)) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    # Every pool word has mixed in the index, so all are arrays.  Word j of
+    # the state is out[2j] | out[2j+1] << 32: the little-endian view of
+    # the pairs.  Each hash is made contiguous, then copied into place.
+    out = np.empty((_POOL, n, 2), "<u4")
+    for i, c in enumerate(_STATE_HASH):
+        out[i // 2, :, i % 2] = _hashmix(pool[i % _POOL], c)
+    w0, w1, w2, w3 = out.view("<u8")[:, :, 0]
 
-        # PCG64 seeding: inc = 2 seq + 1; from state 0 step, add, step.
-        inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
-        inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
-        hi, lo = _add128(inc_hi, inc_lo, w0, w1)
+    # PCG64 seeding: inc = 2 seq + 1; from state 0 step, add, step.
+    inc_hi = w2 << np.uint64(1)
+    inc_hi |= w3 >> np.uint64(63)
+    inc_lo = w3 << np.uint64(1)
+    inc_lo |= np.uint64(1)
+    lo = inc_lo + w1
+    hi = inc_hi + w0
+    hi += lo < inc_lo
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+    draws = np.empty((n, k))
+    for j in range(k):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-
-        draws = np.empty((n, k))
-        for j in range(k):
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-            rot = hi >> np.uint64(58)
-            x = hi ^ lo
-            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-            draws[:, j] = (x >> np.uint64(11)) * (1.0 / 2**53)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        left = np.uint64(64) - rot
+        left &= np.uint64(63)
+        left = np.left_shift(x, left, out=left)
+        x >>= rot
+        x |= left
+        x >>= np.uint64(11)
+        np.multiply(x, 1.0 / 2**53, out=draws[:, j])
     return draws
 
 
@@ -411,7 +461,8 @@ def _sample_chunk(compiled, offsets, master_seed: int, start: int, stop: int):
     measurement from ``trial_stream(master_seed, i)``; step ``s`` clicks
     when its uniform is below ``p_click``, on the cascade detector given
     by the uniform's place in ``[0, p_click)``.  Survivors take the key of
-    their final bucket.
+    their final bucket.  A plan without buckets ends on a step with
+    ``p_click >= 1``, which every trial that reaches it hits.
     """
     steps, buckets = compiled
     u = trial_uniforms(master_seed, start, stop, len(steps) + 1)
@@ -429,8 +480,6 @@ def _sample_chunk(compiled, offsets, master_seed: int, start: int, stop: int):
             scaled = np.trunc(u[hit, step_idx] / p_click * n_detectors)
             key[hit] = offset + np.minimum(scaled, n_detectors - 1)
         alive &= ~hit
-    if buckets is None and alive.any():
-        raise ZeroSurvival("plan has no surviving path past its last step")
     return key
 
 
@@ -476,27 +525,35 @@ def _log_cell(value) -> str:
     return str(int(value))  # agreement is written as 0 or 1
 
 
-def trial_log(config: ExperimentConfig) -> Iterator[str]:
-    """The ``run --log-trials`` CSV text: the header, then one text per
-    chunk.  A row is the trial index, click step, detector, final results
-    and agreement (0 or 1), each empty where it does not apply."""
+def _row_counts(
+    config: ExperimentConfig, write: Callable[[str], object] | None = None
+) -> tuple[list, list[int]]:
+    """The plan's outcome table and how many trials landed on each row.
+
+    With ``write``, the same pass hands it the ``run --log-trials`` CSV
+    text: the header, then one text per chunk.  A row is the trial index,
+    click step, detector, final results and agreement (0 or 1), each empty
+    where it does not apply.
+    """
     table, chunks = _outcomes(config)
-    tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
-    yield "trial,click_step,detector,result_a,result_b,agreement\n"
+    if write is not None:
+        tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
+        write("trial,click_step,detector,result_a,result_b,agreement\n")
+    counts = 0
     for start, keys in chunks:
-        yield "".join([f"{index}{tails[key]}" for index, key in enumerate(keys.tolist(), start)])
+        counts += np.bincount(keys, minlength=len(table))
+        if write is not None:
+            rows = enumerate(keys.tolist(), start)
+            write("".join([f"{index}{tails[key]}" for index, key in rows]))
+    return table, counts.tolist()
 
 
-def _row_counts(config: ExperimentConfig) -> tuple[list, list[int]]:
-    """The plan's outcome table and how many trials landed on each row."""
-    table, chunks = _outcomes(config)
-    counts = sum(np.bincount(keys, minlength=len(table)) for _, keys in chunks).tolist()
-    return table, counts
-
-
-def count_trials(config: ExperimentConfig) -> tuple[int, int, int]:
-    """Clicked, surviving and agreeing trial counts, without records."""
-    table, counts = _row_counts(config)
+def count_trials(
+    config: ExperimentConfig, write: Callable[[str], object] | None = None
+) -> tuple[int, int, int]:
+    """Clicked, surviving and agreeing trial counts, without records;
+    ``write`` gets the trial log as in ``_row_counts``."""
+    table, counts = _row_counts(config, write)
     clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
     agreeing = sum(n for n, (*_, agreement) in zip(counts, table) if agreement)
     return clicked, config.trials - clicked, agreeing
@@ -540,11 +597,11 @@ def aggregate_records(config: ExperimentConfig, records) -> TrialStats:
                 agreement_count += 1
         else:
             clicked += 1
-    return _stats(config, clicked, surviving, agreement_count)
+    return _stats(config, clicked, surviving, agreement_count, analytic_agreement(config))
 
 
 def _stats(
-    config: ExperimentConfig, clicked: int, surviving: int, agreeing: int
+    config: ExperimentConfig, clicked: int, surviving: int, agreeing: int, prediction: float
 ) -> TrialStats:
     if surviving > 0:
         rate = agreeing / surviving
@@ -559,13 +616,23 @@ def _stats(
         agreement_count=agreeing,
         agreement_rate=rate,
         std_error=std_error,
-        analytic_prediction=analytic_agreement(config),
+        analytic_prediction=prediction,
     )
 
 
-def run_experiment(config: ExperimentConfig) -> TrialStats:
-    """Run every trial on its own stream and aggregate the counts."""
-    return _stats(config, *count_trials(config))
+def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> TrialStats:
+    """Run every trial on its own stream and aggregate the counts.
+
+    With ``log_path``, the same pass writes the ``run --log-trials`` CSV
+    there (see ``_row_counts``).  The prediction comes first, so a plan
+    whose silence is impossible raises ZeroSurvival before any draw and
+    creates no file.
+    """
+    prediction = analytic_agreement(config)
+    if log_path is None:
+        return _stats(config, *count_trials(config), prediction)
+    with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
+        return _stats(config, *count_trials(config, handle.write), prediction)
 
 
 def estimate_vs_analytic(stats: TrialStats) -> float:

@@ -6,10 +6,11 @@ import tracemalloc
 import pytest
 from scipy.optimize import brentq
 
+from partial_eraser import montecarlo
 from partial_eraser.cli import main
 from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
-from partial_eraser.montecarlo import _CHUNK
+from partial_eraser.montecarlo import _CHUNK, trial_uniforms
 
 from conftest import run_python
 
@@ -293,13 +294,18 @@ class TestRun:
         assert_one_line_error(capsys, "gate")
         assert not out.exists()
 
-    def test_zero_survival_plan_is_config_error(self, tmp_path, capsys):
+    def test_zero_survival_plan_is_config_error(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, ZERO_SURVIVAL)
         out = tmp_path / "s.csv"
+
+        def no_draws(*args):
+            raise AssertionError("drew trials for a plan that has no prediction")
+
+        monkeypatch.setattr(montecarlo, "trial_uniforms", no_draws)
         for flags in ([], ["--log-trials"]):
             assert main(["run", str(config), "--output", str(out), *flags]) == 2
             assert_one_line_error(capsys, "no-click impossible")
-            # The summary runs first, so a plan that raises writes no log.
+            # The prediction comes before the first draw and the log file.
             assert not out.exists() and not (tmp_path / "s.csv.trials.csv").exists()
 
     @pytest.mark.parametrize("line", ["mode = normalized", "counter_from = 1"])
@@ -376,6 +382,22 @@ class TestRun:
         assert sum(row[1] != "" for row in rows) == clicked
         assert sum(row[5] == "1" for row in rows) == agreeing
         assert sum(row[5] != "" for row in rows) == surviving
+
+    def test_logged_run_draws_each_chunk_once(self, tmp_path, monkeypatch):
+        ranges = []
+
+        def counted(master_seed, start, stop, k):
+            ranges.append((start, stop))
+            return trial_uniforms(master_seed, start, stop, k)
+
+        monkeypatch.setattr(montecarlo, "trial_uniforms", counted)
+        config = write_config(tmp_path, ERASURE)
+        trials = 3 * _CHUNK + 77
+        assert main(
+            ["run", str(config), "--output", str(tmp_path / "s.csv"), "--trials", str(trials),
+             "--log-trials"]
+        ) == 0
+        assert ranges == [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
 
     def test_trial_log_memory_is_bounded(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)
