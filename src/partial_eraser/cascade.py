@@ -26,7 +26,7 @@ from .measurement import (
     PartialMeasurementOp,
     TrackingMode,
     _outcome,
-    no_click_map,
+    apply_sequence,
 )
 from .polarization import (
     _KETS,
@@ -188,9 +188,8 @@ def cascade_no_click_state(
     mode: TrackingMode = TrackingMode.NORMALIZED,
 ) -> PolarizationState:
     """Conditional state after every placement stayed silent, in order."""
-    for placement in placements:
-        state = no_click_map(equivalent_op(placement, cascade), state, mode)
-    return state
+    ops = (equivalent_op(placement, cascade) for placement in placements)
+    return apply_sequence(ops, state, mode)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 
 from .epr import Photon
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .measurement import PartialMeasurementOp
 from .montecarlo import (
     CascadeStep,
@@ -101,9 +101,10 @@ def _parse_op_line(value: str, lineno: int) -> MeasureStep:
         alpha = float(parts[3])
     except ValueError:
         raise _fail(lineno, f"bad alpha {parts[3]!r}") from None
-    if not 0.0 <= alpha <= 1.0:
-        raise _fail(lineno, f"alpha must lie in [0, 1], got {alpha}")
-    return MeasureStep(photon, PartialMeasurementOp(axis, branch, alpha))
+    try:
+        return MeasureStep(photon, PartialMeasurementOp(axis, branch, alpha))
+    except DomainError as exc:
+        raise _fail(lineno, str(exc)) from None
 
 
 def _parse_cascade_line(value: str, lineno: int) -> CascadeStep:

@@ -239,10 +239,13 @@ def apply_sequence(
 def no_click_sequence_probability(
     ops: Iterable[PartialMeasurementOp], state: PolarizationState
 ) -> float:
-    """Probability that an entire op sequence stays silent on ``state``."""
+    """Probability that an entire op sequence stays silent on ``state``;
+    0.0 from the first op whose click is certain (``p_click >= 1``)."""
     prob = 1.0
     for op in ops:
         p_click = click_probability(op, state)
+        if p_click >= 1.0:
+            return 0.0
         prob *= 1.0 - p_click
         state = no_click_map(op, state, TrackingMode.NORMALIZED)
     return prob

@@ -34,14 +34,8 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .epr import (
-    Photon,
-    _pair_step,
-    apply_partial_pair,
-    make_epr,
-    pair_axis_amplitudes,
-)
-from .errors import ConfigError, DomainError, InsufficientStatistics
+from .epr import Photon, _pair_step, make_epr, pair_axis_amplitudes
+from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
 from .measurement import (
     PartialMeasurementOp,
     TrackingMode,
@@ -116,15 +110,6 @@ class CascadeStep:
 PlanStep = Union[MeasureStep, CascadeStep]
 
 
-def check_trials_and_seed(trials: int, master_seed: int) -> None:
-    """ConfigError unless there is at least one trial and the seed is a
-    64-bit unsigned integer."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    if not 0 <= master_seed < 2**64:
-        raise ConfigError("master_seed must be a 64-bit unsigned integer")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description (fully determines a run)."""
@@ -137,7 +122,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", tuple(self.plan))
-        check_trials_and_seed(self.trials, self.master_seed)
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.preparation.kind is PrepKind.SINGLE_PHOTON:
             for step in self.plan:
                 if step.photon is not Photon.A:
@@ -364,23 +352,17 @@ def _single_step(state, photon, op):
 
 
 def _algebra(preparation: Preparation):
-    """The prepared state with its step and no-click functions.
+    """The prepared state and its step function.
 
-    Both functions take ``(state, photon, op)``; the single photon ignores
-    ``photon``.  The step function returns the click probability and the
-    no-click state, or None for the state where the click is certain
-    (``p_click >= 1``); the no-click function raises ZeroSurvival where the
-    silence is impossible.  This and ``_final_outcomes`` are the only
-    places where the sampler and the oracles tell a single photon from a
-    pair.
+    The step function takes ``(state, photon, op)``; the single photon
+    ignores ``photon``.  It returns the click probability and the no-click
+    state, or None for the state where the click is certain (``p_click >=
+    1``).  This and ``_final_outcomes`` are the only places where the
+    sampler and the oracles tell a single photon from a pair.
     """
     if preparation.kind is PrepKind.SINGLE_PHOTON:
-        return (
-            basis_state(Axis.Y, preparation.branch),
-            _single_step,
-            lambda state, photon, op: no_click_map(op, state, TrackingMode.NORMALIZED),
-        )
-    return make_epr(), _pair_step, apply_partial_pair
+        return basis_state(Axis.Y, preparation.branch), _single_step
+    return make_epr(), _pair_step
 
 
 def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
@@ -407,13 +389,14 @@ def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
 
 
 def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
-    """Follow the plan along its no-click path.
+    """Follow the plan along its no-click path: the runner's only fold of
+    it, which the sampler and the analytic predictions share.
 
     Returns the click probability of every step reached and the state that
     survives the whole plan, or None for the state when a step clicks with
     certainty.
     """
-    state, step_fn, _ = _algebra(config.preparation)
+    state, step_fn = _algebra(config.preparation)
     p_clicks: list[float] = []
     for step in config.plan:
         p_click, state = step_fn(state, step.photon, step.op)
@@ -560,15 +543,17 @@ def count_trials(
 
 
 def analytic_agreement(config: ExperimentConfig) -> float:
-    """Born agreement probability of the folded no-click state.
+    """Born agreement probability of the state ``_walk`` leaves.
 
-    Raises ZeroSurvival when the no-click path is impossible.  Clipped into
-    [0, 1]: summed squared magnitudes can overshoot by a few ulp, and the
+    Raises ZeroSurvival where ``_walk`` ends on a certain click, which is
+    exactly where ``analytic_survival`` is 0.0.  Clipped into [0, 1]:
+    summed squared magnitudes can overshoot by a few ulp, and the
     estimator divides by a possibly zero standard error.
     """
-    state, _, silent = _algebra(config.preparation)
-    for step in config.plan:
-        state = silent(state, step.photon, step.op)
+    p_clicks, state = _walk(config)
+    if state is None:
+        alpha = config.plan[len(p_clicks) - 1].op.alpha
+        raise ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
     outcomes = _final_outcomes(config.preparation, state, config.final_axis)
     p = sum(p for p, _, _, agrees in outcomes if agrees)
     return min(1.0, max(0.0, p))
@@ -718,26 +703,19 @@ def _leaf(path: tuple[str, ...], probability: float, clicked: bool, agreement) -
 def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     """Exhaustively walk every click / no-click branch of the plan.
 
-    Click leaves from cascades are split per detector.  Surviving paths
-    terminate in the final-measurement outcomes with their Born
-    probabilities.  Leaf probabilities sum to 1.  This enumerator is an
-    oracle for the sampler and never feeds the sampling path.
+    One pass over the plan: each step adds its click leaves, split per
+    detector for cascades, and the no-click branch goes on to the next
+    step until a click is certain.  A path that survives every step ends
+    in the final-measurement outcomes with their Born probabilities.  Leaf
+    probabilities sum to 1.  This enumerator is an oracle for the sampler:
+    it calls the step function itself, never ``_walk``, and never feeds
+    the sampling path.
     """
-    prepared, step_fn, _ = _algebra(config.preparation)
+    state, step_fn = _algebra(config.preparation)
     leaves: list[EventLeaf] = []
-
-    def recurse(state, step_idx: int, prob: float, path: tuple[str, ...]) -> None:
-        if step_idx == len(config.plan):
-            for p, result_a, result_b, agreement in _final_outcomes(
-                config.preparation, state, config.final_axis
-            ):
-                label = result_a.value if result_b is None else (
-                    f"{result_a.value},{result_b.value}"
-                )
-                leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
-            return
-        step = config.plan[step_idx]
-        p_click, next_state = step_fn(state, step.photon, step.op)
+    prob, path = 1.0, ()
+    for step_idx, step in enumerate(config.plan):
+        p_click, state = step_fn(state, step.photon, step.op)
         if isinstance(step, CascadeStep):
             if step.n_detectors:
                 p_leaf = prob * (p_click / step.n_detectors)
@@ -748,8 +726,13 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
                 )
         elif p_click > 0.0:
             leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
-        if next_state is not None:  # p_click < 1
-            recurse(next_state, step_idx + 1, prob * (1.0 - p_click), path + (f"pass@{step_idx}",))
-
-    recurse(prepared, 0, 1.0, ())
+        if state is None:  # p_click >= 1: no path survives
+            return tuple(leaves)
+        prob *= 1.0 - p_click
+        path += (f"pass@{step_idx}",)
+    for p, result_a, result_b, agreement in _final_outcomes(
+        config.preparation, state, config.final_axis
+    ):
+        label = result_a.value if result_b is None else f"{result_a.value},{result_b.value}"
+        leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
     return tuple(leaves)

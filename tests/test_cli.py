@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import tracemalloc
@@ -60,6 +61,9 @@ op = A,x,plus,0
 op = A,x,minus,0
 """
 
+# As ZERO_SURVIVAL, but the first detector set leaves 1e-40 of the
+# intensity on the up branch: the second set's click probability rounds to 1.
+ROUNDED_ZERO_SURVIVAL = ZERO_SURVIVAL.replace("A,x,plus,0", "A,x,plus,1e-40")
 
 def assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
@@ -295,14 +299,16 @@ class TestRun:
         assert not out.exists()
 
     def test_zero_survival_plan_is_config_error(self, tmp_path, capsys, monkeypatch):
-        config = write_config(tmp_path, ZERO_SURVIVAL)
         out = tmp_path / "s.csv"
 
         def no_draws(*args):
             raise AssertionError("drew trials for a plan that has no prediction")
 
         monkeypatch.setattr(montecarlo, "trial_uniforms", no_draws)
-        for flags in ([], ["--log-trials"]):
+        for text, flags in itertools.product(
+            [ZERO_SURVIVAL, ROUNDED_ZERO_SURVIVAL], [[], ["--log-trials"], ["--gate", "4"]]
+        ):
+            config = write_config(tmp_path, text)
             assert main(["run", str(config), "--output", str(out), *flags]) == 2
             assert_one_line_error(capsys, "no-click impossible")
             # The prediction comes before the first draw and the log file.

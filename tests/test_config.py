@@ -98,6 +98,15 @@ def test_malformed_lines(text, fragment):
         parse_experiment_text(text)
 
 
+@pytest.mark.parametrize(
+    "token, shown", [("1.5", "1.5"), ("nan", "nan"), ("-0.1", "-0.1"), ("1e400", "inf")]
+)
+def test_alpha_range_message(token, shown):
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_text(f"preparation = epr\nop = A,x,plus,{token}\n")
+    assert str(exc.value) == f"line 2: alpha must lie in [0, 1], got {shown}"
+
+
 def test_missing_preparation_rejected():
     with pytest.raises(ConfigError, match="preparation"):
         resolve_config(parse_experiment_text("trials = 10"))

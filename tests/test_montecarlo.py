@@ -21,6 +21,7 @@ from partial_eraser import (
     PartialMeasurementOp,
     Photon,
     Preparation,
+    PrepKind,
     TrackingMode,
     TrialRecord,
     TrialStats,
@@ -28,6 +29,7 @@ from partial_eraser import (
     analytic_agreement,
     analytic_survival,
     apply_partial_pair,
+    basis_state,
     conditional_click_stat,
     enumerate_event_tree,
     estimate_vs_analytic,
@@ -36,6 +38,7 @@ from partial_eraser import (
     y_correlation_pair,
     y_correlation_single,
 )
+from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import (
     _CHUNK,
     _compile_plan,
@@ -319,6 +322,22 @@ class TestEventTree:
             else:
                 assert leaf.agreement is (leaf_key(leaf) == "final:plus")
 
+    def test_long_erasure_chain(self):
+        """1,000 rounds of measuring A and erasing on B: a tree deeper than
+        the interpreter's recursion limit."""
+        rounds = [
+            measure(Photon.A, Axis.X, Branch.PLUS, 0.99),
+            measure(Photon.B, Axis.X, Branch.MINUS, 0.99),
+        ]
+        config = epr_config(rounds * 1000, trials=10)
+        leaves = enumerate_event_tree(config)
+        assert len(leaves) == 2004
+        assert sum(leaf.probability for leaf in leaves) == pytest.approx(1.0, abs=1e-12)
+        surviving = sum(leaf.probability for leaf in leaves if not leaf.clicked)
+        assert surviving == pytest.approx(4.317e-05, rel=1e-3)
+        assert surviving == pytest.approx(analytic_survival(config), rel=1e-12)
+        assert analytic_agreement(config) == 1.0
+
 
 # --- batch streams and the chunked sampler ----------------------------------
 
@@ -476,6 +495,16 @@ EDGE_PLANS = [
         ),
         Axis.Y, 2 * _CHUNK + 7, 3,
     ),
+    # the silence is possible in exact arithmetic, but its probability
+    # rounds to 0: p_click is 1.0 at the second step
+    ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        (
+            measure(Photon.A, Axis.X, Branch.PLUS, 1e-40),
+            measure(Photon.A, Axis.X, Branch.MINUS, 0.0),
+        ),
+        Axis.Y, 2 * _CHUNK + 7, 3,
+    ),
 ]
 
 
@@ -483,7 +512,7 @@ SAMPLER_PLANS = pytest.mark.parametrize(
     "config",
     RANDOM_PLANS + EDGE_PLANS,
     ids=[f"plan{i}" for i in range(len(RANDOM_PLANS))]
-    + ["certain-click", "silence-impossible"],
+    + ["certain-click", "silence-impossible", "silence-rounds-to-zero"],
 )
 
 
@@ -522,3 +551,29 @@ class TestChunkedSampler:
             else:
                 expected = stat_outcome(record_ratio, reference, condition, event)
             assert stat_outcome(conditional_click_stat, config, condition, event) == expected
+
+
+class TestNoClickPath:
+    @SAMPLER_PLANS
+    def test_agreement_matches_event_tree(self, config):
+        finals = [leaf for leaf in enumerate_event_tree(config) if not leaf.clicked]
+        no_survivor = analytic_survival(config) == 0.0
+        assert no_survivor == (not finals)
+        if no_survivor:
+            with pytest.raises(ZeroSurvival, match="no-click impossible"):
+                analytic_agreement(config)
+        else:
+            surviving = sum(leaf.probability for leaf in finals)
+            agreeing = sum(leaf.probability for leaf in finals if leaf.agreement)
+            assert analytic_agreement(config) == pytest.approx(agreeing / surviving, abs=1e-12)
+
+    def test_sequence_probability_equals_survival(self):
+        singles = [
+            config for config in RANDOM_PLANS + EDGE_PLANS
+            if config.preparation.kind is PrepKind.SINGLE_PHOTON
+        ]
+        assert len(singles) > len(EDGE_PLANS)
+        for config in singles:
+            ops = [step.op for step in config.plan]
+            state = basis_state(Axis.Y, config.preparation.branch)
+            assert no_click_sequence_probability(ops, state) == analytic_survival(config)
