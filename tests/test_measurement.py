@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -427,3 +428,66 @@ class TestOutcomeContract:
             flipped = dataclasses.replace(outcome, kind=other)
             assert flipped.clicked is (other is OutcomeKind.CLICK)
             assert dataclasses.replace(flipped, kind=outcome.kind) == outcome
+
+
+# --- pinned bits of the single-photon algebra --------------------------------
+
+SINGLE_PINNED_SEED = 20261021
+# sha256 over the reprs below; any change to the bits of a click
+# probability, a no-click state or weight, a survival probability, or to
+# where ZeroSurvival is raised changes it.
+SINGLE_ALGEBRA_DIGEST = "8408eec9991297c84dd57cb21a86d1bcc83df6cd817f8ab3966869a36d34e48c"
+
+
+def pinned_states(gen):
+    """The six basis states, then random states with random weights, all
+    drawn with ``gen.random()`` (stable across numpy versions)."""
+    for axis in Axis:
+        for branch in Branch:
+            yield basis_state(axis, branch)
+    for _ in range(40):
+        parts = [2.0 * gen.random() - 1.0 for _ in range(4)]
+        norm = math.sqrt(sum(p * p for p in parts))
+        yield PolarizationState(
+            complex(parts[0] / norm, parts[1] / norm),
+            complex(parts[2] / norm, parts[3] / norm),
+            gen.random(),
+        )
+
+
+def pinned_text(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ZeroSurvival:
+        return "ZeroSurvival"
+
+
+def test_single_photon_algebra_bits_pinned():
+    """Per state, every (axis, branch, alpha) op with alpha 0, 1, 1e-40
+    and random: ``click_probability`` and ``no_click_map`` in both modes;
+    then three random op sequences through ``apply_sequence`` in both
+    modes and ``no_click_sequence_probability``."""
+    gen = np.random.default_rng(SINGLE_PINNED_SEED)
+    ops = []
+    lines = []
+    for state in pinned_states(gen):
+        for axis in Axis:
+            for branch in Branch:
+                for alpha in (0.0, 1.0, 1e-40, gen.random()):
+                    the_op = op(axis, branch, alpha)
+                    ops.append(the_op)
+                    lines += [
+                        repr(click_probability(the_op, state)),
+                        pinned_text(no_click_map, the_op, state),
+                        pinned_text(no_click_map, the_op, state, TrackingMode.WEIGHTED),
+                    ]
+        for _ in range(3):
+            sequence = [ops[int(gen.random() * len(ops))] for _ in range(1 + int(gen.random() * 4))]
+            lines += [
+                pinned_text(apply_sequence, sequence, state),
+                pinned_text(apply_sequence, sequence, state, TrackingMode.WEIGHTED),
+                repr(no_click_sequence_probability(sequence, state)),
+            ]
+    assert len(lines) == 3726 and lines.count("ZeroSurvival") == 30
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SINGLE_ALGEBRA_DIGEST
