@@ -9,11 +9,11 @@ agreement rate is the fraction of surviving trials whose final outcome
 matches the preparation (single photon) or whose two outcomes match each
 other (pair).
 
-Every trial draws from its own random stream derived from
-(master_seed, trial_index), so runs are reproducible bit for bit and
-trials may be evaluated in any order or in parallel.  ``trial_stream``
-builds one such stream; the runner computes the same draws for a whole
-chunk of trials at once with ``trial_uniforms``, bit for bit.
+A plan takes ``k`` uniforms per trial, one per step and one for the
+final measurement, and trial ``i`` takes draws ``i k`` to ``i k + k - 1``
+of the one stream ``default_rng(master_seed)``.  So runs are
+reproducible bit for bit, and ``trial_uniforms`` can draw any range of
+trials on its own, in any order or in parallel.
 Each trial's outcome is a key into one table of the plan's outcomes:
 ``count_trials`` and ``conditional_click_stat`` count keys, and
 ``count_trials`` can render the ``run --log-trials`` CSV from the same
@@ -171,176 +171,25 @@ class TrialStats:
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent random stream for one trial (splittable by index).
-
-    ``trial_uniforms`` is the batch form: it computes the first draws of
-    many of these streams at once without building a Generator for each.
-    """
+    """A random stream of its own for each ``(master_seed, trial_index)``,
+    for scalar samplers that draw an open-ended number of uniforms per
+    trial.  The runner does not use it: see ``trial_uniforms``."""
     return np.random.default_rng([master_seed, trial_index])
 
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.  The
-# hash constants follow a fixed sequence that does not depend on the
-# data, so each call's pair (xor constant, multiplier) is listed up front.
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    consts = []
-    for _ in range(count):
-        consts.append((init, init * mult & _MASK32))
-        init = init * mult & _MASK32
-    return tuple(consts)
-
-
-_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
-# SeedSequence mixes x and y as 0xCA01F9DD x - 0x4973F715 y, mod 2^32.
-_MIX_X = 0xCA01F9DD
-_MIX_Y = -0x4973F715 & _MASK32
-_PCG_MULT_HI = np.uint64(2549297995355413924)
-_PCG_MULT_LO = np.uint64(4865540595714422341)
-# The 32-bit limbs of _PCG_MULT_LO.  Their sum is below 2^32, so in
-# ``_pcg_step`` a 32-bit limb times either of them, plus the other limb
-# times the other, stays below 2^64.
-_MULT_LO_0 = np.uint64(int(_PCG_MULT_LO) & _MASK32)
-_MULT_LO_1 = np.uint64(int(_PCG_MULT_LO) >> 32)
-assert int(_MULT_LO_0) + int(_MULT_LO_1) <= _MASK32
-
-
-def _scale(value, mult: int):
-    """``value * mult`` mod 2^32, in place for an array."""
-    if isinstance(value, int):
-        return value * mult & _MASK32
-    value *= mult
-    return value
-
-
-def _xorshift(value):
-    """``value ^ (value >> 16)``, in place for an array."""
-    if isinstance(value, int):
-        return value ^ value >> 16
-    value ^= value >> 16
-    return value
-
-
-# Pool words are Python ints where they depend on the seed alone, else
-# uint32 arrays over the trials.  Each array is owned by one pool slot or
-# is a temporary, so ``_mix`` may overwrite its arguments.
-def _hashmix(value, consts):
-    """SeedSequence's hashmix of a word, into a new word."""
-    xor, mult = consts
-    return _xorshift(_scale(value ^ xor, mult))
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
-    x, y = _scale(x, _MIX_X), _scale(y, _MIX_Y)
-    if isinstance(x, int):
-        x, y = y, x  # the sum goes into an array where there is one
-    if isinstance(x, int):
-        return _xorshift((x + y) & _MASK32)
-    x += y
-    return _xorshift(x)
-
-
-def _uint32_words(n: int) -> list[int]:
-    """SeedSequence entropy words of ``n``: least significant first, >= 1."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One 128-bit LCG step ``state * M + inc`` of PCG64, overwriting the
-    state arrays ``hi`` and ``lo``.
-
-    With ``lo = a1 2^32 + a0`` and ``M_lo = b1 2^32 + b0``, the high word
-    of ``lo * M_lo`` is ``a1 b1``, plus the high word of the cross sum
-    ``a0 b1 + a1 b0``, plus the carry out of the low word, which the
-    wrapped product ``lo * M_lo`` shows: three limb multiplies.
-    """
-    lo_1 = lo >> np.uint64(32)
-    cross = lo & np.uint64(_MASK32)
-    cross *= _MULT_LO_1
-    cross += lo_1 * _MULT_LO_0
-    hi *= _PCG_MULT_LO
-    hi += lo * _PCG_MULT_HI
-    lo_1 *= _MULT_LO_1
-    hi += lo_1
-    hi += cross >> np.uint64(32)
-    lo *= _PCG_MULT_LO
-    cross <<= np.uint64(32)
-    hi += lo < cross
-    lo += inc_lo
-    hi += inc_hi
-    hi += lo < inc_lo
-    return hi, lo
-
-
 def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarray:
-    """Row ``i`` equals ``trial_stream(master_seed, start + i).random(k)``.
+    """The ``k`` uniforms of each trial ``start .. stop-1``, one row each.
 
-    Reproduces numpy's SeedSequence and PCG64 (XSL-RR output) in uint32 and
-    uint64 array arithmetic, bit for bit, for every trial of the range at
-    once.  Pool words that depend on the seed alone stay Python ints.
-    Indices from 2^32 on have a second entropy word, so a range that
-    crosses 2^32 is computed in two parts.
+    Trial ``i`` takes draws ``i k`` to ``i k + k - 1`` of the one stream
+    ``default_rng(master_seed)``, so row ``i`` is a function of ``(seed,
+    start + i, k)`` alone: ranges may be drawn in any order, and a run's
+    output does not depend on how it is split into ranges.
     """
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
-    if start < 2**32 < stop:
-        return np.concatenate(
-            [trial_uniforms(master_seed, start, 2**32, k),
-             trial_uniforms(master_seed, 2**32, stop, k)]
-        )
-    n = stop - start
-    index = np.arange(start, stop, dtype="<u8").view("<u4").reshape(n, 2)
-    entropy = _uint32_words(master_seed) + [index[:, 0]]
-    if start >= 2**32:
-        entropy.append(index[:, 1])
-    entropy += [0] * (_POOL - len(entropy))
-
-    consts = iter(_MIX_HASH)
-    pool = [_hashmix(word, next(consts)) for word in entropy]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    # Every pool word has mixed in the index, so all are arrays.  Word j of
-    # the state is out[2j] | out[2j+1] << 32: the little-endian view of
-    # the pairs.  Each hash is made contiguous, then copied into place.
-    out = np.empty((_POOL, n, 2), "<u4")
-    for i, c in enumerate(_STATE_HASH):
-        out[i // 2, :, i % 2] = _hashmix(pool[i % _POOL], c)
-    w0, w1, w2, w3 = out.view("<u8")[:, :, 0]
-
-    # PCG64 seeding: inc = 2 seq + 1; from state 0 step, add, step.
-    inc_hi = w2 << np.uint64(1)
-    inc_hi |= w3 >> np.uint64(63)
-    inc_lo = w3 << np.uint64(1)
-    inc_lo |= np.uint64(1)
-    lo = inc_lo + w1
-    hi = inc_hi + w0
-    hi += lo < inc_lo
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-
-    draws = np.empty((n, k))
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        left = np.uint64(64) - rot
-        left &= np.uint64(63)
-        left = np.left_shift(x, left, out=left)
-        x >>= rot
-        x |= left
-        x >>= np.uint64(11)
-        np.multiply(x, 1.0 / 2**53, out=draws[:, j])
-    return draws
+    bit_generator = np.random.PCG64(master_seed)
+    bit_generator.advance(start * k)
+    return np.random.Generator(bit_generator).random((stop - start, k))
 
 
 def _single_step(state, photon, op):
@@ -434,27 +283,28 @@ def _compile_plan(config: ExperimentConfig) -> tuple[tuple, tuple | None]:
 # Trials sampled per array batch: large enough to amortize numpy's
 # per-call cost, small enough that a lazy consumer of ``iter_trials`` gets
 # its first record fast and the batch's temporaries stay a few megabytes.
+# Each trial's draws are fixed by its index, so no output depends on it.
 _CHUNK = 4096
 
 
-def _sample_chunk(compiled, offsets, master_seed: int, start: int, stop: int):
-    """Outcome-table keys of trials ``start .. stop-1``, as an int array.
+def _sample_chunk(compiled, offsets, u: np.ndarray):
+    """Outcome-table keys of the trials whose uniforms are the rows of
+    ``u``, as an int array.
 
-    Trial ``i`` draws one uniform per plan step and one for the final
-    measurement from ``trial_stream(master_seed, i)``; step ``s`` clicks
-    when its uniform is below ``p_click``, on the cascade detector given
-    by the uniform's place in ``[0, p_click)``.  Survivors take the key of
-    their final bucket.  A plan without buckets ends on a step with
-    ``p_click >= 1``, which every trial that reaches it hits.
+    A row holds one uniform per plan step and one for the final
+    measurement, the last.  Step ``s`` clicks when its uniform is below
+    ``p_click``, on the cascade detector given by the uniform's place in
+    ``[0, p_click)``.  Survivors take the key of their final bucket.  A
+    plan without buckets ends on a step with ``p_click >= 1``, which every
+    trial that reaches it hits; the steps after it are never read.
     """
     steps, buckets = compiled
-    u = trial_uniforms(master_seed, start, stop, len(steps) + 1)
     if buckets is None:
-        key = np.full(stop - start, -1)
+        key = np.full(len(u), -1)
     else:
         thresholds = [threshold for threshold, *_ in buckets]
         key = np.searchsorted(thresholds, u[:, -1], side="right")
-    alive = np.ones(stop - start, dtype=bool)
+    alive = np.ones(len(u), dtype=bool)
     for step_idx, ((p_click, n_detectors), offset) in enumerate(zip(steps, offsets)):
         hit = alive & (u[:, step_idx] < p_click)
         if n_detectors is None:
@@ -485,7 +335,8 @@ def _outcomes(config: ExperimentConfig):
     def chunks():
         for start in range(0, config.trials, _CHUNK):
             stop = min(start + _CHUNK, config.trials)
-            yield start, _sample_chunk(compiled, offsets, config.master_seed, start, stop)
+            u = trial_uniforms(config.master_seed, start, stop, len(config.plan) + 1)
+            yield start, _sample_chunk(compiled, offsets, u)
 
     return table, chunks()
 
@@ -606,7 +457,7 @@ def _stats(
 
 
 def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> TrialStats:
-    """Run every trial on its own stream and aggregate the counts.
+    """Run every trial and aggregate the counts.
 
     With ``log_path``, the same pass writes the ``run --log-trials`` CSV
     there (see ``_row_counts``).  The prediction comes first, so a plan

@@ -405,6 +405,17 @@ class TestRun:
         ) == 0
         assert ranges == [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
 
+    def test_outputs_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, ERASURE)
+        argv = ["--trials", str(3 * _CHUNK + 77), "--log-trials"]
+        outputs = []
+        for chunk in (_CHUNK, 1000):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}.csv"
+            assert main(["run", str(config), "--output", str(out), *argv]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"{out.name}.trials.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_trial_log_memory_is_bounded(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)
         out = tmp_path / "stats.csv"
@@ -572,19 +583,19 @@ def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
 GOLDEN_DIGESTS = {
     "empty_plan.cfg": (
         "da94262527472d848f96d930e8ab496fa895c684c66e3fdf09225890d9e55e0f",
-        "5645df2277ff9732473414c9817df532bb48818e0c408374ec1f041d9d8ceb52",
+        "bd73a6cd0699e13d8cd5997882a14e559fe2799aa85a9eb2935ad91d15d720a1",
     ),
     "epr_k05.cfg": (
-        "ba0bdd14455bed797ca954054c035c1cd75c7472e4adc0152cd965e4c0375f1b",
-        "802bb7bf0e15fcdcfec39759c3119ec4e4c834d44bcca71e403d65fe9708b316",
+        "9cded028a5532dce919a06a3a5d81e262c0465df56b97de68e9c0e518438462a",
+        "9746e1ad198c59796ad6493db1ee26c838eff3f97b2e6ce9afe472238d1f317b",
     ),
     "erasure.cfg": (
-        "07b5da146b7dbf6a0f19613fc82c336fc77aca9d8dff0b6267d108bfafbe9ed1",
-        "d99afe1038e3e795a8a1334167b233f668ab58a36ef81a7441081a0a9c1f01f3",
+        "e9ce01620a5990c6d0abd564bceb54407f327e109e4a3ac8d6a285ac85ce8bf9",
+        "af089bc00e6a8d3a23674c39880f561b7779b7a5c29439dd09b135bce2a98e16",
     ),
     "single_half.cfg": (
-        "a19e8b38f0601767be52e2a713d49646111799ccbedc45825823b72b87e62c66",
-        "21ef29152f7a223267ed517305856f5ef2ca2bf347a644060a859482a51b579c",
+        "f0386bcdf59fe4d1863c9f6d0b0322d76616f20adf368fd19c198b8466838a63",
+        "f32edf17cba6d2bd349e80421677d8ea1ec8b01f3cd2e086ec1be3b9769c6b6c",
     ),
 }
 
@@ -636,10 +647,10 @@ CLI_DIGESTS = {
         "2f9c38058583be749818be4cbe6bd8bae008cce1d53440d28aaff1a9562c59bf"
     ),
     "cascade-demo --detectors 3 --trials 5000 --seed 9": (
-        "687f15438361960b69bf883e327f36f7c48bf657b04722aa224342189584af64"
+        "5f6a330fd9d00b5f500318cab37d1956dee511697efe047a6e4b03b103eb7d57"
     ),
     "cascade-demo --detectors 50 --erase --trials 5000 --seed 9": (
-        "7ef102475207b2be50554bc914ece750621247fe06beb4796cf3e36995ae1ec6"
+        "6b471361a856781a2669d75f777f52e75560a623d38b369de121dd42e6cf83c9"
     ),
 }
 

@@ -48,7 +48,6 @@ from partial_eraser.montecarlo import (
     disagreed,
     iter_trials,
     survived,
-    trial_stream,
     trial_uniforms,
 )
 
@@ -342,6 +341,16 @@ class TestEventTree:
 # --- batch streams and the chunked sampler ----------------------------------
 
 
+def sequential_draws(seed, start, n, k):
+    """Rows ``start .. start+n-1`` of the stream layout in its scalar form:
+    ``default_rng(seed)`` moved past the ``start k`` draws of the trials
+    before, then ``k`` draws per row, one at a time."""
+    rng = np.random.default_rng(seed)
+    if start:
+        rng.bit_generator.advance(start * k)
+    return np.array([[rng.random() for _ in range(k)] for _ in range(n)]).reshape(n, k)
+
+
 class TestTrialUniforms:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize(
@@ -349,20 +358,32 @@ class TestTrialUniforms:
     )
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_equals_trial_stream(self, seed, start, stop, k):
-        expected = np.array([trial_stream(seed, i).random(k) for i in range(start, stop)])
+        """Each row is its trial's stream: the trial's ``k`` draws of the
+        one ``default_rng(seed)`` (not ``trial_stream``, which is a
+        stream per trial for scalar samplers)."""
+        expected = sequential_draws(seed, start, stop - start, k)
         got = trial_uniforms(seed, start, stop, k)
         assert got.shape == (stop - start, k)
         assert got.tobytes() == expected.tobytes()
+        if start == 0:
+            # A later start, against draws taken from the stream's start.
+            assert trial_uniforms(seed, 1000, stop, k).tobytes() == expected[1000:].tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=0, max_value=2**64 - 8),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
         st.integers(min_value=1, max_value=6),
     )
-    def test_random_seed_and_start(self, seed, start, k):
-        expected = np.array([trial_stream(seed, i).random(k) for i in range(start, start + 8)])
-        assert trial_uniforms(seed, start, start + 8, k).tobytes() == expected.tobytes()
+    def test_random_seed_and_start(self, seed, start, first, second, k):
+        """Ranges ``[a, b)`` and ``[b, c)`` stack to ``[a, c)``."""
+        middle, stop = start + first, start + first + second
+        stacked = np.concatenate(
+            [trial_uniforms(seed, start, middle, k), trial_uniforms(seed, middle, stop, k)]
+        )
+        assert stacked.tobytes() == trial_uniforms(seed, start, stop, k).tobytes()
 
     @pytest.mark.parametrize("seed, start, stop", [(-1, 0, 5), (2**64, 0, 5), (0, 5, 4)])
     def test_out_of_range_is_domain_error(self, seed, start, stop):
@@ -370,12 +391,11 @@ class TestTrialUniforms:
             trial_uniforms(seed, start, stop, 1)
 
 
-def reference_trial(compiled, config, index):
-    """One trial on its own Generator, the scalar form of the chunked sampler."""
+def reference_trial(compiled, index, draws):
+    """One trial on its own draws, the scalar form of the chunked sampler:
+    one per plan step, then one for the final measurement, the last."""
     steps, buckets = compiled
-    rng = trial_stream(config.master_seed, index)
-    for step_idx, (p_click, n_detectors) in enumerate(steps):
-        u = rng.random()
+    for step_idx, ((p_click, n_detectors), u) in enumerate(zip(steps, draws)):
         if u < p_click:
             detector = None
             if n_detectors is not None:
@@ -383,18 +403,23 @@ def reference_trial(compiled, config, index):
             return TrialRecord(index, step_idx, detector, None, None, None)
     if buckets is None:
         raise ZeroSurvival("plan has no surviving path past its last step")
-    u = rng.random()
     for threshold, result_a, result_b, agreement in buckets:
-        if u < threshold:
+        if draws[-1] < threshold:
             return TrialRecord(index, None, None, result_a, result_b, agreement)
 
 
-# Cached, so that the tests below share one scalar pass per plan (about
-# 40 MB of records for all plans, against seconds of trial_stream calls).
+# Cached, so that the tests below share one scalar pass per plan.
 @functools.cache
 def reference_records(config):
+    """Every trial's record, each trial taking the next ``len(plan) + 1``
+    draws of one sequential ``default_rng(master_seed)``."""
     compiled = _compile_plan(config)
-    return [reference_trial(compiled, config, i) for i in range(config.trials)]
+    rng = np.random.default_rng(config.master_seed)
+    k = len(config.plan) + 1
+    return [
+        reference_trial(compiled, i, [rng.random() for _ in range(k)])
+        for i in range(config.trials)
+    ]
 
 
 def reference_log(records):
