@@ -129,17 +129,45 @@ def _outcome(
     return outcome
 
 
+def _silence(op: PartialMeasurementOp, state: PolarizationState):
+    """The state's one projection onto the op's axis: the click
+    probability, the measured and the other component, and the survival
+    probability.  The click probability is at least 1 wherever the
+    survival is not positive."""
+    c_plus, c_minus = components_in(state, op.axis)
+    if op.branch is Branch.PLUS:
+        c_meas, c_other = c_plus, c_minus
+    else:
+        c_meas, c_other = c_minus, c_plus
+    mass = abs(c_meas) ** 2
+    p_click = (1.0 - op.alpha) * mass
+    survival = op.alpha * mass + abs(c_other) ** 2
+    if survival <= 0.0:
+        p_click = max(p_click, 1.0)  # rounding may leave mass a few ulp below 1
+    return p_click, c_meas, c_other, survival
+
+
+def _silent_state(
+    op: PartialMeasurementOp, c_meas: complex, c_other: complex, survival: float, weight: float
+) -> PolarizationState:
+    """The no-click state from ``_silence``'s components, for a positive
+    survival: the measured one scaled by sqrt(alpha), both renormalized.
+    It is built without re-running the state checks: its amplitudes are
+    normalized here and ``weight`` is the caller's."""
+    root = math.sqrt(survival)
+    c_meas = c_meas * (math.sqrt(op.alpha) / root)
+    c_other = c_other / root
+    if op.branch is Branch.PLUS:
+        up, right = _normalized_amplitudes(op.axis, c_meas, c_other)
+    else:
+        up, right = _normalized_amplitudes(op.axis, c_other, c_meas)
+    return _trusted_state(up, right, weight)
+
+
 def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> float:
     """Probability that one of the op's detectors fires on this state; at
     least 1 wherever ``no_click_map`` finds the silence impossible."""
-    c_plus, c_minus = components_in(state, op.axis)
-    c_meas = c_plus if op.branch is Branch.PLUS else c_minus
-    c_other = c_minus if op.branch is Branch.PLUS else c_plus
-    mass = abs(c_meas) ** 2
-    p_click = (1.0 - op.alpha) * mass
-    if op.alpha * mass + abs(c_other) ** 2 <= 0.0:
-        return max(p_click, 1.0)  # rounding may leave mass a few ulp below 1
-    return p_click
+    return _silence(op, state)[0]
 
 
 def no_click_map(
@@ -157,35 +185,30 @@ def no_click_map(
     branch).
 
     This is the general formula; ``cascade.cascade_measure`` writes out
-    the same steps for the X axis.  The result is built without re-running
-    the state checks: its amplitudes are normalized here and its weight
-    is the input's, times the survival probability in WEIGHTED mode.
+    the same steps for the X axis.
     """
-    axis, branch, alpha = op.axis, op.branch, op.alpha
-    if alpha == 1.0:
+    if op.is_identity:
         return state
-    c_plus, c_minus = components_in(state, axis)
-    if branch is Branch.PLUS:
-        c_meas, c_other = c_plus, c_minus
-    else:
-        c_meas, c_other = c_minus, c_plus
-
-    survival = alpha * abs(c_meas) ** 2 + abs(c_other) ** 2
+    _, c_meas, c_other, survival = _silence(op, state)
     if survival <= 0.0:
         raise ZeroSurvival(
-            f"no-click impossible: alpha={alpha} on a fully measured branch"
+            f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-
-    scale = math.sqrt(alpha) / math.sqrt(survival)
-    c_meas = c_meas * scale
-    c_other = c_other / math.sqrt(survival)
-
     weight = state.weight * survival if mode is TrackingMode.WEIGHTED else state.weight
-    if branch is Branch.PLUS:
-        up, right = _normalized_amplitudes(axis, c_meas, c_other)
-    else:
-        up, right = _normalized_amplitudes(axis, c_other, c_meas)
-    return _trusted_state(up, right, weight)
+    return _silent_state(op, c_meas, c_other, survival, weight)
+
+
+def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
+    """``(p_click, no-click state)`` from one ``_silence``, the state as
+    ``no_click_map`` gives it in NORMALIZED mode, or None for it where the
+    click is certain (``p_click >= 1``).  ``photon`` is ignored: this is
+    the single photon's form of ``epr._pair_step``."""
+    if op.is_identity:
+        return 0.0, state
+    p_click, c_meas, c_other, survival = _silence(op, state)
+    if p_click >= 1.0:
+        return p_click, None
+    return p_click, _silent_state(op, c_meas, c_other, survival, state.weight)
 
 
 def compose_same_axis(
@@ -243,9 +266,8 @@ def no_click_sequence_probability(
     0.0 from the first op whose click is certain (``p_click >= 1``)."""
     prob = 1.0
     for op in ops:
-        p_click = click_probability(op, state)
-        if p_click >= 1.0:
+        p_click, state = _step(state, None, op)
+        if state is None:
             return 0.0
         prob *= 1.0 - p_click
-        state = no_click_map(op, state, TrackingMode.NORMALIZED)
     return prob

@@ -36,12 +36,7 @@ import numpy as np
 
 from .epr import Photon, _pair_step, make_epr, pair_axis_amplitudes
 from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
-from .measurement import (
-    PartialMeasurementOp,
-    TrackingMode,
-    click_probability,
-    no_click_map,
-)
+from .measurement import PartialMeasurementOp, _step
 from .polarization import (
     Axis,
     Branch,
@@ -192,14 +187,6 @@ def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarra
     return np.random.Generator(bit_generator).random((stop - start, k))
 
 
-def _single_step(state, photon, op):
-    """The single photon's step function (see ``_algebra``)."""
-    p_click = click_probability(op, state)
-    if p_click >= 1.0:
-        return p_click, None
-    return p_click, no_click_map(op, state, TrackingMode.NORMALIZED)
-
-
 def _algebra(preparation: Preparation):
     """The prepared state and its step function.
 
@@ -210,7 +197,7 @@ def _algebra(preparation: Preparation):
     sampler and the oracles tell a single photon from a pair.
     """
     if preparation.kind is PrepKind.SINGLE_PHOTON:
-        return basis_state(Axis.Y, preparation.branch), _single_step
+        return basis_state(Axis.Y, preparation.branch), _step
     return make_epr(), _pair_step
 
 
