@@ -128,11 +128,9 @@ def _parse_preparation(value: str, lineno: int) -> Preparation:
     token = value.strip().lower()
     if token == "epr":
         return Preparation.epr()
-    if token.startswith("single"):
-        branch = Branch.PLUS
-        if ":" in token:
-            branch = _parse_branch(token.split(":", 1)[1], lineno, Axis.Y)
-        return Preparation.single(branch)
+    head, colon, branch = token.partition(":")
+    if head.rstrip() == "single":
+        return Preparation.single(_parse_branch(branch, lineno, Axis.Y) if colon else Branch.PLUS)
     raise _fail(lineno, f"unknown preparation {value!r}")
 
 

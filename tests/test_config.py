@@ -91,6 +91,10 @@ def test_alias_axis_mismatch_rejected():
         ("cascade = A,plus,7,4", "n_detectors"),
         ("trials = soon", "integer"),
         ("preparation = banana", "unknown preparation"),
+        ("preparation = singlet", "unknown preparation"),
+        ("preparation = single_photon", "unknown preparation"),
+        ("preparation = single minus", "unknown preparation"),
+        ("preparation = epr:plus", "unknown preparation"),
     ],
 )
 def test_malformed_lines(text, fragment):
@@ -105,6 +109,21 @@ def test_alpha_range_message(token, shown):
     with pytest.raises(ConfigError) as exc:
         parse_experiment_text(f"preparation = epr\nop = A,x,plus,{token}\n")
     assert str(exc.value) == f"line 2: alpha must lie in [0, 1], got {shown}"
+
+
+@pytest.mark.parametrize(
+    "token, branch",
+    [
+        ("single", Branch.PLUS),
+        ("single:minus", Branch.MINUS),
+        ("single : minus", Branch.MINUS),
+        ("Single :antidiag", Branch.MINUS),
+        ("single:plus", Branch.PLUS),
+    ],
+)
+def test_single_preparation_forms(token, branch):
+    parsed = parse_experiment_text(f"preparation = {token}\n")
+    assert parsed.preparation == Preparation.single(branch)
 
 
 def test_missing_preparation_rejected():
