@@ -346,9 +346,8 @@ def sequential_draws(seed, start, n, k):
     ``default_rng(seed)`` moved past the ``start k`` draws of the trials
     before, then ``k`` draws per row, one at a time."""
     rng = np.random.default_rng(seed)
-    if start:
-        rng.bit_generator.advance(start * k)
-    return np.array([[rng.random() for _ in range(k)] for _ in range(n)]).reshape(n, k)
+    rng.bit_generator.advance(start * k)
+    return np.array([[rng.random() for _ in range(k)] for _ in range(n)])
 
 
 class TestTrialUniforms:
