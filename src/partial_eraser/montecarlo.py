@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from numbers import Integral
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -74,6 +75,12 @@ class MeasureStep:
     op: PartialMeasurementOp
 
 
+def _check_integer(name: str, value) -> None:
+    """Counts and seeds are integers: numpy's too, but not bools."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CascadeStep:
     """A beam-cascade measurement: ``n_detectors`` detectors on one branch
@@ -86,6 +93,8 @@ class CascadeStep:
     n_beams: int = 100
 
     def __post_init__(self) -> None:
+        _check_integer("n_beams", self.n_beams)
+        _check_integer("n_detectors", self.n_detectors)
         if self.n_beams < 1:
             raise ConfigError(f"n_beams must be >= 1, got {self.n_beams!r}")
         if not 0 <= self.n_detectors <= self.n_beams:
@@ -117,6 +126,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", tuple(self.plan))
+        _check_integer("trials", self.trials)
+        _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:

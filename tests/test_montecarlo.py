@@ -192,6 +192,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             CascadeStep(Photon.A, Branch.PLUS, 5, 4)
 
+    @pytest.mark.parametrize(
+        "args", [(2.5,), (2, 10.5), (True,), (2, True), (np.float64(2.0),), ("2",)]
+    )
+    def test_cascade_step_counts_are_integers(self, args):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            CascadeStep(Photon.A, Branch.PLUS, *args)
+
+    @pytest.mark.parametrize(
+        "trials, seed", [(2.5, 0), (True, 0), (10, 1.5), (10, False), (10, np.float64(3.0))]
+    )
+    def test_trials_and_seed_are_integers(self, trials, seed):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            epr_config([], trials=trials, seed=seed)
+
+    def test_numpy_integers_are_counts(self):
+        step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))
+        config = epr_config([step], trials=np.int64(500), seed=np.uint64(2**64 - 1))
+        assert run_experiment(config).total == 500
+
 
 class TestConditionalClickStat:
     def test_baseline_disagreement_among_survivors(self):
