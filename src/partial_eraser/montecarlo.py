@@ -536,19 +536,6 @@ class EventLeaf:
     agreement: bool | None
 
 
-def _leaf(path: tuple[str, ...], probability: float, clicked: bool, agreement) -> EventLeaf:
-    """An ``EventLeaf`` built without the dataclass ``__init__`` call.  It
-    sets the fields with ``object.__setattr__``, as the frozen
-    ``__init__`` does, which keeps the instance's compact attribute
-    storage: a tree's leaves live as long as the tree."""
-    leaf = object.__new__(EventLeaf)
-    object.__setattr__(leaf, "path", path)
-    object.__setattr__(leaf, "probability", probability)
-    object.__setattr__(leaf, "clicked", clicked)
-    object.__setattr__(leaf, "agreement", agreement)
-    return leaf
-
-
 def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     """Exhaustively walk every click / no-click branch of the plan.
 
@@ -570,11 +557,11 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
                 p_leaf = prob * (p_click / step.n_detectors)
                 prefix = f"click@{step_idx}:det"
                 leaves.extend(
-                    _leaf(path + (f"{prefix}{det}",), p_leaf, True, None)
+                    EventLeaf(path + (f"{prefix}{det}",), p_leaf, True, None)
                     for det in range(step.n_detectors)
                 )
         elif p_click > 0.0:
-            leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
+            leaves.append(EventLeaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
         if state is None:  # p_click >= 1: no path survives
             return tuple(leaves)
         prob *= 1.0 - p_click
@@ -583,5 +570,5 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
         config.preparation, state, config.final_axis
     ):
         label = result_a.value if result_b is None else f"{result_a.value},{result_b.value}"
-        leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
+        leaves.append(EventLeaf(path + (f"final:{label}",), prob * p, False, agreement))
     return tuple(leaves)
