@@ -9,15 +9,15 @@ agreement rate is the fraction of surviving trials whose final outcome
 matches the preparation (single photon) or whose two outcomes match each
 other (pair).
 
-A plan takes ``k`` uniforms per trial, one per step and one for the
-final measurement, and trial ``i`` takes draws ``i k`` to ``i k + k - 1``
-of the one stream ``default_rng(master_seed)``.  So runs are
-reproducible bit for bit, and ``trial_uniforms`` can draw any range of
-trials on its own, in any order or in parallel.
-Each trial's outcome is a key into one table of the plan's outcomes:
-``count_trials`` and ``conditional_click_stat`` count keys, and
-``count_trials`` can render the ``run --log-trials`` CSV from the same
-keys in the same pass; only ``iter_trials`` builds per-trial records.
+Silence reshapes the state the same way in every trial, so a plan has
+one fixed distribution over its outcomes, the rows of one table.  Trial
+``i`` takes draw ``i`` of the one stream ``default_rng(master_seed)`` and
+lands on the row that this draw selects.  So runs are reproducible bit
+for bit, and ``trial_uniforms`` can draw any range of trials on its own,
+in any order or in parallel.  ``count_trials`` and
+``conditional_click_stat`` count rows, ``count_trials`` can render the
+``run --log-trials`` CSV from the same keys in the same pass, and only
+``iter_trials`` builds per-trial records.
 
 ``enumerate_event_tree`` walks every click / no-click branch of the same
 plan deterministically, which serves as an independent oracle for the
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Iterator, Union
 
@@ -183,19 +182,19 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
-def trial_uniforms(master_seed: int, start: int, stop: int, k: int) -> np.ndarray:
-    """The ``k`` uniforms of each trial ``start .. stop-1``, one row each.
+def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The uniforms of trials ``start .. stop-1``, one per trial.
 
-    Trial ``i`` takes draws ``i k`` to ``i k + k - 1`` of the one stream
-    ``default_rng(master_seed)``, so row ``i`` is a function of ``(seed,
-    start + i, k)`` alone: ranges may be drawn in any order, and a run's
+    Trial ``i`` takes draw ``i`` of the one stream
+    ``default_rng(master_seed)``, so entry ``i`` is a function of ``(seed,
+    start + i)`` alone: ranges may be drawn in any order, and a run's
     output does not depend on how it is split into ranges.
     """
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
     bit_generator = np.random.PCG64(master_seed)
-    bit_generator.advance(start * k)
-    return np.random.Generator(bit_generator).random((stop - start, k))
+    bit_generator.advance(start)
+    return np.random.Generator(bit_generator).random(stop - start)
 
 
 def _algebra(preparation: Preparation):
@@ -253,88 +252,56 @@ def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
     return p_clicks, state
 
 
-def _compile_plan(config: ExperimentConfig) -> tuple[tuple, tuple | None]:
-    """Per-step click thresholds and the final-measurement buckets.
+def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
+    """The plan's outcome table and the probability of each row.
 
-    The surviving-state trajectory is the same in every trial, so all the
-    state algebra happens once here; a trial is then one uniform draw per
-    step plus one for the final measurement.  Steps are ``(p_click,
-    n_detectors)`` pairs, with ``n_detectors`` None for abstract ops.
-    Buckets are ``(cumulative probability, result_a, result_b, agreement)``
-    tuples, or None when no trial survives the plan.
+    Rows are ``(click_step, detector, result_a, result_b, agreement)``:
+    per step reached, one per cascade detector or one for an abstract op,
+    with the probability of reaching the step times its click probability
+    (split evenly over the detectors); then one per final outcome, with
+    the survival times its Born probability.  All the state algebra of a
+    run happens here, once.
     """
     p_clicks, state = _walk(config)
-    steps = tuple(
-        (p_click, step.n_detectors if isinstance(step, CascadeStep) else None)
-        for p_click, step in zip(p_clicks, config.plan)
-    )
-    if state is None:  # later steps and the final stage are unreachable
-        return steps, None
-    outcomes = _final_outcomes(config.preparation, state, config.final_axis)
-    thresholds = list(accumulate(p for p, *_ in outcomes))
-    thresholds[-1] = math.inf  # the last bucket catches the rest
-    return steps, tuple(
-        (threshold, *results) for threshold, (_, *results) in zip(thresholds, outcomes)
-    )
+    table, probabilities, reach = [], [], 1.0
+    for step_idx, (p_click, step) in enumerate(zip(p_clicks, config.plan)):
+        detectors = range(step.n_detectors) if isinstance(step, CascadeStep) else (None,)
+        for detector in detectors:
+            table.append((step_idx, detector, None, None, None))
+            probabilities.append(reach * (p_click / len(detectors)))
+        reach *= 1.0 - p_click
+    if state is not None:  # else the last step reached clicks with certainty
+        for p, *results in _final_outcomes(config.preparation, state, config.final_axis):
+            table.append((None, None, *results))
+            probabilities.append(reach * p)
+    return table, probabilities
 
 
 # Trials sampled per array batch: large enough to amortize numpy's
 # per-call cost, small enough that a lazy consumer of ``iter_trials`` gets
-# its first record fast and the batch's temporaries stay a few megabytes.
-# Each trial's draws are fixed by its index, so no output depends on it.
+# its first record fast.  A batch holds one uniform and one key per trial,
+# whatever the plan's length.  Each trial's draw is fixed by its index, so
+# no output depends on it.
 _CHUNK = 4096
-
-
-def _sample_chunk(compiled, offsets, u: np.ndarray):
-    """Outcome-table keys of the trials whose uniforms are the rows of
-    ``u``, as an int array.
-
-    A row holds one uniform per plan step and one for the final
-    measurement, the last.  Step ``s`` clicks when its uniform is below
-    ``p_click``, on the cascade detector given by the uniform's place in
-    ``[0, p_click)``.  Survivors take the key of their final bucket.  A
-    plan without buckets ends on a step with ``p_click >= 1``, which every
-    trial that reaches it hits; the steps after it are never read.
-    """
-    steps, buckets = compiled
-    if buckets is None:
-        key = np.full(len(u), -1)
-    else:
-        thresholds = [threshold for threshold, *_ in buckets]
-        key = np.searchsorted(thresholds, u[:, -1], side="right")
-    alive = np.ones(len(u), dtype=bool)
-    for step_idx, ((p_click, n_detectors), offset) in enumerate(zip(steps, offsets)):
-        hit = alive & (u[:, step_idx] < p_click)
-        if n_detectors is None:
-            key[hit] = offset
-        else:
-            scaled = np.trunc(u[hit, step_idx] / p_click * n_detectors)
-            key[hit] = offset + np.minimum(scaled, n_detectors - 1)
-        alive &= ~hit
-    return key
 
 
 def _outcomes(config: ExperimentConfig):
     """The plan's outcome table, and ``(start, keys)`` per chunk of trials.
 
-    Table rows are ``(click_step, detector, result_a, result_b,
-    agreement)``: one per final bucket, at the bucket's index, then per
-    step one per cascade detector, or one for an abstract op.  A trial's
-    key is the index of its row.  The chunks are sampled lazily.
+    A trial's key is the index of its table row: the rows split [0, 1) in
+    table order, each by its probability, and the trial's uniform picks
+    one.  The last row of positive probability takes the rounding rest, so
+    no trial lands on a row that cannot happen.  The chunks are sampled
+    lazily.
     """
-    compiled = steps, buckets = _compile_plan(config)
-    table = [(None, None, *results) for _, *results in buckets or ()]
-    offsets = []
-    for step_idx, (_, n_detectors) in enumerate(steps):
-        offsets.append(len(table))
-        detectors = [None] if n_detectors is None else range(n_detectors)
-        table += [(step_idx, detector, None, None, None) for detector in detectors]
+    table, probabilities = _compile_plan(config)
+    thresholds = np.cumsum(probabilities)
+    thresholds[np.flatnonzero(probabilities)[-1]:] = np.inf
 
     def chunks():
         for start in range(0, config.trials, _CHUNK):
-            stop = min(start + _CHUNK, config.trials)
-            u = trial_uniforms(config.master_seed, start, stop, len(config.plan) + 1)
-            yield start, _sample_chunk(compiled, offsets, u)
+            u = trial_uniforms(config.master_seed, start, min(start + _CHUNK, config.trials))
+            yield start, np.searchsorted(thresholds, u, side="right")
 
     return table, chunks()
 

@@ -392,9 +392,9 @@ class TestRun:
     def test_logged_run_draws_each_chunk_once(self, tmp_path, monkeypatch):
         ranges = []
 
-        def counted(master_seed, start, stop, k):
+        def counted(master_seed, start, stop):
             ranges.append((start, stop))
-            return trial_uniforms(master_seed, start, stop, k)
+            return trial_uniforms(master_seed, start, stop)
 
         monkeypatch.setattr(montecarlo, "trial_uniforms", counted)
         config = write_config(tmp_path, ERASURE)
@@ -586,16 +586,16 @@ GOLDEN_DIGESTS = {
         "bd73a6cd0699e13d8cd5997882a14e559fe2799aa85a9eb2935ad91d15d720a1",
     ),
     "epr_k05.cfg": (
-        "9cded028a5532dce919a06a3a5d81e262c0465df56b97de68e9c0e518438462a",
-        "9746e1ad198c59796ad6493db1ee26c838eff3f97b2e6ce9afe472238d1f317b",
+        "dc458d67ad7ecd3d55971e332ad94c6030f65c6f94f2d4dc990322ea3574c101",
+        "6892da32a42f47f0be6a97429b359f7d99e2d9ae54c311ec4004ac8e335f15f1",
     ),
     "erasure.cfg": (
-        "e9ce01620a5990c6d0abd564bceb54407f327e109e4a3ac8d6a285ac85ce8bf9",
-        "af089bc00e6a8d3a23674c39880f561b7779b7a5c29439dd09b135bce2a98e16",
+        "62a828db77968b3ada2554a6870c1d129bbfbcdbd8abcf368dd5c183b7551479",
+        "00b30638982a487ba43e7ffc0265aa8b0a46c5efebf245cfb60486f7ef0e31ce",
     ),
     "single_half.cfg": (
-        "f0386bcdf59fe4d1863c9f6d0b0322d76616f20adf368fd19c198b8466838a63",
-        "f32edf17cba6d2bd349e80421677d8ea1ec8b01f3cd2e086ec1be3b9769c6b6c",
+        "aafd9aa360c87c1626e9027ac680dca5a8ac08dbe808e72234455f4159c766b8",
+        "558064a75a6314de5e830fdc4d4fe35e7a1a19e5aaac722db7cc976a898fe396",
     ),
 }
 
@@ -647,10 +647,10 @@ CLI_DIGESTS = {
         "2f9c38058583be749818be4cbe6bd8bae008cce1d53440d28aaff1a9562c59bf"
     ),
     "cascade-demo --detectors 3 --trials 5000 --seed 9": (
-        "5f6a330fd9d00b5f500318cab37d1956dee511697efe047a6e4b03b103eb7d57"
+        "82b38f76719fa064e8138967ceb0108ac708f248cac6553da2104c78316edb49"
     ),
     "cascade-demo --detectors 50 --erase --trials 5000 --seed 9": (
-        "6b471361a856781a2669d75f777f52e75560a623d38b369de121dd42e6cf83c9"
+        "d46475c117a68f4485c2de3f16c42fc59680e7aa1fbbd0e76398ee507cc65289"
     ),
 }
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from partial_eraser import montecarlo
 from partial_eraser import (
     Axis,
     Branch,
@@ -42,6 +44,7 @@ from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import (
     _CHUNK,
     _compile_plan,
+    _row_counts,
     aggregate_records,
     count_trials,
     counter_stage_click,
@@ -360,13 +363,13 @@ class TestEventTree:
 # --- batch streams and the chunked sampler ----------------------------------
 
 
-def sequential_draws(seed, start, n, k):
-    """Rows ``start .. start+n-1`` of the stream layout in its scalar form:
-    ``default_rng(seed)`` moved past the ``start k`` draws of the trials
-    before, then ``k`` draws per row, one at a time."""
+def sequential_draws(seed, start, n):
+    """Entries ``start .. start+n-1`` of the stream layout in its scalar
+    form: ``default_rng(seed)`` moved past the ``start`` draws of the
+    trials before, then one draw per trial, one at a time."""
     rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * k)
-    return np.array([[rng.random() for _ in range(k)] for _ in range(n)])
+    rng.bit_generator.advance(start)
+    return np.array([rng.random() for _ in range(n)])
 
 
 class TestTrialUniforms:
@@ -376,16 +379,18 @@ class TestTrialUniforms:
     )
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_equals_trial_stream(self, seed, start, stop, k):
-        """Each row is its trial's stream: the trial's ``k`` draws of the
-        one ``default_rng(seed)`` (not ``trial_stream``, which is a
-        stream per trial for scalar samplers)."""
-        expected = sequential_draws(seed, start, stop - start, k)
-        got = trial_uniforms(seed, start, stop, k)
-        assert got.shape == (stop - start, k)
+        """Entry ``i`` is draw ``start + i`` of the one ``default_rng(seed)``
+        (not ``trial_stream``, which is a stream per trial for scalar
+        samplers), whether the window is drawn at once or as ``k``
+        consecutive ranges."""
+        expected = sequential_draws(seed, start, stop - start)
+        edges = [start + (stop - start) * j // k for j in range(k + 1)]
+        got = np.concatenate([trial_uniforms(seed, a, b) for a, b in zip(edges, edges[1:])])
+        assert got.shape == (stop - start,)
         assert got.tobytes() == expected.tobytes()
         if start == 0:
             # A later start, against draws taken from the stream's start.
-            assert trial_uniforms(seed, 1000, stop, k).tobytes() == expected[1000:].tobytes()
+            assert trial_uniforms(seed, 1000, stop).tobytes() == expected[1000:].tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -393,51 +398,40 @@ class TestTrialUniforms:
         st.integers(min_value=0, max_value=2**64 - 8),
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=4),
-        st.integers(min_value=1, max_value=6),
     )
-    def test_random_seed_and_start(self, seed, start, first, second, k):
+    def test_random_seed_and_start(self, seed, start, first, second):
         """Ranges ``[a, b)`` and ``[b, c)`` stack to ``[a, c)``."""
         middle, stop = start + first, start + first + second
         stacked = np.concatenate(
-            [trial_uniforms(seed, start, middle, k), trial_uniforms(seed, middle, stop, k)]
+            [trial_uniforms(seed, start, middle), trial_uniforms(seed, middle, stop)]
         )
-        assert stacked.tobytes() == trial_uniforms(seed, start, stop, k).tobytes()
+        assert stacked.tobytes() == trial_uniforms(seed, start, stop).tobytes()
 
     @pytest.mark.parametrize("seed, start, stop", [(-1, 0, 5), (2**64, 0, 5), (0, 5, 4)])
     def test_out_of_range_is_domain_error(self, seed, start, stop):
         with pytest.raises(DomainError):
-            trial_uniforms(seed, start, stop, 1)
-
-
-def reference_trial(compiled, index, draws):
-    """One trial on its own draws, the scalar form of the chunked sampler:
-    one per plan step, then one for the final measurement, the last."""
-    steps, buckets = compiled
-    for step_idx, ((p_click, n_detectors), u) in enumerate(zip(steps, draws)):
-        if u < p_click:
-            detector = None
-            if n_detectors is not None:
-                detector = min(int(u / p_click * n_detectors), n_detectors - 1)
-            return TrialRecord(index, step_idx, detector, None, None, None)
-    if buckets is None:
-        raise ZeroSurvival("plan has no surviving path past its last step")
-    for threshold, result_a, result_b, agreement in buckets:
-        if draws[-1] < threshold:
-            return TrialRecord(index, None, None, result_a, result_b, agreement)
+            trial_uniforms(seed, start, stop)
 
 
 # Cached, so that the tests below share one scalar pass per plan.
 @functools.cache
 def reference_records(config):
-    """Every trial's record, each trial taking the next ``len(plan) + 1``
-    draws of one sequential ``default_rng(master_seed)``."""
-    compiled = _compile_plan(config)
+    """Every trial's record, each trial taking the next draw of one
+    sequential ``default_rng(master_seed)`` and scanning a running sum of
+    the row probabilities; the last row of positive probability takes the
+    rounding rest."""
+    table, probabilities = _compile_plan(config)
+    last = max(key for key, p in enumerate(probabilities) if p > 0.0)
     rng = np.random.default_rng(config.master_seed)
-    k = len(config.plan) + 1
-    return [
-        reference_trial(compiled, i, [rng.random() for _ in range(k)])
-        for i in range(config.trials)
-    ]
+    records = []
+    for index in range(config.trials):
+        u, running = rng.random(), 0.0
+        for key, p in enumerate(probabilities):
+            running += p
+            if u < running or key == last:
+                break
+        records.append(TrialRecord(index, *table[key]))
+    return records
 
 
 def reference_log(records):
@@ -548,6 +542,25 @@ EDGE_PLANS = [
         ),
         Axis.Y, 2 * _CHUNK + 7, 3,
     ),
+    # a cascade with no detectors adds no rows
+    ExperimentConfig(
+        Preparation.epr(),
+        (CascadeStep(Photon.A, Branch.PLUS, 0, 7), measure(Photon.B, Axis.X, Branch.MINUS, 0.3)),
+        Axis.X, 2 * _CHUNK + 7, 3,
+    ),
+    # a trailing identity op, whose click row never happens; so do the
+    # last final rows, and the rows before them sum to less than the
+    # largest uniform below 1
+    ExperimentConfig(
+        Preparation.epr(),
+        (
+            measure(Photon.B, Axis.X, Branch.MINUS, 0.3),
+            measure(Photon.A, Axis.X, Branch.PLUS, 0.7),
+            measure(Photon.A, Axis.X, Branch.MINUS, 0.0),
+            measure(Photon.B, Axis.Y, Branch.MINUS, 1.0),
+        ),
+        Axis.X, 2 * _CHUNK + 7, 3,
+    ),
 ]
 
 
@@ -555,7 +568,10 @@ SAMPLER_PLANS = pytest.mark.parametrize(
     "config",
     RANDOM_PLANS + EDGE_PLANS,
     ids=[f"plan{i}" for i in range(len(RANDOM_PLANS))]
-    + ["certain-click", "silence-impossible", "silence-rounds-to-zero"],
+    + [
+        "certain-click", "silence-impossible", "silence-rounds-to-zero",
+        "no-detectors", "trailing-identity",
+    ],
 )
 
 
@@ -563,37 +579,70 @@ class TestChunkedSampler:
     @SAMPLER_PLANS
     def test_records_match_scalar_reference(self, config):
         assert config.trials > 2 * _CHUNK and config.trials % _CHUNK
-        reference = outcome(reference_records, config)
-        assert outcome(lambda: list(iter_trials(config))) == reference
-        if reference is not ZeroSurvival:
-            assert same_stats(
-                outcome(run_experiment, config),
-                outcome(aggregate_records, config, reference),
-            )
+        reference = reference_records(config)
+        assert list(iter_trials(config)) == reference
+        assert same_stats(
+            outcome(run_experiment, config),
+            outcome(aggregate_records, config, reference),
+        )
 
     @SAMPLER_PLANS
     def test_log_matches_row_formula(self, config):
-        reference = outcome(reference_records, config)
-        text = outcome(log_text, config)
-        if reference is ZeroSurvival:
-            assert text is ZeroSurvival
-        else:
-            # Compared line by line: pytest's diff of two long strings is slow.
-            assert text.splitlines(keepends=True) == reference_log(reference)
+        # Compared line by line: pytest's diff of two long strings is slow.
+        lines = log_text(config).splitlines(keepends=True)
+        assert lines == reference_log(reference_records(config))
 
     @SAMPLER_PLANS
     def test_conditional_click_stat_matches_records(self, config):
-        reference = outcome(reference_records, config)
+        reference = reference_records(config)
         for condition, event in (
             (survived, disagreed),
             (always, counter_stage_click(1)),
             (disagreed, counter_stage_click(0)),
         ):
-            if reference is ZeroSurvival:
-                expected = ZeroSurvival
-            else:
-                expected = stat_outcome(record_ratio, reference, condition, event)
+            expected = stat_outcome(record_ratio, reference, condition, event)
             assert stat_outcome(conditional_click_stat, config, condition, event) == expected
+
+    @SAMPLER_PLANS
+    def test_row_probabilities_equal_event_tree_leaves(self, config):
+        leaves = {leaf.path[-1]: leaf.probability for leaf in enumerate_event_tree(config)}
+        table, probabilities = _compile_plan(config)
+        assert len(table) == len(probabilities)
+        for (step, detector, result_a, result_b, _), p in zip(table, probabilities):
+            if step is None:
+                label = "final:" + ",".join(r.value for r in (result_a, result_b) if r is not None)
+            else:
+                label = f"click@{step}" + ("" if detector is None else f":det{detector}")
+            # The tree has no leaf for an abstract op that cannot click.
+            assert p == pytest.approx(leaves.pop(label, 0.0), abs=1e-12), label
+        assert not leaves
+
+    @SAMPLER_PLANS
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["lowest", "highest"])
+    def test_no_trial_lands_on_an_impossible_row(self, monkeypatch, config, u):
+        monkeypatch.setattr(
+            montecarlo, "trial_uniforms", lambda seed, start, stop: np.full(stop - start, u)
+        )
+        _, probabilities = _compile_plan(config)
+        _, counts = _row_counts(config)
+        assert sum(counts) == config.trials
+        assert all(p > 0.0 for p, n in zip(probabilities, counts) if n)
+
+    def test_long_plan_memory_is_small(self):
+        """A chunk holds one uniform and one key per trial, whatever the
+        plan's length."""
+        rounds = [
+            measure(Photon.A, Axis.X, Branch.PLUS, 0.999),
+            measure(Photon.B, Axis.X, Branch.MINUS, 0.999),
+        ]
+        config = epr_config(rounds * 500, trials=50_000)
+        tracemalloc.start()
+        try:
+            count_trials(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
 
 
 class TestNoClickPath:
