@@ -259,8 +259,8 @@ def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
     per step reached, one per cascade detector or one for an abstract op,
     with the probability of reaching the step times its click probability
     (split evenly over the detectors); then one per final outcome, with
-    the survival times its Born probability.  All the state algebra of a
-    run happens here, once.
+    the survival times its Born probability.  All the sampler's state
+    algebra happens here, once per run.
     """
     p_clicks, state = _walk(config)
     table, probabilities, reach = [], [], 1.0
