@@ -26,6 +26,7 @@ sampled statistics at small scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,8 +253,9 @@ def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
     return p_clicks, state
 
 
-def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
-    """The plan's outcome table and the probability of each row.
+def _compile_plan(config: ExperimentConfig, walk=None) -> tuple[list[tuple], list[float]]:
+    """The plan's outcome table and the probability of each row, from
+    ``walk``, the plan's ``_walk`` (folded here when not given).
 
     Rows are ``(click_step, detector, result_a, result_b, agreement)``:
     per step reached, one per cascade detector or one for an abstract op,
@@ -262,7 +264,7 @@ def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
     the survival times its Born probability.  All the sampler's state
     algebra happens here, once per run.
     """
-    p_clicks, state = _walk(config)
+    p_clicks, state = walk or _walk(config)
     table, probabilities, reach = [], [], 1.0
     for step_idx, (p_click, step) in enumerate(zip(p_clicks, config.plan)):
         detectors = range(step.n_detectors) if isinstance(step, CascadeStep) else (None,)
@@ -285,16 +287,16 @@ def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
 _CHUNK = 4096
 
 
-def _outcomes(config: ExperimentConfig):
+def _outcomes(config: ExperimentConfig, walk=None):
     """The plan's outcome table, and ``(start, keys)`` per chunk of trials.
 
     A trial's key is the index of its table row: the rows split [0, 1) in
     table order, each by its probability, and the trial's uniform picks
     one.  The last row of positive probability takes the rounding rest, so
     no trial lands on a row that cannot happen.  The chunks are sampled
-    lazily.
+    lazily.  ``walk`` is as in ``_compile_plan``.
     """
-    table, probabilities = _compile_plan(config)
+    table, probabilities = _compile_plan(config, walk)
     thresholds = np.cumsum(probabilities)
     thresholds[np.flatnonzero(probabilities)[-1]:] = np.inf
 
@@ -324,35 +326,86 @@ def _log_cell(value) -> str:
     return str(int(value))  # agreement is written as 0 or 1
 
 
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of ``0000`` .. ``9999``, each number's four bytes
+    read as one ``uint32``."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), -1)
+    return groups.reshape(-1, 4).view(np.uint32).ravel()
+
+
+def _log_renderer(table: list) -> Callable[[int, np.ndarray], str]:
+    """``render(start, keys)``: the log rows of trials ``start, start + 1,
+    ...``, which landed on the table rows ``keys``: each trial's index,
+    then its table row's CSV tail.
+
+    Each table row has a byte template per index length in 4-byte words:
+    those words, then the tail, padded with NUL bytes.  A chunk is split
+    at powers of ten, where the index width grows.  Each part gathers its
+    keys' templates, writes the ``uint64`` indices one word (four digits)
+    at a time from ``_digit_groups``, zeroes the leading zeros and keeps
+    the bytes that are not NUL.
+    """
+    tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
+    size = -(-max(map(len, tails)) // 4) * 4
+    tail_bytes = np.array(tails, dtype=f"S{size}").view(np.uint8).reshape(len(tails), size)
+
+    @functools.cache
+    def template(words: int) -> np.ndarray:
+        rows = np.zeros((len(tails), 4 * words + size), np.uint8)
+        rows[:, 4 * words :] = tail_bytes
+        return rows
+
+    def render(start: int, keys: np.ndarray) -> str:
+        parts, first, stop = [], start, start + len(keys)
+        while start < stop:
+            width = len(str(start))
+            words = -(-width // 4)
+            end = min(stop, 10**width)
+            rows = template(words).take(keys[start - first : end - first], axis=0)
+            index = np.arange(start, end, dtype=np.uint64)
+            for word in reversed(range(words)):
+                index, low = np.divmod(index, 10_000)
+                rows.view(np.uint32)[:, word] = _digit_groups().take(low)
+            rows[:, : 4 * words - width] = 0
+            parts.append(rows[rows != 0].tobytes())
+            start = end
+        return b"".join(parts).decode("ascii")
+
+    return render
+
+
 def _row_counts(
-    config: ExperimentConfig, write: Callable[[str], object] | None = None
+    config: ExperimentConfig, write: Callable[[str], object] | None = None, walk=None
 ) -> tuple[list, list[int]]:
     """The plan's outcome table and how many trials landed on each row.
 
     With ``write``, the same pass hands it the ``run --log-trials`` CSV
-    text: the header, then one text per chunk.  A row is the trial index,
-    click step, detector, final results and agreement (0 or 1), each empty
-    where it does not apply.
+    text: the header, then one text per chunk (see ``_log_renderer``).  A
+    row is the trial index, click step, detector, final results and
+    agreement (0 or 1), each empty where it does not apply.  ``walk`` is
+    as in ``_compile_plan``.
     """
-    table, chunks = _outcomes(config)
+    table, chunks = _outcomes(config, walk)
     if write is not None:
-        tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
+        render = _log_renderer(table)
         write("trial,click_step,detector,result_a,result_b,agreement\n")
     counts = 0
     for start, keys in chunks:
         counts += np.bincount(keys, minlength=len(table))
         if write is not None:
-            rows = enumerate(keys.tolist(), start)
-            write("".join([f"{index}{tails[key]}" for index, key in rows]))
+            write(render(start, keys))
     return table, counts.tolist()
 
 
 def count_trials(
-    config: ExperimentConfig, write: Callable[[str], object] | None = None
+    config: ExperimentConfig, write: Callable[[str], object] | None = None, walk=None
 ) -> tuple[int, int, int]:
     """Clicked, surviving and agreeing trial counts, without records;
-    ``write`` gets the trial log as in ``_row_counts``."""
-    table, counts = _row_counts(config, write)
+    ``write`` gets the trial log, and ``walk`` is used, as in
+    ``_row_counts``."""
+    table, counts = _row_counts(config, write, walk)
     clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
     agreeing = sum(n for n, (*_, agreement) in zip(counts, table) if agreement)
     return clicked, config.trials - clicked, agreeing
@@ -366,7 +419,11 @@ def analytic_agreement(config: ExperimentConfig) -> float:
     summed squared magnitudes can overshoot by a few ulp, and the
     estimator divides by a possibly zero standard error.
     """
-    p_clicks, state = _walk(config)
+    return _agreement(config, *_walk(config))
+
+
+def _agreement(config: ExperimentConfig, p_clicks: list[float], state) -> float:
+    """``analytic_agreement`` from the plan's ``_walk``."""
     if state is None:
         alpha = config.plan[len(p_clicks) - 1].op.alpha
         raise ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
@@ -425,15 +482,17 @@ def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> Tri
     """Run every trial and aggregate the counts.
 
     With ``log_path``, the same pass writes the ``run --log-trials`` CSV
-    there (see ``_row_counts``).  The prediction comes first, so a plan
-    whose silence is impossible raises ZeroSurvival before any draw and
-    creates no file.
+    there (see ``_row_counts``).  The plan is folded once, for both the
+    prediction and the outcome table.  The prediction comes first, so a
+    plan whose silence is impossible raises ZeroSurvival before any draw
+    and creates no file.
     """
-    prediction = analytic_agreement(config)
+    walk = _walk(config)
+    prediction = _agreement(config, *walk)
     if log_path is None:
-        return _stats(config, *count_trials(config), prediction)
+        return _stats(config, *count_trials(config, walk=walk), prediction)
     with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
-        return _stats(config, *count_trials(config, handle.write), prediction)
+        return _stats(config, *count_trials(config, handle.write, walk), prediction)
 
 
 def estimate_vs_analytic(stats: TrialStats) -> float:

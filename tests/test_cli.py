@@ -416,6 +416,20 @@ class TestRun:
             outputs.append((out.read_bytes(), (tmp_path / f"{out.name}.trials.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_log_does_not_depend_on_chunk_edges_at_powers_of_ten(self, tmp_path, monkeypatch):
+        """Prime chunk sizes put chunk edges off the index-width changes at
+        10, 100, 1,000 and 10,000, so chunks straddle each of them."""
+        config = write_config(tmp_path, "preparation = single:plus\nseed = 8\ncascade = A,plus,50\n")
+        logs = []
+        for chunk in (_CHUNK, 7, 997, 4099):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}.csv"
+            assert main(["run", str(config), "--output", str(out), "--trials", "10050",
+                         "--log-trials"]) == 0
+            logs.append((tmp_path / f"{out.name}.trials.csv").read_bytes())
+        assert logs[0].count(b"\n") == 10051
+        assert logs[1:] == logs[:1] * 3
+
     def test_trial_log_memory_is_bounded(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)
         out = tmp_path / "stats.csv"

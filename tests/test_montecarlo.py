@@ -7,7 +7,7 @@ from collections import Counter
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 
 from partial_eraser import montecarlo
 from partial_eraser import (
@@ -44,6 +44,8 @@ from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import (
     _CHUNK,
     _compile_plan,
+    _log_cell,
+    _log_renderer,
     _row_counts,
     aggregate_records,
     count_trials,
@@ -645,7 +647,70 @@ class TestChunkedSampler:
         assert peak < 5 * 2**20, peak
 
 
+def fstring_log(table, start, keys):
+    """The trial log rows of trials ``start, start + 1, ...`` on the table
+    rows ``keys``, one f-string per trial, as ``run`` rendered them before
+    ``_log_renderer``."""
+    tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
+    return "".join(f"{index}{tails[key]}" for index, key in enumerate(keys, start))
+
+
+RENDER_PLANS = {
+    # two-digit detector ids
+    "100-detector cascade": ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        (CascadeStep(Photon.A, Branch.MINUS, 100, 200),),
+        Axis.Y, 1, 0,
+    ),
+    "pair finals": epr_config([], trials=1),
+    "single finals": ExperimentConfig(Preparation.single(Branch.MINUS), (), Axis.X, 1, 0),
+    # the certain click ends the plan: no final rows
+    "certain click": EDGE_PLANS[0],
+}
+
+
+class TestLogRenderer:
+    @pytest.mark.parametrize("name", RENDER_PLANS)
+    @seed(20261019)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_fstring_reference(self, name, data):
+        """Byte for byte, on windows that straddle each power of ten from
+        10 to 10^19, a window from 0 past 10,000, and one that ends at the
+        last trial index ``2^64 - 1``."""
+        table = _compile_plan(RENDER_PLANS[name])[0]
+        render = _log_renderer(table)
+        keys = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=50))
+        windows = [
+            10**power - data.draw(st.integers(1, len(keys) - 1)) for power in range(1, 20)
+        ]
+        windows += [0, 2**64 - len(keys)]
+        for start in windows:
+            part = np.resize(keys, 10_050) if start == 0 else np.array(keys)
+            assert render(start, part) == fstring_log(table, start, part.tolist()), start
+
+    def test_plans_have_the_rows_named(self):
+        """100 detector rows and two finals, four finals, two finals, and
+        one click row."""
+        sizes = [len(_compile_plan(config)[0]) for config in RENDER_PLANS.values()]
+        assert sizes == [102, 4, 2, 1]
+
+
 class TestNoClickPath:
+    def test_run_folds_the_plan_once(self, monkeypatch, tmp_path):
+        walks = []
+
+        def counted(config):
+            walks.append(config)
+            return walk(config)
+
+        walk = montecarlo._walk
+        monkeypatch.setattr(montecarlo, "_walk", counted)
+        config = epr_config([measure(Photon.A, Axis.X, Branch.PLUS, 0.5)], trials=100)
+        run_experiment(config)
+        run_experiment(config, str(tmp_path / "log.csv"))
+        assert walks == [config, config]
+
     @SAMPLER_PLANS
     def test_agreement_matches_event_tree(self, config):
         finals = [leaf for leaf in enumerate_event_tree(config) if not leaf.clicked]
