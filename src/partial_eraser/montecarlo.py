@@ -262,7 +262,7 @@ def _compile_plan(config: ExperimentConfig, walk=None) -> tuple[list[tuple], lis
     with the probability of reaching the step times its click probability
     (split evenly over the detectors); then one per final outcome, with
     the survival times its Born probability.  All the sampler's state
-    algebra happens here, once per run.
+    algebra is in that walk, once per run.
     """
     p_clicks, state = walk or _walk(config)
     table, probabilities, reach = [], [], 1.0

@@ -698,13 +698,12 @@ class TestLogRenderer:
 
 class TestNoClickPath:
     def test_run_folds_the_plan_once(self, monkeypatch, tmp_path):
-        walks = []
+        walk, walks = montecarlo._walk, []
 
         def counted(config):
             walks.append(config)
             return walk(config)
 
-        walk = montecarlo._walk
         monkeypatch.setattr(montecarlo, "_walk", counted)
         config = epr_config([measure(Photon.A, Axis.X, Branch.PLUS, 0.5)], trials=100)
         run_experiment(config)
