@@ -21,19 +21,20 @@ from numbers import Integral
 
 from .errors import DegenerateState, DomainError, ZeroSurvival
 from .measurement import (
+    _CLICK,
+    _NO_CLICK,
+    _WEIGHTED,
     MeasurementOutcome,
-    OutcomeKind,
     PartialMeasurementOp,
     TrackingMode,
-    _outcome,
     apply_sequence,
 )
 from .polarization import (
     _KETS,
+    _PLUS,
     Axis,
     Branch,
     PolarizationState,
-    _trusted_state,
     amplitude_distance,
     basis_state,
 )
@@ -53,8 +54,11 @@ class Cascade:
     n_beams: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_beams, bool) or not isinstance(self.n_beams, Integral):
+            raise DomainError(f"n_beams must be an integer, got {self.n_beams!r}")
         if self.n_beams < 1:
             raise DomainError(f"n_beams must be >= 1, got {self.n_beams!r}")
+        object.__setattr__(self, "n_beams", int(self.n_beams))
 
     @property
     def transmissions(self) -> tuple[float, ...]:
@@ -132,53 +136,60 @@ def cascade_measure(
     written out here for the X axis as ``no_click_map`` takes it, so the
     two agree to the bit.
     """
-    _check_indices(placement, cascade)
     n = cascade.n_beams
+    if placement._max_index >= n:
+        _check_indices(placement, cascade)
     m = len(placement._ordered)
-    plus = placement.branch is Branch.PLUS
-    c_branch = state.amp_up if plus else state.amp_right
-    p_click = (m / n) * abs(c_branch) ** 2
+    plus = placement.branch is _PLUS
+    # The X-axis bras are 1-0j and 0-0j: their products give back the
+    # amplitudes bit for bit (``test_silent_pass_bits_match_no_click_map``).
+    if plus:
+        c_meas, c_other = state.amp_up, state.amp_right
+    else:
+        c_meas, c_other = state.amp_right, state.amp_up
+    mass = abs(c_meas) ** 2
+    p_click = (m / n) * mass
 
     u = rng.random()
+    outcome = object.__new__(MeasurementOutcome)  # filled in as ``_outcome`` does
+    fields = outcome.__dict__
     if u < p_click:
         # u is uniform on [0, p_click); reuse it to pick the detector.
         which = min(int(u / p_click * m), m - 1)
-        return _outcome(
-            OutcomeKind.CLICK,
-            p_click,
-            _CLICK_PLUS if plus else _CLICK_MINUS,
-            placement._ordered[which],
-        )
+        fields["kind"] = _CLICK
+        fields["probability"] = p_click
+        fields["post_state"] = _CLICK_PLUS if plus else _CLICK_MINUS
+        fields["detector"] = placement._ordered[which]
+        fields["clicked"] = True
+        return outcome
+    fields["kind"] = _NO_CLICK
+    fields["probability"] = 1.0 - p_click
     alpha = (n - m) / n
     if alpha == 1.0:
-        return _outcome(OutcomeKind.NO_CLICK, 1.0 - p_click, state, None)
-    # The X-axis bras are 1-0j and 0-0j: their products give back the
-    # amplitudes bit for bit (``test_silent_pass_bits_match_no_click_map``).
-    c_plus, c_minus = state.amp_up, state.amp_right
-    c_meas, c_other = (c_plus, c_minus) if plus else (c_minus, c_plus)
+        post = state
+    else:
+        survival = alpha * mass + abs(c_other) ** 2
+        if survival <= 0.0:
+            raise ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
+        root = math.sqrt(survival)
+        c_meas = c_meas * (math.sqrt(alpha) / root)
+        c_other = c_other / root
+        c_plus, c_minus = (c_meas, c_other) if plus else (c_other, c_meas)
 
-    survival = alpha * abs(c_meas) ** 2 + abs(c_other) ** 2
-    if survival <= 0.0:
-        raise ZeroSurvival(
-            f"no-click impossible: alpha={alpha} on a fully measured branch"
-        )
-    root = math.sqrt(survival)
-    c_meas = c_meas * (math.sqrt(alpha) / root)
-    c_other = c_other / root
-    c_plus, c_minus = (c_meas, c_other) if plus else (c_other, c_meas)
-
-    up = c_plus * _KET_PLUS_UP + c_minus * _KET_MINUS_UP
-    right = c_plus * _KET_PLUS_RIGHT + c_minus * _KET_MINUS_RIGHT
-    norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
-    if norm < 1e-15:
-        raise DegenerateState("cannot normalize a zero vector")
-    weight = state.weight * survival if mode is TrackingMode.WEIGHTED else state.weight
-    return _outcome(
-        OutcomeKind.NO_CLICK,
-        1.0 - p_click,
-        _trusted_state(up / norm, right / norm, weight),
-        None,
-    )
+        up = c_plus * _KET_PLUS_UP + c_minus * _KET_MINUS_UP
+        right = c_plus * _KET_PLUS_RIGHT + c_minus * _KET_MINUS_RIGHT
+        norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
+        if norm < 1e-15:
+            raise DegenerateState("cannot normalize a zero vector")
+        post = object.__new__(PolarizationState)  # as ``_trusted_state`` builds it
+        post_fields = post.__dict__
+        post_fields["amp_up"] = up / norm
+        post_fields["amp_right"] = right / norm
+        post_fields["weight"] = state.weight * survival if mode is _WEIGHTED else state.weight
+    fields["post_state"] = post
+    fields["detector"] = None
+    fields["clicked"] = False
+    return outcome
 
 
 def cascade_no_click_state(

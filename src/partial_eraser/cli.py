@@ -37,7 +37,8 @@ from .montecarlo import (
     CascadeStep,
     ExperimentConfig,
     Preparation,
-    analytic_survival,
+    _survival,
+    _walk,
     count_trials,
     estimate_vs_analytic,
     run_experiment,
@@ -201,8 +202,9 @@ def cmd_cascade_demo(args) -> int:
         Preparation.single(Branch.PLUS), tuple(plan), Axis.Y, args.trials,
         resolve_seed(args.seed, None),
     )
-    clicks, survivors, _ = count_trials(config)
-    analytic = analytic_survival(config)
+    walk = _walk(config)  # one fold for the counts and the prediction, as in ``run``
+    clicks, survivors, _ = count_trials(config, walk=walk)
+    analytic = _survival(*walk)
     empirical = survivors / args.trials
     print(
         f"trials={args.trials} clicks={clicks} survivors={survivors} "

@@ -40,14 +40,16 @@ from enum import Enum
 
 from .errors import DomainError, ZeroSurvival
 from .measurement import (
+    _CLICK,
+    _NO_CLICK,
+    _WEIGHTED,
     MeasurementOutcome,
-    OutcomeKind,
     PartialMeasurementOp,
     TrackingMode,
     _outcome,
     _trusted_op,
 )
-from .polarization import _BRAS, _KETS, NORM_TOL, Axis, Branch
+from .polarization import _BRAS, _KETS, _MINUS, _PLUS, NORM_TOL, Axis
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -55,6 +57,9 @@ _SQRT_HALF = math.sqrt(0.5)
 class Photon(Enum):
     A = "A"
     B = "B"
+
+
+_PHOTON_A, _PHOTON_B = Photon.A, Photon.B  # as ``polarization._PLUS``
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def _rows(pair: PairState, photon: Photon):
     """The pair's amplitudes as rows over ``photon``'s (up, right) index,
     each row over the partner's (up, right) index.  In this view a map on
     either photon has one formula."""
-    if photon is Photon.A:
+    if photon is _PHOTON_A:
         return (pair.amp_uu, pair.amp_ur), (pair.amp_ru, pair.amp_rr)
     return (pair.amp_uu, pair.amp_ru), (pair.amp_ur, pair.amp_rr)
 
@@ -113,7 +118,7 @@ def _write_back(rows, photon: Photon) -> tuple[tuple, float]:
     """The inverse of ``_rows``: the (uu, rr, ur, ru) amplitudes and their
     squared norm, summed in the order uu, ur, ru, rr for either photon."""
     (uu, first), (second, rr) = rows
-    ur, ru = (first, second) if photon is Photon.A else (second, first)
+    ur, ru = (first, second) if photon is _PHOTON_A else (second, first)
     return (uu, rr, ur, ru), abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
 
 
@@ -146,7 +151,7 @@ def _contract(rows, w0: complex, w1: complex) -> tuple[complex, complex]:
 
 def _kets_and_bras(op: PartialMeasurementOp):
     """The measured and the other branch's ket, then their bras."""
-    i = 0 if op.branch is Branch.PLUS else 1
+    i = 0 if op.branch is _PLUS else 1
     kets, bras = _KETS[op.axis], _BRAS[op.axis]
     return kets[i], kets[1 - i], bras[i], bras[1 - i]
 
@@ -190,7 +195,7 @@ def apply_partial_pair(
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-    weight = pair.weight * survival if mode is TrackingMode.WEIGHTED else pair.weight
+    weight = pair.weight * survival if mode is _WEIGHTED else pair.weight
     return _unit_pair(amps, survival, weight)
 
 
@@ -239,13 +244,13 @@ def sample_partial_pair(
     """Draw a click / no-click event for a partial measurement on a pair."""
     p_click, amps, survival = _silence(pair, photon, op)
     if rng.random() < p_click:
-        return _outcome(OutcomeKind.CLICK, p_click, collapse_pair(pair, photon, op), None)
+        return _outcome(_CLICK, p_click, collapse_pair(pair, photon, op), None)
     if op.is_identity:
         post = pair
     else:  # p_click < 1 here, so the survival is positive
-        weight = pair.weight * survival if mode is TrackingMode.WEIGHTED else pair.weight
+        weight = pair.weight * survival if mode is _WEIGHTED else pair.weight
         post = _unit_pair(amps, survival, weight)
-    return _outcome(OutcomeKind.NO_CLICK, 1.0 - p_click, post, None)
+    return _outcome(_NO_CLICK, 1.0 - p_click, post, None)
 
 
 def epr_decompose(pair: PairState) -> EprDecomposition:
@@ -296,10 +301,10 @@ def apply_quadruple(
     B up, B right) in order.  The quadruple has checked the fractions, so
     the ops are built trusted."""
     steps = (
-        (Photon.A, Branch.PLUS, q.alpha),
-        (Photon.A, Branch.MINUS, q.beta),
-        (Photon.B, Branch.PLUS, q.gamma),
-        (Photon.B, Branch.MINUS, q.delta),
+        (_PHOTON_A, _PLUS, q.alpha),
+        (_PHOTON_A, _MINUS, q.beta),
+        (_PHOTON_B, _PLUS, q.gamma),
+        (_PHOTON_B, _MINUS, q.delta),
     )
     for photon, branch, alpha in steps:
         pair = apply_partial_pair(pair, photon, _trusted_op(Axis.X, branch, alpha), mode)
@@ -338,7 +343,7 @@ def weighted_epr_track(q: IntensityQuadruple) -> tuple[float, float]:
 def pair_axis_amplitudes(pair: PairState, axis: Axis):
     """2x2 amplitudes of the pair in ``axis`` x ``axis`` coordinates,
     indexed [branch of A][branch of B] with 0 = PLUS, 1 = MINUS."""
-    (m00, m01), (m10, m11) = _rows(pair, Photon.A)
+    (m00, m01), (m10, m11) = _rows(pair, _PHOTON_A)
     bras = _BRAS[axis]
     return [  # sum() starts from 0, so a sum of -0.0 parts reads +0.0
         [

@@ -34,6 +34,7 @@ from typing import Iterable
 
 from .errors import AxisMismatch, DomainError, ZeroSurvival
 from .polarization import (
+    _PLUS,
     Axis,
     Branch,
     PolarizationState,
@@ -54,6 +55,10 @@ class TrackingMode(Enum):
 class OutcomeKind(Enum):
     CLICK = "click"
     NO_CLICK = "no_click"
+
+
+_WEIGHTED = TrackingMode.WEIGHTED  # for the hot kernels, as ``polarization._PLUS``
+_CLICK, _NO_CLICK = OutcomeKind.CLICK, OutcomeKind.NO_CLICK
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class MeasurementOutcome:
     clicked: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clicked", self.kind is OutcomeKind.CLICK)
+        object.__setattr__(self, "clicked", self.kind is _CLICK)
 
 
 def _outcome(
@@ -125,7 +130,7 @@ def _outcome(
     fields["probability"] = probability
     fields["post_state"] = post_state
     fields["detector"] = detector
-    fields["clicked"] = kind is OutcomeKind.CLICK
+    fields["clicked"] = kind is _CLICK
     return outcome
 
 
@@ -135,7 +140,7 @@ def _silence(op: PartialMeasurementOp, state: PolarizationState):
     probability.  The click probability is at least 1 wherever the
     survival is not positive."""
     c_plus, c_minus = components_in(state, op.axis)
-    if op.branch is Branch.PLUS:
+    if op.branch is _PLUS:
         c_meas, c_other = c_plus, c_minus
     else:
         c_meas, c_other = c_minus, c_plus
@@ -157,7 +162,7 @@ def _silent_state(
     root = math.sqrt(survival)
     c_meas = c_meas * (math.sqrt(op.alpha) / root)
     c_other = c_other / root
-    if op.branch is Branch.PLUS:
+    if op.branch is _PLUS:
         up, right = _normalized_amplitudes(op.axis, c_meas, c_other)
     else:
         up, right = _normalized_amplitudes(op.axis, c_other, c_meas)
@@ -194,7 +199,7 @@ def no_click_map(
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-    weight = state.weight * survival if mode is TrackingMode.WEIGHTED else state.weight
+    weight = state.weight * survival if mode is _WEIGHTED else state.weight
     return _silent_state(op, c_meas, c_other, survival, weight)
 
 

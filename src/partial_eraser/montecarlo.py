@@ -434,13 +434,12 @@ def _agreement(config: ExperimentConfig, p_clicks: list[float], state) -> float:
 
 def analytic_survival(config: ExperimentConfig) -> float:
     """Probability that a trial survives the whole plan without a click."""
-    p_clicks, state = _walk(config)
-    if state is None:
-        return 0.0
-    prob = 1.0
-    for p_click in p_clicks:
-        prob *= 1.0 - p_click
-    return prob
+    return _survival(*_walk(config))
+
+
+def _survival(p_clicks: list[float], state) -> float:
+    """``analytic_survival`` from the plan's ``_walk``."""
+    return 0.0 if state is None else math.prod((1.0 - p for p in p_clicks), start=1.0)
 
 
 def aggregate_records(config: ExperimentConfig, records) -> TrialStats:

@@ -65,6 +65,12 @@ class Branch(Enum):
         return Branch.MINUS if self is Branch.PLUS else Branch.PLUS
 
 
+# EnumType defines __getattr__ on Python 3.11, so a load such as ``Branch.PLUS``
+# takes the slow attribute hook, over ten times a module global's cost; the hot
+# kernels read their members from private constants like these instead.
+_PLUS, _MINUS = Branch.PLUS, Branch.MINUS
+
+
 # Basis vectors as (amp_up, amp_right) coordinates.
 _BASIS_VECTORS: dict[Axis, dict[Branch, tuple[complex, complex]]] = {
     Axis.X: {

@@ -1,3 +1,5 @@
+import dis
+import enum
 import hashlib
 import itertools
 import math
@@ -23,6 +25,8 @@ from partial_eraser import (
     no_click_map,
     placement_invariance_check,
 )
+from partial_eraser import cascade as cascade_module
+from partial_eraser import epr, measurement
 from partial_eraser.cascade import Cascade
 from partial_eraser.polarization import amplitude_distance
 
@@ -83,6 +87,19 @@ class TestValidation:
     def test_cascade_validates_itself(self, n_beams):
         with pytest.raises(DomainError):
             Cascade(n_beams)
+
+    @pytest.mark.parametrize("n_beams", [2.5, 4.0, True, False, "4"], ids=repr)
+    def test_cascade_rejects_non_integer_beam_counts(self, n_beams):
+        with pytest.raises(DomainError, match="n_beams must be an integer"):
+            Cascade(n_beams)
+
+    def test_cascade_stores_numpy_beam_counts_as_int(self):
+        cascade = Cascade(np.int64(4))
+        assert type(cascade.n_beams) is int and cascade == Cascade(4)
+        placement = DetectorPlacement(Branch.PLUS, frozenset({0}))
+        outcome = cascade_measure(DIAG, placement, cascade, _AlwaysSilent())
+        assert type(outcome.probability) is float
+        assert outcome == cascade_measure(DIAG, placement, Cascade(4), _AlwaysSilent())
 
     @pytest.mark.parametrize("n", [1, 3, 100])
     def test_transmissions_follow_from_the_beam_count(self, n):
@@ -322,3 +339,39 @@ def test_silent_pass_bits_match_no_click_map():
                     cases += 1
                     mismatches += repr(outcome.post_state) != repr(expected)
     assert (cases, mismatches) == (5760, 0)
+
+
+# The per-pass kernels of the samplers and the pair algebra.
+HOT_KERNELS = (
+    cascade_module.cascade_measure,
+    measurement._outcome,
+    measurement._silence,
+    measurement._silent_state,
+    measurement.no_click_map,
+    measurement._step,
+    epr._rows,
+    epr._write_back,
+    epr._kets_and_bras,
+    epr.apply_partial_pair,
+    epr.sample_partial_pair,
+    epr._pair_step,
+    epr._unit_pair,
+    epr.collapse_pair,
+)
+
+
+def test_hot_kernels_load_no_enum_class():
+    """On Python 3.11 ``EnumType`` defines ``__getattr__``, so every
+    attribute load on an enum class, as in ``Branch.PLUS``, takes the slow
+    attribute hook.  The kernels read members from module constants."""
+    offenders = {}
+    for kernel in HOT_KERNELS:
+        names = [
+            ins.argval
+            for ins in dis.get_instructions(kernel)
+            if ins.opname == "LOAD_GLOBAL"
+            and isinstance(kernel.__globals__.get(ins.argval), enum.EnumMeta)
+        ]
+        if names:
+            offenders[f"{kernel.__module__}.{kernel.__name__}"] = names
+    assert offenders == {}

@@ -544,6 +544,20 @@ class TestCascadeDemo:
         assert_one_line_error(capsys, fragment)
         assert not out.exists()
 
+    def test_demo_folds_the_plan_once(self, monkeypatch, capsys):
+        from partial_eraser import cli
+
+        walk, walks = montecarlo._walk, []
+
+        def counted(config):
+            walks.append(config)
+            return walk(config)
+
+        monkeypatch.setattr(montecarlo, "_walk", counted)
+        monkeypatch.setattr(cli, "_walk", counted, raising=False)
+        assert main(["cascade-demo", "--detectors", "3", "--erase", "--trials", "100"]) == 0
+        assert len(walks) == 1
+
     def test_demo_reproducible(self, capsys):
         args = ["cascade-demo", "--detectors", "3", "--trials", "5000", "--seed", "9"]
         assert main(args) == 0

@@ -382,7 +382,8 @@ def test_probability_conservation_over_event_tree(state, raw_ops):
 
 def sampled_outcomes():
     """Clicks (with a detector) and silences from ``cascade_measure``, and
-    clicks and silences from ``sample_partial_pair``, on one seeded stream."""
+    clicks and silences from ``sample_partial_pair``, on one seeded stream;
+    then silences of a placement without detectors, which keep the input."""
     gen = np.random.default_rng(808)
     cascade = build_cascade(10)
     for branch in Branch:
@@ -395,6 +396,9 @@ def sampled_outcomes():
         for mode in TrackingMode:
             for _ in range(40):
                 yield sample_partial_pair(make_epr(), photon, the_op, mode, gen)
+    for branch in Branch:
+        for mode in TrackingMode:
+            yield cascade_measure(DIAG, DetectorPlacement(branch, frozenset()), cascade, gen, mode)
 
 
 class TestOutcomeContract:
@@ -412,6 +416,8 @@ class TestOutcomeContract:
             assert hash(outcome) == hash(built)
             assert outcome.clicked is built.clicked is (outcome.kind is OutcomeKind.CLICK)
             assert vars(outcome) == vars(built)
+            state = outcome.post_state  # the same fields, in the same order
+            assert list(vars(state).items()) == list(vars(type(state)(**vars(state))).items())
             kinds.add((type(outcome.post_state).__name__, outcome.kind, outcome.detector is None))
         assert kinds == {
             ("PolarizationState", OutcomeKind.CLICK, False),
