@@ -32,6 +32,7 @@ from .measurement import (
 from .polarization import (
     _KETS,
     _PLUS,
+    _X,
     Axis,
     Branch,
     PolarizationState,
@@ -110,7 +111,7 @@ def equivalent_op(placement: DetectorPlacement, cascade: Cascade) -> PartialMeas
     """The abstract partial measurement realized by this placement."""
     _check_indices(placement, cascade)
     alpha = (cascade.n_beams - placement.n_detectors) / cascade.n_beams
-    return PartialMeasurementOp(Axis.X, placement.branch, alpha)
+    return PartialMeasurementOp(_X, placement.branch, alpha)
 
 
 def _check_indices(placement: DetectorPlacement, cascade: Cascade) -> None:

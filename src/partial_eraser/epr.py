@@ -49,7 +49,7 @@ from .measurement import (
     _outcome,
     _trusted_op,
 )
-from .polarization import _BRAS, _KETS, _MINUS, _PLUS, NORM_TOL, Axis
+from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _X, NORM_TOL, Axis
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -86,7 +86,7 @@ class PairState:
 def _check_pair(norm2: float, weight: float) -> None:
     """DomainError unless the squared norm is 1 and the weight in [0, 1],
     each to within NORM_TOL."""
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails it too
         raise DomainError(f"pair amplitudes must have unit norm, got |psi|^2 = {norm2!r}")
     if not 0.0 <= weight <= 1.0 + NORM_TOL:
         raise DomainError(f"weight must lie in [0, 1], got {weight!r}")
@@ -160,20 +160,32 @@ def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     """The click probability, then ``_write_back`` of sqrt(alpha) |b><b| +
     |o><o| applied to ``photon``: the unnormalized no-click amplitudes and
     the survival probability.  The click probability is at least 1
-    wherever the survival is not positive."""
-    (b0, b1), (o0, o1), (bb0, bb1), (ob0, ob1) = _kets_and_bras(op)
+    wherever the survival is not positive.  Flat, for speed: the products
+    of ``_contract`` on the rows (uu, m01), (m10, rr) of ``_rows``."""
+    kets, bras = _KETS[op.axis], _BRAS[op.axis]
+    if op.branch is _PLUS:
+        (b0, b1), (o0, o1) = kets
+        (bb0, bb1), (ob0, ob1) = bras
+    else:
+        (o0, o1), (b0, b1) = kets
+        (ob0, ob1), (bb0, bb1) = bras
     root = math.sqrt(op.alpha)
-    rows = _rows(pair, photon)
-    out = (
-        _contract(rows, root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1),
-        _contract(rows, root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1),
-    )
-    amps, survival = _write_back(out, photon)
-    c0, c1 = _contract(rows, bb0, bb1)
+    w00, w01 = root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1
+    w10, w11 = root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1
+    uu, rr = pair.amp_uu, pair.amp_rr
+    if photon is _PHOTON_A:
+        m01, m10 = pair.amp_ur, pair.amp_ru
+    else:
+        m01, m10 = pair.amp_ru, pair.amp_ur
+    n01, n10 = w00 * m01 + w01 * rr, w10 * uu + w11 * m10
+    ur, ru = (n01, n10) if photon is _PHOTON_A else (n10, n01)
+    uu, rr = w00 * uu + w01 * m10, w10 * m01 + w11 * rr
+    survival = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
+    c0, c1 = bb0 * pair.amp_uu + bb1 * m10, bb0 * m01 + bb1 * pair.amp_rr
     p_click = (1.0 - op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
     if survival <= 0.0:
         p_click = max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
-    return p_click, amps, survival
+    return p_click, (uu, rr, ur, ru), survival
 
 
 def apply_partial_pair(
@@ -307,7 +319,7 @@ def apply_quadruple(
         (_PHOTON_B, _MINUS, q.delta),
     )
     for photon, branch, alpha in steps:
-        pair = apply_partial_pair(pair, photon, _trusted_op(Axis.X, branch, alpha), mode)
+        pair = apply_partial_pair(pair, photon, _trusted_op(_X, branch, alpha), mode)
     return pair
 
 
@@ -343,14 +355,17 @@ def weighted_epr_track(q: IntensityQuadruple) -> tuple[float, float]:
 def pair_axis_amplitudes(pair: PairState, axis: Axis):
     """2x2 amplitudes of the pair in ``axis`` x ``axis`` coordinates,
     indexed [branch of A][branch of B] with 0 = PLUS, 1 = MINUS."""
-    (m00, m01), (m10, m11) = _rows(pair, _PHOTON_A)
-    bras = _BRAS[axis]
-    return [  # sum() starts from 0, so a sum of -0.0 parts reads +0.0
+    uu, ur, ru, rr = pair.amp_uu, pair.amp_ur, pair.amp_ru, pair.amp_rr
+    (k0, k1), (l0, l1) = _BRAS[axis]
+    return [  # summed from 0, as sum() is, so a sum of -0.0 parts reads +0.0
         [
-            sum((k0 * l0 * m00, k0 * l1 * m01, k1 * l0 * m10, k1 * l1 * m11))
-            for l0, l1 in bras
-        ]
-        for k0, k1 in bras
+            0 + k0 * k0 * uu + k0 * k1 * ur + k1 * k0 * ru + k1 * k1 * rr,
+            0 + k0 * l0 * uu + k0 * l1 * ur + k1 * l0 * ru + k1 * l1 * rr,
+        ],
+        [
+            0 + l0 * k0 * uu + l0 * k1 * ur + l1 * k0 * ru + l1 * k1 * rr,
+            0 + l0 * l0 * uu + l0 * l1 * ur + l1 * l0 * ru + l1 * l1 * rr,
+        ],
     ]
 
 

@@ -38,17 +38,15 @@ import numpy as np
 from .epr import Photon, _pair_step, make_epr, pair_axis_amplitudes
 from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
 from .measurement import PartialMeasurementOp, _step
-from .polarization import (
-    Axis,
-    Branch,
-    basis_state,
-    components_in,
-)
+from .polarization import _MINUS, _PLUS, _X, _Y, Axis, Branch, basis_state, components_in
 
 
 class PrepKind(Enum):
     SINGLE_PHOTON = "single"
     EPR_PAIR = "epr"
+
+
+_SINGLE = PrepKind.SINGLE_PHOTON  # for the oracle kernels, as ``polarization._PLUS``
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class CascadeStep:
 
     @property
     def op(self) -> PartialMeasurementOp:
-        return PartialMeasurementOp(Axis.X, self.branch, self.alpha)
+        return PartialMeasurementOp(_X, self.branch, self.alpha)
 
 
 PlanStep = Union[MeasureStep, CascadeStep]
@@ -207,8 +205,8 @@ def _algebra(preparation: Preparation):
     1``).  This and ``_final_outcomes`` are the only places where the
     sampler and the oracles tell a single photon from a pair.
     """
-    if preparation.kind is PrepKind.SINGLE_PHOTON:
-        return basis_state(Axis.Y, preparation.branch), _step
+    if preparation.kind is _SINGLE:
+        return basis_state(_Y, preparation.branch), _step
     return make_epr(), _pair_step
 
 
@@ -219,8 +217,8 @@ def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
     A single photon agrees when it shows its prepared branch, a pair when
     both photons show the same branch.
     """
-    plus, minus = Branch.PLUS, Branch.MINUS
-    if preparation.kind is PrepKind.SINGLE_PHOTON:
+    plus, minus = _PLUS, _MINUS
+    if preparation.kind is _SINGLE:
         c_plus, c_minus = components_in(state, axis)
         return (
             (abs(c_plus) ** 2, plus, None, preparation.branch is plus),
@@ -551,7 +549,7 @@ def conditional_click_stat(
     return event_count / selected_total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventLeaf:
     """One terminal branch of the experiment's event tree."""
 
@@ -559,6 +557,23 @@ class EventLeaf:
     probability: float
     clicked: bool
     agreement: bool | None
+
+
+# The slots' own setters, in field order: ``_leaf`` fills a leaf through
+# them, past the frozen ``__setattr__`` that ``__init__`` goes through.
+_SET_PATH, _SET_PROBABILITY, _SET_CLICKED, _SET_AGREEMENT = (
+    EventLeaf.__dict__[name].__set__ for name in EventLeaf.__slots__
+)
+
+
+def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLeaf:
+    """``EventLeaf(path, probability, clicked, agreement)``, built in place."""
+    leaf = object.__new__(EventLeaf)
+    _SET_PATH(leaf, path)
+    _SET_PROBABILITY(leaf, probability)
+    _SET_CLICKED(leaf, clicked)
+    _SET_AGREEMENT(leaf, agreement)
+    return leaf
 
 
 def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
@@ -582,11 +597,11 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
                 p_leaf = prob * (p_click / step.n_detectors)
                 prefix = f"click@{step_idx}:det"
                 leaves.extend(
-                    EventLeaf(path + (f"{prefix}{det}",), p_leaf, True, None)
+                    _leaf(path + (f"{prefix}{det}",), p_leaf, True, None)
                     for det in range(step.n_detectors)
                 )
         elif p_click > 0.0:
-            leaves.append(EventLeaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
+            leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
         if state is None:  # p_click >= 1: no path survives
             return tuple(leaves)
         prob *= 1.0 - p_click
@@ -595,5 +610,5 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
         config.preparation, state, config.final_axis
     ):
         label = result_a.value if result_b is None else f"{result_a.value},{result_b.value}"
-        leaves.append(EventLeaf(path + (f"final:{label}",), prob * p, False, agreement))
+        leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
     return tuple(leaves)

@@ -69,6 +69,7 @@ class Branch(Enum):
 # takes the slow attribute hook, over ten times a module global's cost; the hot
 # kernels read their members from private constants like these instead.
 _PLUS, _MINUS = Branch.PLUS, Branch.MINUS
+_X, _Y = Axis.X, Axis.Y
 
 
 # Basis vectors as (amp_up, amp_right) coordinates.
@@ -124,7 +125,7 @@ class PolarizationState:
         object.__setattr__(self, "amp_right", complex(self.amp_right))
         object.__setattr__(self, "weight", float(self.weight))
         norm2 = abs(self.amp_up) ** 2 + abs(self.amp_right) ** 2
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails it too
             raise DomainError(
                 f"amplitudes must have unit norm, got |psi|^2 = {norm2!r}"
             )

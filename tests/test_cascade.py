@@ -26,7 +26,7 @@ from partial_eraser import (
     placement_invariance_check,
 )
 from partial_eraser import cascade as cascade_module
-from partial_eraser import epr, measurement
+from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
 from partial_eraser.polarization import amplitude_distance
 
@@ -341,7 +341,7 @@ def test_silent_pass_bits_match_no_click_map():
     assert (cases, mismatches) == (5760, 0)
 
 
-# The per-pass kernels of the samplers and the pair algebra.
+# The per-pass kernels of the samplers, the pair algebra and the oracles.
 HOT_KERNELS = (
     cascade_module.cascade_measure,
     measurement._outcome,
@@ -357,6 +357,15 @@ HOT_KERNELS = (
     epr._pair_step,
     epr._unit_pair,
     epr.collapse_pair,
+    epr._silence,
+    epr.apply_quadruple,
+    epr.pair_axis_amplitudes,
+    cascade_module.equivalent_op,
+    montecarlo.enumerate_event_tree,
+    montecarlo._leaf,
+    montecarlo._final_outcomes,
+    montecarlo._algebra,
+    montecarlo.CascadeStep.op.fget,
 )
 
 

@@ -141,6 +141,15 @@ class TestMakeEpr:
         with pytest.raises(DomainError):
             PairState(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    @pytest.mark.parametrize("index", range(4))
+    def test_pair_norm_rejects_nan(self, nan, index):
+        """A NaN norm compares false both ways, so it fails the check."""
+        amps = [1.0, 0.0, 0.0, 0.0] if index else [0.0, 1.0, 0.0, 0.0]
+        amps[index] = nan
+        with pytest.raises(DomainError, match="unit norm"):
+            PairState(*amps)
+
 
 class TestApplyPartialPair:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9])

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -16,6 +18,7 @@ from partial_eraser import (
     CascadeStep,
     ConfigError,
     DomainError,
+    EventLeaf,
     ExperimentConfig,
     InsufficientStatistics,
     IntensityQuadruple,
@@ -733,3 +736,32 @@ class TestNoClickPath:
             ops = [step.op for step in config.plan]
             state = basis_state(Axis.Y, config.preparation.branch)
             assert no_click_sequence_probability(ops, state) == analytic_survival(config)
+
+
+class TestEventLeaf:
+    def test_leaves_match_the_constructor(self):
+        """``enumerate_event_tree`` builds its leaves in place, past
+        ``__init__``; each must be the leaf the constructor makes of its
+        fields, and stay frozen and picklable."""
+        gen = random.Random(20261019)
+        pair_plans = []
+        while len(pair_plans) < 50:
+            config = random_plan(gen, 1)
+            if config.preparation.kind is PrepKind.EPR_PAIR:
+                pair_plans.append(config)
+        fields = dataclasses.fields(EventLeaf)
+        leaves = [
+            leaf
+            for config in RANDOM_PLANS + EDGE_PLANS + pair_plans
+            for leaf in enumerate_event_tree(config)
+        ]
+        assert len(leaves) > 500
+        for leaf in leaves:
+            built = EventLeaf(*(getattr(leaf, field.name) for field in fields))
+            assert type(leaf) is EventLeaf
+            assert leaf == built and hash(leaf) == hash(built) and repr(leaf) == repr(built)
+            copy = pickle.loads(pickle.dumps(leaf))
+            assert type(copy) is EventLeaf and copy == leaf and repr(copy) == repr(leaf)
+            for field in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(leaf, field.name, None)

@@ -104,6 +104,13 @@ class TestStateValidation:
         with pytest.raises(DomainError):
             PolarizationState(1.0, 0.0, weight=-0.1)
 
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_rejects_nan_amplitudes(self, nan):
+        """A NaN norm compares false both ways, so it fails the check."""
+        for amps in ((nan, 0.0), (1.0, nan)):
+            with pytest.raises(DomainError, match="unit norm"):
+                PolarizationState(*amps)
+
     def test_from_components_rejects_zero_vector(self):
         with pytest.raises(DegenerateState):
             from_components(Axis.X, 0.0, 0.0)

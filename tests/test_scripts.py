@@ -1,5 +1,7 @@
 """Smoke tests: every shipped script runs to exit code 0."""
 
+import importlib.util
+
 from conftest import REPO, run_python
 
 
@@ -24,3 +26,50 @@ def test_run_golden(tmp_path):
 def test_cascade_stats(tmp_path):
     result = run_script("cascade_stats.py", "--trials", "20000", cwd=tmp_path)
     assert result.stdout.count("trials=20000 ") == 2
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(failed, **values):
+    """The last line of one ``bench/run.py`` run."""
+    metrics = {name: {"value": value, "unit": ""} for name, value in values.items()}
+    return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    """The summary and the verdict, on made-up results: no benchmark runs."""
+    bench_pairs = load_script("bench_pairs")
+    metrics = [{"name": "rate", "better": "higher"}, {"name": "rss", "better": "lower"}]
+    parent_rates, change_rates = [10.0, 12.0, 11.0, 13.0, 9.0], [14.0, 11.0, 15.0, 16.0, 12.0]
+    pairs = [
+        {
+            "seed": 7 + i, "first": ("parent", "change")[i % 2], "parent_dir": "AABBB"[i],
+            "parent": canned_run(0, rate=parent_rates[i], rss=40.0),
+            "change": canned_run(i == 4, rate=change_rates[i], rss=39.0 + i),
+        }
+        for i in range(5)
+    ]
+    summary = bench_pairs.summarize(pairs, metrics)
+    assert summary["seeds"] == [7, 8, 9, 10, 11]
+    assert summary["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert summary["parent_dir"] == list("AABBB")
+    assert summary["failed_jobs"] == {"parent": 0, "change": 1}
+    assert summary["attempted_jobs"] == {"parent": 50, "change": 50}
+    assert summary["rate"]["parent"] == {
+        "median": 11.0, "q1": 10.0, "q3": 12.0, "iqr": 2.0, "runs": parent_rates,
+    }
+    assert summary["rate"]["change"]["median"] == 14.0
+    # rss: 39, 40, 41, 42, 43 against 40 each time; lower is better
+    assert summary["change_wins"] == {"rate": 4, "rss": 1}
+    verdict = bench_pairs.claim_verdict(summary, "rate", "higher")
+    assert verdict == "rate: change won 4 of 5 pairs; median gap 3 against parent IQR 2"
+
+
+def test_bench_pairs_help(tmp_path):
+    result = run_script("bench_pairs.py", "--help", cwd=tmp_path)
+    assert "--parent" in result.stdout and "alternating pairs" in result.stdout
