@@ -17,7 +17,8 @@ workload and end-to-end metric (from ``BENCHMARK.json``), each side's
 median, quartiles (``statistics.quantiles(runs, n=4,
 method="inclusive")``) and runs in pair order, and the number of pairs
 that the change won.  Each finished run is appended to ``runs.jsonl`` in
-the work directory as it comes.
+the work directory as it comes; the directory, a new temporary one unless
+``--work-dir`` names it, is kept.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import enum
 import hashlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -369,6 +370,15 @@ HOT_KERNELS = (
 )
 
 
+def code_objects(code):
+    """``code`` and the code of every generator, comprehension and nested
+    function in it, which ``dis.get_instructions`` does not enter."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const)
+
+
 def test_hot_kernels_load_no_enum_class():
     """On Python 3.11 ``EnumType`` defines ``__getattr__``, so every
     attribute load on an enum class, as in ``Branch.PLUS``, takes the slow
@@ -377,7 +387,8 @@ def test_hot_kernels_load_no_enum_class():
     for kernel in HOT_KERNELS:
         names = [
             ins.argval
-            for ins in dis.get_instructions(kernel)
+            for code in code_objects(kernel.__code__)
+            for ins in dis.get_instructions(code)
             if ins.opname == "LOAD_GLOBAL"
             and isinstance(kernel.__globals__.get(ins.argval), enum.EnumMeta)
         ]
