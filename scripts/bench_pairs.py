@@ -2,21 +2,22 @@
 """Benchmark two commits against each other in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --label NAME \\
-        [--workloads a,b] [--pairs 10] [--seed 1700] [--seconds 20] \\
+        [--workloads a,b] [--pairs 10] [--seed 1700] \\
         [--claim WORKLOAD:METRIC] [--work-dir DIR]
 
 Each commit is unpacked with ``git archive`` into a directory of its own.
 For each workload, pair ``i`` runs ``bench/run.py`` once per commit, one
-child at a time, with the seed ``--seed + 20 * w + i`` (``w`` is the
-workload's position), the parent first when ``i`` is even.  Halfway
+child at a time, for ``BENCHMARK.json``'s ``run_seconds``, with the seed
+``--seed + 20 * w + i`` (``w`` is the workload's position in
+``--workloads``), the parent first when ``i`` is even.  Halfway
 through each workload's pairs the two checkouts swap directories, since
 the same sources can read differently from different paths.
 
 Writes ``BENCH_<label>.json`` at the root of this repository: per
 workload and end-to-end metric (from ``BENCHMARK.json``), each side's
 median, quartiles (``statistics.quantiles(runs, n=4,
-method="inclusive")``) and runs in pair order, and the number of pairs
-that the change won.  Each finished run is appended to ``runs.jsonl`` in
+method="inclusive")``) and runs in pair order, the number of pairs that
+the change won, and this script's own command line as ``made_by``.  Each finished run is appended to ``runs.jsonl`` in
 the work directory as it comes; the directory, a new temporary one unless
 ``--work-dir`` names it, is kept.
 """
@@ -28,6 +29,7 @@ import datetime
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -143,7 +145,7 @@ def claim_verdict(summary: dict, metric: str, better: str) -> str:
     )
 
 
-def parse_args(argv):
+def parse_args(argv, spec: dict):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=__doc__.split("\n\n", 2)[2],
@@ -154,22 +156,31 @@ def parse_args(argv):
     parser.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1700, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC, recorded and judged at the end")
     parser.add_argument("--work-dir", type=Path, help="default: a new temporary directory")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the quartiles")
+    names = [w["name"] for w in spec["workloads"]]
+    args.workloads = args.workloads.split(",") if args.workloads else names
+    unknown = sorted(set(args.workloads) - set(names))
+    if unknown:
+        parser.error(f"--workloads: not in BENCHMARK.json: {', '.join(unknown)}")
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workloads:
+            parser.error(f"--claim: {workload!r} is not among the workloads run")
+        if metric not in {m["name"] for m in spec["end_to_end"]}:
+            parser.error(f"--claim: {metric!r} is not an end-to-end metric")
+        args.claim = (workload, metric)
     return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    metrics = spec["end_to_end"]
-    workloads = (
-        args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    )
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv, spec)
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     revs = {
         side: git("rev-parse", rev).decode().strip()
         for side, rev in zip(SIDES, (args.parent, args.change))
@@ -180,7 +191,7 @@ def main(argv=None) -> int:
     print(f"checkouts and {log.name} in {work}", file=sys.stderr)
 
     results, layout = {}, None
-    for w, workload in enumerate(workloads):
+    for w, workload in enumerate(args.workloads):
         pairs = []
         for i in range(args.pairs):
             parent_dir = "A" if i < args.pairs // 2 else "B"
@@ -194,7 +205,7 @@ def main(argv=None) -> int:
             first = SIDES[i % 2]
             pair = {"seed": seed, "first": first, "parent_dir": parent_dir}
             for side in (first, SIDES[1 - i % 2]):
-                pair[side] = run_bench(dirs[side], workload, seed, args.seconds)
+                pair[side] = run_bench(dirs[side], workload, seed, seconds)
                 record = {"workload": workload, "pair": i, "side": side, "seed": seed}
                 with log.open("a") as handle:
                     handle.write(json.dumps({**record, "result": pair[side]}) + "\n")
@@ -217,12 +228,13 @@ def main(argv=None) -> int:
             "change_src_tree": git("rev-parse", f"{revs['change']}:src").decode().strip(),
             "note": NOTE,
         },
+        "made_by": shlex.join(["python3", "scripts/bench_pairs.py", *argv]),
         "command": "python3 bench/run.py --workload <workload> --seed <seed>"
-        f" --seconds {args.seconds:g} --trace 0",
+        f" --seconds {seconds:g} --trace 0",
         "protocol": f"{PROTOCOL}; {args.pairs} pairs per workload",
     }
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric = args.claim
         report["claim"] = {"workload": workload, "metric": metric}
         better = next(m["better"] for m in metrics if m["name"] == metric)
         print(claim_verdict(results[workload], metric, better))

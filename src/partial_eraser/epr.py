@@ -105,25 +105,9 @@ def make_epr() -> PairState:
     return PairState(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0, 1.0)
 
 
-def _rows(pair: PairState, photon: Photon):
-    """The pair's amplitudes as rows over ``photon``'s (up, right) index,
-    each row over the partner's (up, right) index.  In this view a map on
-    either photon has one formula."""
-    if photon is _PHOTON_A:
-        return (pair.amp_uu, pair.amp_ur), (pair.amp_ru, pair.amp_rr)
-    return (pair.amp_uu, pair.amp_ru), (pair.amp_ur, pair.amp_rr)
-
-
-def _write_back(rows, photon: Photon) -> tuple[tuple, float]:
-    """The inverse of ``_rows``: the (uu, rr, ur, ru) amplitudes and their
-    squared norm, summed in the order uu, ur, ru, rr for either photon."""
-    (uu, first), (second, rr) = rows
-    ur, ru = (first, second) if photon is _PHOTON_A else (second, first)
-    return (uu, rr, ur, ru), abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
-
-
 def _unit_pair(amps, norm2: float, weight: float) -> PairState:
-    """The pair of ``_write_back``'s amplitudes scaled to unit norm.
+    """The pair of the (uu, rr, ur, ru) amplitudes ``amps``, whose squared
+    norm is ``norm2``, scaled to unit norm.
 
     Built without ``__init__``: the amplitudes are already complex and the
     weight a float, so of ``PairState.__post_init__`` only its checks are
@@ -143,25 +127,13 @@ def _unit_pair(amps, norm2: float, weight: float) -> PairState:
     return pair
 
 
-def _contract(rows, w0: complex, w1: complex) -> tuple[complex, complex]:
-    """w0 rows[0] + w1 rows[1]: a row vector applied to the photon's index."""
-    (m00, m01), (m10, m11) = rows
-    return w0 * m00 + w1 * m10, w0 * m01 + w1 * m11
-
-
-def _kets_and_bras(op: PartialMeasurementOp):
-    """The measured and the other branch's ket, then their bras."""
-    i = 0 if op.branch is _PLUS else 1
-    kets, bras = _KETS[op.axis], _BRAS[op.axis]
-    return kets[i], kets[1 - i], bras[i], bras[1 - i]
-
-
 def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
-    """The click probability, then ``_write_back`` of sqrt(alpha) |b><b| +
-    |o><o| applied to ``photon``: the unnormalized no-click amplitudes and
-    the survival probability.  The click probability is at least 1
-    wherever the survival is not positive.  Flat, for speed: the products
-    of ``_contract`` on the rows (uu, m01), (m10, rr) of ``_rows``."""
+    """The click probability, the (uu, rr, ur, ru) amplitudes of
+    sqrt(alpha) |b><b| + |o><o| applied to ``photon``, unnormalized, and
+    their squared norm (the survival probability), summed uu, ur, ru, rr.
+    The click probability is at least 1 wherever the survival is not
+    positive.  The pair is read as the rows (uu, m01), (m10, rr) over
+    ``photon``'s (up, right) index, each row over the partner's."""
     kets, bras = _KETS[op.axis], _BRAS[op.axis]
     if op.branch is _PLUS:
         (b0, b1), (o0, o1) = kets
@@ -238,12 +210,20 @@ def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> 
     correlated family means it acquires the matching branch.  Weight
     history is discarded (the click ends the interference bookkeeping).
     """
-    (b0, b1), _, bra, _ = _kets_and_bras(op)
-    c0, c1 = _contract(_rows(pair, photon), *bra)  # the partner's amplitudes
-    amps, norm2 = _write_back(((b0 * c0, b0 * c1), (b1 * c0, b1 * c1)), photon)
+    i = 0 if op.branch is _PLUS else 1
+    (b0, b1), (w0, w1) = _KETS[op.axis][i], _BRAS[op.axis][i]
+    if photon is _PHOTON_A:  # the rows of ``_silence``
+        m01, m10 = pair.amp_ur, pair.amp_ru
+    else:
+        m01, m10 = pair.amp_ru, pair.amp_ur
+    c0, c1 = w0 * pair.amp_uu + w1 * m10, w0 * m01 + w1 * pair.amp_rr  # the partner's
+    n01, n10 = b0 * c1, b1 * c0
+    ur, ru = (n01, n10) if photon is _PHOTON_A else (n10, n01)
+    uu, rr = b0 * c0, b1 * c1
+    norm2 = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
     if norm2 <= 0.0:
         raise ZeroSurvival("click impossible: measured branch is empty")
-    return _unit_pair(amps, norm2, 1.0)
+    return _unit_pair((uu, rr, ur, ru), norm2, 1.0)
 
 
 def sample_partial_pair(

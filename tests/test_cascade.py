@@ -350,9 +350,6 @@ HOT_KERNELS = (
     measurement._silent_state,
     measurement.no_click_map,
     measurement._step,
-    epr._rows,
-    epr._write_back,
-    epr._kets_and_bras,
     epr.apply_partial_pair,
     epr.sample_partial_pair,
     epr._pair_step,

@@ -2,6 +2,7 @@
 
 import importlib.util
 
+import pytest
 from conftest import REPO, run_python
 
 
@@ -73,3 +74,20 @@ def test_bench_pairs_summary_of_canned_runs():
 def test_bench_pairs_help(tmp_path):
     result = run_script("bench_pairs.py", "--help", cwd=tmp_path)
     assert "--parent" in result.stdout and "alternating pairs" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--workloads", "oracle_sweep,nope"],
+        ["--claim", "oracle_sweep"],
+        ["--claim", "oracle_sweep:nope"],
+        ["--workloads", "mc_pair", "--claim", "oracle_sweep:evals_per_s"],
+    ],
+)
+def test_bench_pairs_rejects_bad_workloads_and_claims_before_any_run(bad, capsys):
+    bench_pairs = load_script("bench_pairs")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--label", "x", *bad])
+    assert exit_info.value.code == 2
+    assert "error: --" in capsys.readouterr().err
