@@ -17,7 +17,7 @@ Writes ``BENCH_<label>.json`` at the root of this repository: per
 workload and end-to-end metric (from ``BENCHMARK.json``), each side's
 median, quartiles (``statistics.quantiles(runs, n=4,
 method="inclusive")``) and runs in pair order, the number of pairs that
-the change won, and this script's own command line as ``made_by``.  Each finished run is appended to ``runs.jsonl`` in
+the change won, and as ``made_by`` the command that repeats the comparison.  Each finished run is appended to ``runs.jsonl`` in
 the work directory as it comes; the directory, a new temporary one unless
 ``--work-dir`` names it, is kept.
 """
@@ -176,9 +176,21 @@ def parse_args(argv, spec: dict):
     return args
 
 
+def made_by(args) -> str:
+    """The command that repeats this comparison, every default spelled out;
+    the work directory, which holds no result, is left out."""
+    command = [
+        "python3", "scripts/bench_pairs.py", "--parent", args.parent, "--change",
+        args.change, "--label", args.label, "--workloads", ",".join(args.workloads),
+        "--pairs", str(args.pairs), "--seed", str(args.seed),
+    ]
+    if args.claim:
+        command += ["--claim", ":".join(args.claim)]
+    return shlex.join(command)
+
+
 def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    argv = sys.argv[1:] if argv is None else argv
     args = parse_args(argv, spec)
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     revs = {
@@ -228,7 +240,7 @@ def main(argv=None) -> int:
             "change_src_tree": git("rev-parse", f"{revs['change']}:src").decode().strip(),
             "note": NOTE,
         },
-        "made_by": shlex.join(["python3", "scripts/bench_pairs.py", *argv]),
+        "made_by": made_by(args),
         "command": "python3 bench/run.py --workload <workload> --seed <seed>"
         f" --seconds {seconds:g} --trace 0",
         "protocol": f"{PROTOCOL}; {args.pairs} pairs per workload",

@@ -69,6 +69,14 @@ def test_bench_pairs_summary_of_canned_runs():
     assert summary["change_wins"] == {"rate": 4, "rss": 1}
     verdict = bench_pairs.claim_verdict(summary, "rate", "higher")
     assert verdict == "rate: change won 4 of 5 pairs; median gap 3 against parent IQR 2"
+    args = bench_pairs.parse_args(
+        ["--parent", "p", "--change", "c", "--label", "x", "--claim", "oracle_sweep:evals_per_s"],
+        {"workloads": [{"name": "oracle_sweep"}], "end_to_end": [{"name": "evals_per_s"}]},
+    )
+    assert bench_pairs.made_by(args) == (
+        "python3 scripts/bench_pairs.py --parent p --change c --label x"
+        " --workloads oracle_sweep --pairs 10 --seed 1700 --claim oracle_sweep:evals_per_s"
+    )
 
 
 def test_bench_pairs_help(tmp_path):
