@@ -156,7 +156,9 @@ def parse_args(argv, spec: dict):
     parser.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1700, help="the first pair's seed")
-    parser.add_argument("--claim", help="WORKLOAD:METRIC, recorded and judged at the end")
+    parser.add_argument(
+        "--claim", help="WORKLOAD:METRIC, recorded and judged at the end; needs 10 or more pairs"
+    )
     parser.add_argument("--work-dir", type=Path, help="default: a new temporary directory")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -172,6 +174,8 @@ def parse_args(argv, spec: dict):
             parser.error(f"--claim: {workload!r} is not among the workloads run")
         if metric not in {m["name"] for m in spec["end_to_end"]}:
             parser.error(f"--claim: {metric!r} is not an end-to-end metric")
+        if args.pairs < 10:
+            parser.error("--claim needs at least 10 --pairs")
         args.claim = (workload, metric)
     return args
 

@@ -187,17 +187,14 @@ def parse_experiment_file(path) -> ParsedExperiment:
     return parse_experiment_text(text)
 
 
-def resolve_seed(
-    flag_seed: int | None, file_seed: int | None, env: dict | None = None
-) -> int:
+def resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
     """Seed precedence: command flag, then config file, then the
     PARTIAL_ERASER_SEED environment variable, then 0."""
     if flag_seed is not None:
         return flag_seed
     if file_seed is not None:
         return file_seed
-    environment = os.environ if env is None else env
-    raw = environment.get(SEED_ENV_VAR)
+    raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
@@ -211,7 +208,6 @@ def resolve_config(
     *,
     seed: int | None = None,
     trials: int | None = None,
-    env: dict | None = None,
 ) -> ExperimentConfig:
     """Combine file contents with command-line overrides."""
     if parsed.preparation is None:
@@ -223,7 +219,7 @@ def resolve_config(
         plan=tuple(parsed.plan),
         final_axis=parsed.final_axis if parsed.final_axis is not None else Axis.Y,
         trials=trials,
-        master_seed=resolve_seed(seed, parsed.seed, env),
+        master_seed=resolve_seed(seed, parsed.seed),
     )
 
 

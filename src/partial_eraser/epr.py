@@ -49,9 +49,7 @@ from .measurement import (
     _outcome,
     _trusted_op,
 )
-from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _X, NORM_TOL, Axis
-
-_SQRT_HALF = math.sqrt(0.5)
+from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _SQRT_HALF, _X, Axis, _check_unit
 
 
 class Photon(Enum):
@@ -80,16 +78,7 @@ class PairState:
             object.__setattr__(self, name, amp)
             norm2 += abs(amp) ** 2
         object.__setattr__(self, "weight", float(self.weight))
-        _check_pair(norm2, self.weight)
-
-
-def _check_pair(norm2: float, weight: float) -> None:
-    """DomainError unless the squared norm is 1 and the weight in [0, 1],
-    each to within NORM_TOL."""
-    if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails it too
-        raise DomainError(f"pair amplitudes must have unit norm, got |psi|^2 = {norm2!r}")
-    if not 0.0 <= weight <= 1.0 + NORM_TOL:
-        raise DomainError(f"weight must lie in [0, 1], got {weight!r}")
+        _check_unit(norm2, self.weight, "pair amplitudes")
 
 
 @dataclass(frozen=True)
@@ -116,7 +105,9 @@ def _unit_pair(amps, norm2: float, weight: float) -> PairState:
     norm = math.sqrt(norm2)
     uu, rr, ur, ru = amps
     uu, rr, ur, ru = uu / norm, rr / norm, ur / norm, ru / norm
-    _check_pair(abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, weight)
+    _check_unit(
+        abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, weight, "pair amplitudes"
+    )
     pair = object.__new__(PairState)
     fields = pair.__dict__
     fields["amp_uu"] = uu

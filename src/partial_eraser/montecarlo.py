@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
 from typing import Callable, Iterator, Union
@@ -83,12 +83,15 @@ def _check_integer(name: str, value) -> None:
 class CascadeStep:
     """A beam-cascade measurement: ``n_detectors`` detectors on one branch
     of an ``n_beams`` cascade (detectors occupy the first beams; the
-    placement identity is physically irrelevant)."""
+    placement identity is physically irrelevant).  ``op``, the equivalent
+    partial measurement, is built once here and takes no part in ``==``,
+    ``hash`` or ``repr``."""
 
     photon: Photon
     branch: Branch
     n_detectors: int
     n_beams: int = 100
+    op: PartialMeasurementOp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_integer("n_beams", self.n_beams)
@@ -99,14 +102,8 @@ class CascadeStep:
             raise ConfigError(
                 f"n_detectors must lie in [0, {self.n_beams}], got {self.n_detectors!r}"
             )
-
-    @property
-    def alpha(self) -> float:
-        return (self.n_beams - self.n_detectors) / self.n_beams
-
-    @property
-    def op(self) -> PartialMeasurementOp:
-        return PartialMeasurementOp(_X, self.branch, self.alpha)
+        alpha = (self.n_beams - self.n_detectors) / self.n_beams
+        object.__setattr__(self, "op", PartialMeasurementOp(_X, self.branch, alpha))
 
 
 PlanStep = Union[MeasureStep, CascadeStep]
@@ -128,6 +125,8 @@ class ExperimentConfig:
         _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if self.trials > 2**64:
+            raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.preparation.kind is PrepKind.SINGLE_PHOTON:
@@ -493,12 +492,17 @@ def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> Tri
 
 
 def estimate_vs_analytic(stats: TrialStats) -> float:
-    """z score of the empirical agreement rate against the prediction."""
+    """z score of the empirical agreement rate against the prediction.
+
+    With no spread, a rate within 1e-12 of the prediction scores 0.0 (a
+    summed Born probability can miss an exact 0 or 1 by a few ulp), and
+    any other rate an infinite score.
+    """
     if stats.surviving <= 0:
         raise DomainError("z score undefined with no surviving trials")
     diff = stats.agreement_rate - stats.analytic_prediction
     if stats.std_error == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+        return 0.0 if abs(diff) <= 1e-12 else math.copysign(math.inf, diff)
     return diff / stats.std_error
 
 

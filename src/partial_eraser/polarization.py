@@ -72,38 +72,33 @@ _PLUS, _MINUS = Branch.PLUS, Branch.MINUS
 _X, _Y = Axis.X, Axis.Y
 
 
-# Basis vectors as (amp_up, amp_right) coordinates.
-_BASIS_VECTORS: dict[Axis, dict[Branch, tuple[complex, complex]]] = {
-    Axis.X: {
-        Branch.PLUS: (1.0 + 0.0j, 0.0 + 0.0j),
-        Branch.MINUS: (0.0 + 0.0j, 1.0 + 0.0j),
-    },
-    Axis.Y: {
-        Branch.PLUS: (_SQRT_HALF + 0.0j, _SQRT_HALF + 0.0j),
-        Branch.MINUS: (-_SQRT_HALF + 0.0j, _SQRT_HALF + 0.0j),
-    },
-    Axis.Z: {
-        Branch.PLUS: (_SQRT_HALF + 0.0j, _SQRT_HALF * 1.0j),
-        Branch.MINUS: (_SQRT_HALF + 0.0j, -_SQRT_HALF * 1.0j),
-    },
-}
-
-
-def basis_vector(axis: Axis, branch: Branch) -> tuple[complex, complex]:
-    """(amp_up, amp_right) coordinates of one basis state."""
-    return _BASIS_VECTORS[axis][branch]
-
-
-# Per axis, the (plus, minus) kets and their conjugates (the bras), so the
-# basis changes below look up one entry instead of conjugating per call.
-_KETS = {
-    axis: (vectors[Branch.PLUS], vectors[Branch.MINUS])
-    for axis, vectors in _BASIS_VECTORS.items()
+# Per axis, the (plus, minus) basis kets as (amp_up, amp_right) coordinates,
+# and their conjugates (the bras), so the basis changes below look up one
+# entry instead of conjugating per call.
+_KETS: dict[Axis, tuple[tuple[complex, complex], tuple[complex, complex]]] = {
+    Axis.X: ((1.0 + 0.0j, 0.0 + 0.0j), (0.0 + 0.0j, 1.0 + 0.0j)),
+    Axis.Y: ((_SQRT_HALF + 0.0j, _SQRT_HALF + 0.0j), (-_SQRT_HALF + 0.0j, _SQRT_HALF + 0.0j)),
+    Axis.Z: ((_SQRT_HALF + 0.0j, _SQRT_HALF * 1.0j), (_SQRT_HALF + 0.0j, -_SQRT_HALF * 1.0j)),
 }
 _BRAS = {
     axis: tuple((up.conjugate(), right.conjugate()) for up, right in kets)
     for axis, kets in _KETS.items()
 }
+
+
+def basis_vector(axis: Axis, branch: Branch) -> tuple[complex, complex]:
+    """(amp_up, amp_right) coordinates of one basis state."""
+    return _KETS[axis][branch is _MINUS]
+
+
+def _check_unit(norm2: float, weight: float, amplitudes: str = "amplitudes") -> None:
+    """DomainError unless the squared norm ``norm2`` of the ``amplitudes``
+    is 1 and the weight lies in [0, 1], each to within NORM_TOL; NaN fails
+    both checks."""
+    if not abs(norm2 - 1.0) <= NORM_TOL:
+        raise DomainError(f"{amplitudes} must have unit norm, got |psi|^2 = {norm2!r}")
+    if not 0.0 <= weight <= 1.0 + NORM_TOL:
+        raise DomainError(f"weight must lie in [0, 1], got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -124,13 +119,7 @@ class PolarizationState:
         object.__setattr__(self, "amp_up", complex(self.amp_up))
         object.__setattr__(self, "amp_right", complex(self.amp_right))
         object.__setattr__(self, "weight", float(self.weight))
-        norm2 = abs(self.amp_up) ** 2 + abs(self.amp_right) ** 2
-        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails it too
-            raise DomainError(
-                f"amplitudes must have unit norm, got |psi|^2 = {norm2!r}"
-            )
-        if not 0.0 <= self.weight <= 1.0 + NORM_TOL:
-            raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
+        _check_unit(abs(self.amp_up) ** 2 + abs(self.amp_right) ** 2, self.weight)
 
 
 def basis_state(axis: Axis, branch: Branch, weight: float = 1.0) -> PolarizationState:

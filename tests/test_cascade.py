@@ -363,7 +363,7 @@ HOT_KERNELS = (
     montecarlo._leaf,
     montecarlo._final_outcomes,
     montecarlo._algebra,
-    montecarlo.CascadeStep.op.fget,
+    montecarlo.CascadeStep.__post_init__,
 )
 
 

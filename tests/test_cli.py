@@ -45,6 +45,18 @@ op = A,x,plus,0.5
 op = B,x,minus,0.5
 """
 
+# An equal measurement on the other photon's other branch erases the first
+# exactly: every survivor agrees, but the summed prediction reads
+# 0.99999999999999978.
+EXACT_ERASURE = """
+preparation = epr
+trials = 20000
+seed = 5
+final_axis = x
+op = A,x,plus,0.3
+op = B,x,minus,0.3
+"""
+
 EMPTY_PLAN = """
 preparation = epr
 trials = 5000
@@ -282,6 +294,26 @@ class TestRun:
         config = write_config(tmp_path, ERASURE)
         out = tmp_path / "stats.csv"
         assert main(["run", str(config), "--output", str(out), "--gate", "4"]) == 0
+
+    def test_exact_erasure_passes_gate_with_zero_z(self, tmp_path):
+        config = write_config(tmp_path, EXACT_ERASURE)
+        out = tmp_path / "stats.csv"
+        assert main(["run", str(config), "--output", str(out), "--gate", "4"]) == 0
+        header, rows = read_rows(out)
+        stats = dict(zip(header, rows[0]))
+        assert stats["surviving"] == stats["agreement_count"] == 6033
+        assert stats["std_error"] == 0.0 and stats["analytic_prediction"] != 1.0
+        assert stats["z_score"] == 0.0
+
+    def test_more_trials_than_the_stream_is_config_error(self, tmp_path):
+        config = write_config(tmp_path, EPR_HALF)
+        out = tmp_path / "stats.csv"
+        argv = ["run", str(config), "--output", str(out), "--trials", str(2**64 + 1)]
+        result = run_python(["-m", "partial_eraser.cli", *argv], cwd=tmp_path, timeout=30)
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("error: trials must be <= 2^64")
+        assert not out.exists()
 
     def test_gate_failure_exit_code(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)

@@ -131,29 +131,35 @@ def test_missing_preparation_rejected():
         resolve_config(parse_experiment_text("trials = 10"))
 
 
-def test_defaults():
-    config = resolve_config(parse_experiment_text("preparation = epr"), env={})
+def test_defaults(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    config = resolve_config(parse_experiment_text("preparation = epr"))
     assert config.trials == 100_000
     assert config.final_axis is Axis.Y
     assert config.master_seed == 0
 
 
 class TestSeedPrecedence:
-    def test_flag_beats_everything(self):
-        assert resolve_seed(5, 9, {SEED_ENV_VAR: "13"}) == 5
+    def test_flag_beats_everything(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "13")
+        assert resolve_seed(5, 9) == 5
 
-    def test_file_beats_env(self):
-        assert resolve_seed(None, 9, {SEED_ENV_VAR: "13"}) == 9
+    def test_file_beats_env(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "13")
+        assert resolve_seed(None, 9) == 9
 
-    def test_env_fallback(self):
-        assert resolve_seed(None, None, {SEED_ENV_VAR: "13"}) == 13
+    def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "13")
+        assert resolve_seed(None, None) == 13
 
-    def test_default_zero(self):
-        assert resolve_seed(None, None, {}) == 0
+    def test_default_zero(self, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        assert resolve_seed(None, None) == 0
 
-    def test_bad_env_value(self):
+    def test_bad_env_value(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "many")
         with pytest.raises(ConfigError):
-            resolve_seed(None, None, {SEED_ENV_VAR: "many"})
+            resolve_seed(None, None)
 
 
 def test_overrides():

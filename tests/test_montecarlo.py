@@ -196,6 +196,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             epr_config([], seed=2**64)
 
+    def test_trials_bound_is_the_stream_length(self):
+        assert epr_config([], trials=2**64).trials == 2**64
+        with pytest.raises(ConfigError, match="trials must be <= 2"):
+            epr_config([], trials=2**64 + 1)
+
     def test_cascade_step_bounds(self):
         with pytest.raises(ConfigError):
             CascadeStep(Photon.A, Branch.PLUS, 5, 4)
@@ -218,6 +223,43 @@ class TestConfigValidation:
         step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))
         config = epr_config([step], trials=np.int64(500), seed=np.uint64(2**64 - 1))
         assert run_experiment(config).total == 500
+
+
+class TestCascadeStepOp:
+    def test_folds_build_no_op(self, monkeypatch):
+        """A cascade step builds its op once, when it is made; no fold
+        builds one."""
+        config = epr_config(
+            [CascadeStep(Photon.A, Branch.PLUS, 30), CascadeStep(Photon.B, Branch.MINUS, 20, 50)],
+            trials=5000,
+        )
+        built = []
+        post_init = PartialMeasurementOp.__post_init__
+
+        def counting(op):
+            built.append(op)
+            post_init(op)
+
+        monkeypatch.setattr(PartialMeasurementOp, "__post_init__", counting)
+        montecarlo._walk(config)
+        enumerate_event_tree(config)
+        analytic_agreement(config)
+        run_experiment(config)
+        assert built == []
+        CascadeStep(Photon.A, Branch.PLUS, 1)  # the count sees a construction
+        assert len(built) == 1
+
+    def test_replace_and_pickle_keep_the_op(self):
+        step = CascadeStep(Photon.A, Branch.PLUS, 30, 40)
+        assert step.op == PartialMeasurementOp(Axis.X, Branch.PLUS, 0.25)
+        assert repr(step) == (
+            "CascadeStep(photon=<Photon.A: 'A'>, branch=<Branch.PLUS: 'plus'>, "
+            "n_detectors=30, n_beams=40)"
+        )
+        other = dataclasses.replace(step, branch=Branch.MINUS, n_detectors=10)
+        assert other.op == PartialMeasurementOp(Axis.X, Branch.MINUS, 0.75)
+        copy = pickle.loads(pickle.dumps(step))
+        assert copy == step and copy.op == step.op
 
 
 class TestConditionalClickStat:
@@ -261,6 +303,10 @@ class TestEstimator:
     def test_zero_error_mismatch_is_infinite(self):
         stats = TrialStats(10, 0, 10, 10, 1.0, 0.0, 0.9)
         assert estimate_vs_analytic(stats) == math.inf
+
+    def test_zero_error_forgives_rounding_of_an_exact_prediction(self):
+        stats = TrialStats(10, 0, 10, 10, 1.0, 0.0, 1 - 2**-52)
+        assert estimate_vs_analytic(stats) == 0.0
 
 
 # --- exhaustive event tree ---------------------------------------------------

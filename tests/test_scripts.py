@@ -91,6 +91,7 @@ def test_bench_pairs_help(tmp_path):
         ["--claim", "oracle_sweep"],
         ["--claim", "oracle_sweep:nope"],
         ["--workloads", "mc_pair", "--claim", "oracle_sweep:evals_per_s"],
+        ["--pairs", "9", "--claim", "oracle_sweep:evals_per_s"],
     ],
 )
 def test_bench_pairs_rejects_bad_workloads_and_claims_before_any_run(bad, capsys):
