@@ -39,9 +39,7 @@ from .cascade import (
     beam_intensities,
     build_cascade,
     cascade_measure,
-    cascade_no_click_state,
     equivalent_op,
-    placement_invariance_check,
 )
 from .epr import (
     EprDecomposition,

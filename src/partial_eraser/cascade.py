@@ -10,8 +10,7 @@ Because the beams are equal and in phase, only the *number* of detectors
 matters: placing m detectors on a branch realizes exactly the abstract
 partial measurement with unmeasured fraction alpha = (n - m)/n, whichever
 beams were chosen.  The model builds this in: a placement enters the
-no-click map and the click rate only through its detector count, so
-``placement_invariance_check`` shows the invariance but cannot fail.
+no-click map and the click rate only through its detector count.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .measurement import (
     MeasurementOutcome,
     PartialMeasurementOp,
     TrackingMode,
-    apply_sequence,
 )
 from .polarization import (
     _KETS,
@@ -37,7 +35,6 @@ from .polarization import (
     Axis,
     Branch,
     PolarizationState,
-    amplitude_distance,
     basis_state,
 )
 
@@ -193,88 +190,3 @@ def cascade_measure(
     fields["clicked"] = False
     return outcome
 
-
-def cascade_no_click_state(
-    state: PolarizationState,
-    placements: list[DetectorPlacement] | tuple[DetectorPlacement, ...],
-    cascade: Cascade,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
-) -> PolarizationState:
-    """Conditional state after every placement stayed silent, in order."""
-    ops = (equivalent_op(placement, cascade) for placement in placements)
-    return apply_sequence(ops, state, mode)
-
-
-@dataclass(frozen=True)
-class PlacementCheck:
-    """Comparison of two random same-size placements."""
-
-    size: int
-    state_deviation: float
-    click_rate_a: float
-    click_rate_b: float
-    expected_rate: float
-    rate_z: float
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    checks: tuple[PlacementCheck, ...]
-    max_state_deviation: float
-    max_rate_z: float
-
-
-def placement_invariance_check(
-    state: PolarizationState,
-    cascade: Cascade,
-    sizes: list[int],
-    trials: int,
-    rng,
-) -> InvarianceReport:
-    """Show that only the detector count matters, not the chosen beams.
-
-    For each size, two random placements on the plus branch are compared:
-    their conditional no-click post-states and their empirical click rates
-    over ``trials`` samples (two-proportion z).  Both halves read only the
-    detector count, so the states agree exactly and the rates differ by
-    sampling noise alone: the report cannot find a placement effect.
-    """
-    checks = []
-    for size in sizes:
-        if not 0 <= size <= cascade.n_beams:
-            raise DomainError(f"placement size {size} out of range")
-        place_a = DetectorPlacement(
-            Branch.PLUS,
-            frozenset(rng.choice(cascade.n_beams, size=size, replace=False).tolist()),
-        )
-        place_b = DetectorPlacement(
-            Branch.PLUS,
-            frozenset(rng.choice(cascade.n_beams, size=size, replace=False).tolist()),
-        )
-        if size == cascade.n_beams and abs(state.amp_right) == 0.0:
-            deviation = 0.0  # no-click state undefined; rates still compared
-        else:
-            post_a = cascade_no_click_state(state, [place_a], cascade)
-            post_b = cascade_no_click_state(state, [place_b], cascade)
-            deviation = amplitude_distance(post_a, post_b)
-
-        clicks_a = sum(
-            cascade_measure(state, place_a, cascade, rng).clicked for _ in range(trials)
-        )
-        clicks_b = sum(
-            cascade_measure(state, place_b, cascade, rng).clicked for _ in range(trials)
-        )
-        rate_a = clicks_a / trials
-        rate_b = clicks_b / trials
-        expected = (size / cascade.n_beams) * abs(state.amp_up) ** 2
-        pooled = (clicks_a + clicks_b) / (2 * trials)
-        spread = math.sqrt(max(pooled * (1.0 - pooled) * 2.0 / trials, 1e-300))
-        rate_z = (rate_a - rate_b) / spread if size > 0 else 0.0
-        checks.append(
-            PlacementCheck(size, deviation, rate_a, rate_b, expected, rate_z)
-        )
-    return InvarianceReport(
-        tuple(checks),
-        max((c.state_deviation for c in checks), default=0.0),
-        max((abs(c.rate_z) for c in checks), default=0.0),
-    )

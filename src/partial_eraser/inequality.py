@@ -31,9 +31,10 @@ def delta_pair(rho: float) -> float:
 
     Clipped at zero: near rho = 1 the cancellation can round a hair below.
     Where the denominator overflows, the equal rate at 1 / rho is returned.
+    NaN fails every comparison, so the range check rejects it too.
     """
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho!r}")
     denominator = 2.0 + 2.0 * rho
     if denominator == math.inf:
         return delta_pair(1.0 / rho)
@@ -42,8 +43,8 @@ def delta_pair(rho: float) -> float:
 
 def delta_ac(rho: float) -> float:
     """Disagreement rate across the chain, at squared mismatch rho^2."""
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho!r}")
     denominator = 2.0 + 2.0 * rho * rho
     if denominator == math.inf:  # as in delta_pair, the rate at 1 / rho is equal
         return delta_ac(1.0 / rho)

@@ -580,6 +580,16 @@ def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLea
     return leaf
 
 
+# The final leaves' last path entry by ``(result_a, result_b)``, as
+# ``_final_outcomes`` yields them; ``Enum.value`` is a Python-level property
+# on 3.11, so the oracle reads the labels from here.
+_FINAL_LABELS = {
+    (a, b): f"final:{a.value}" if b is None else f"final:{a.value},{b.value}"
+    for a in Branch
+    for b in (None, *Branch)
+}
+
+
 def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     """Exhaustively walk every click / no-click branch of the plan.
 
@@ -613,6 +623,6 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     for p, result_a, result_b, agreement in _final_outcomes(
         config.preparation, state, config.final_axis
     ):
-        label = result_a.value if result_b is None else f"{result_a.value},{result_b.value}"
-        leaves.append(_leaf(path + (f"final:{label}",), prob * p, False, agreement))
+        label = _FINAL_LABELS[result_a, result_b]
+        leaves.append(_leaf(path + (label,), prob * p, False, agreement))
     return tuple(leaves)

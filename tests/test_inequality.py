@@ -65,6 +65,15 @@ class TestDeltaFunctions:
         with pytest.raises(DomainError):
             delta_ac(bad)
 
+    @pytest.mark.parametrize(
+        "function", [delta_pair, delta_ac, inequality_margin, violation_report]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_rho_outside_positive_reals(self, function, bad):
+        # NaN once read 0.0, perfect agreement, and inf failed as "got 0.0".
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            function(bad)
+
     def test_chaining_identity_on_log_grid(self):
         for rho in np.geomspace(0.1, 100.0, 300):
             assert abs(delta_ac(rho) - delta_pair(rho * rho)) < 1e-12
