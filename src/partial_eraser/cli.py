@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,6 +76,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise DomainError(f"grid bounds must be finite, got [{self.low}, {self.high}]")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral):
+            raise DomainError(f"grid steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
         if not self.low < self.high:

@@ -118,6 +118,19 @@ def _unit_pair(amps, norm2: float, weight: float) -> PairState:
     return pair
 
 
+# Per (axis, branch), what ``_silence`` reads of the basis: the measured
+# branch's ket (b0, b1) and bra (bb0, bb1), and the other branch's projector
+# terms o_i * ob_j, built once so the kernel multiplies no constants.
+_SILENCE_TERMS = {
+    (axis, branch): (b0, b1, bb0, bb1, o0 * ob0, o0 * ob1, o1 * ob0, o1 * ob1)
+    for axis in Axis
+    for branch, ((b0, b1), (o0, o1)), ((bb0, bb1), (ob0, ob1)) in (
+        (_PLUS, _KETS[axis], _BRAS[axis]),
+        (_MINUS, _KETS[axis][::-1], _BRAS[axis][::-1]),
+    )
+}
+
+
 def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     """The click probability, the (uu, rr, ur, ru) amplitudes of
     sqrt(alpha) |b><b| + |o><o| applied to ``photon``, unnormalized, and
@@ -125,16 +138,11 @@ def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     The click probability is at least 1 wherever the survival is not
     positive.  The pair is read as the rows (uu, m01), (m10, rr) over
     ``photon``'s (up, right) index, each row over the partner's."""
-    kets, bras = _KETS[op.axis], _BRAS[op.axis]
-    if op.branch is _PLUS:
-        (b0, b1), (o0, o1) = kets
-        (bb0, bb1), (ob0, ob1) = bras
-    else:
-        (o0, o1), (b0, b1) = kets
-        (ob0, ob1), (bb0, bb1) = bras
-    root = math.sqrt(op.alpha)
-    w00, w01 = root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1
-    w10, w11 = root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1
+    b0, b1, bb0, bb1, oo00, oo01, oo10, oo11 = _SILENCE_TERMS[op.axis, op.branch]
+    alpha = op.alpha
+    root = math.sqrt(alpha)
+    w00, w01 = root * b0 * bb0 + oo00, root * b0 * bb1 + oo01
+    w10, w11 = root * b1 * bb0 + oo10, root * b1 * bb1 + oo11
     uu, rr = pair.amp_uu, pair.amp_rr
     if photon is _PHOTON_A:
         m01, m10 = pair.amp_ur, pair.amp_ru
@@ -145,7 +153,7 @@ def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     uu, rr = w00 * uu + w01 * m10, w10 * m01 + w11 * rr
     survival = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
     c0, c1 = bb0 * pair.amp_uu + bb1 * m10, bb0 * m01 + bb1 * pair.amp_rr
-    p_click = (1.0 - op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
+    p_click = (1.0 - alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
     if survival <= 0.0:
         p_click = max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
     return p_click, (uu, rr, ur, ru), survival
@@ -178,7 +186,7 @@ def _pair_step(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     """``(p_click, no-click pair)`` from one ``_silence``, the pair as
     ``apply_partial_pair`` gives it in NORMALIZED mode, or None for it
     where the click is certain (``p_click >= 1``)."""
-    if op.is_identity:
+    if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, pair
     p_click, amps, survival = _silence(pair, photon, op)
     if p_click >= 1.0:
@@ -323,19 +331,35 @@ def weighted_epr_track(q: IntensityQuadruple) -> tuple[float, float]:
     return (bd + ag) / 2.0, (bd - ag) / 2.0
 
 
+# Per axis, the 16 bra products of ``pair_axis_amplitudes``, row-major over
+# [branch of A][branch of B] and in each entry over (uu, ur, ru, rr): the
+# products a_i * b_j of A's bra a and B's bra b, built once.
+_PAIR_BRAS = {
+    axis: tuple(
+        product
+        for a0, a1 in bras
+        for b0, b1 in bras
+        for product in (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    )
+    for axis, bras in _BRAS.items()
+}
+
+
 def pair_axis_amplitudes(pair: PairState, axis: Axis):
     """2x2 amplitudes of the pair in ``axis`` x ``axis`` coordinates,
     indexed [branch of A][branch of B] with 0 = PLUS, 1 = MINUS."""
     uu, ur, ru, rr = pair.amp_uu, pair.amp_ur, pair.amp_ru, pair.amp_rr
-    (k0, k1), (l0, l1) = _BRAS[axis]
+    kk0, kk1, kk2, kk3, kl0, kl1, kl2, kl3, lk0, lk1, lk2, lk3, ll0, ll1, ll2, ll3 = (
+        _PAIR_BRAS[axis]
+    )
     return [  # summed from 0, as sum() is, so a sum of -0.0 parts reads +0.0
         [
-            0 + k0 * k0 * uu + k0 * k1 * ur + k1 * k0 * ru + k1 * k1 * rr,
-            0 + k0 * l0 * uu + k0 * l1 * ur + k1 * l0 * ru + k1 * l1 * rr,
+            0 + kk0 * uu + kk1 * ur + kk2 * ru + kk3 * rr,
+            0 + kl0 * uu + kl1 * ur + kl2 * ru + kl3 * rr,
         ],
         [
-            0 + l0 * k0 * uu + l0 * k1 * ur + l1 * k0 * ru + l1 * k1 * rr,
-            0 + l0 * l0 * uu + l0 * l1 * ur + l1 * l0 * ru + l1 * l1 * rr,
+            0 + lk0 * uu + lk1 * ur + lk2 * ru + lk3 * rr,
+            0 + ll0 * uu + ll1 * ur + ll2 * ru + ll3 * rr,
         ],
     ]
 

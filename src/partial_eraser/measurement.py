@@ -208,7 +208,7 @@ def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
     ``no_click_map`` gives it in NORMALIZED mode, or None for it where the
     click is certain (``p_click >= 1``).  ``photon`` is ignored: this is
     the single photon's form of ``epr._pair_step``."""
-    if op.is_identity:
+    if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, state
     p_click, c_meas, c_other, survival = _silence(op, state)
     if p_click >= 1.0:

@@ -56,6 +56,12 @@ class Preparation:
     kind: PrepKind
     branch: Branch = Branch.PLUS
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, PrepKind):
+            raise ConfigError(f"preparation kind must be a PrepKind, got {self.kind!r}")
+        if not isinstance(self.branch, Branch):
+            raise ConfigError(f"preparation branch must be a Branch, got {self.branch!r}")
+
     @staticmethod
     def single(branch: Branch = Branch.PLUS) -> "Preparation":
         return Preparation(PrepKind.SINGLE_PHOTON, branch)
@@ -129,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        if not isinstance(self.final_axis, Axis):
+            raise ConfigError(f"final_axis must be an Axis, got {self.final_axis!r}")
         if self.preparation.kind is PrepKind.SINGLE_PHOTON:
             for step in self.plan:
                 if step.photon is not Photon.A:
@@ -195,6 +203,12 @@ def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bit_generator).random(stop - start)
 
 
+# The prepared states, built once: states are frozen, so every fold shares
+# them.  The single photon's is keyed by its diagonal branch.
+_EPR = make_epr()
+_DIAGONAL = {branch: basis_state(_Y, branch) for branch in Branch}
+
+
 def _algebra(preparation: Preparation):
     """The prepared state and its step function.
 
@@ -205,8 +219,8 @@ def _algebra(preparation: Preparation):
     sampler and the oracles tell a single photon from a pair.
     """
     if preparation.kind is _SINGLE:
-        return basis_state(_Y, preparation.branch), _step
-    return make_epr(), _pair_step
+        return _DIAGONAL[preparation.branch], _step
+    return _EPR, _pair_step
 
 
 def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:

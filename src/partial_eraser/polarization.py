@@ -220,11 +220,3 @@ def y_correlation_single(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
     return (1.0 + math.sqrt(alpha)) ** 2 / (2.0 + 2.0 * alpha)
-
-
-def amplitude_distance(a: PolarizationState, b: PolarizationState) -> float:
-    """Euclidean distance between the amplitude vectors of two states."""
-    return math.sqrt(
-        abs(a.amp_up - b.amp_up) ** 2 + abs(a.amp_right - b.amp_right) ** 2
-    )
-

@@ -19,6 +19,13 @@ axes = st.sampled_from(list(Axis))
 branches = st.sampled_from(list(Branch))
 
 
+def amplitude_distance(a: PolarizationState, b: PolarizationState) -> float:
+    """Euclidean distance between the amplitude vectors of two states."""
+    return math.sqrt(
+        abs(a.amp_up - b.amp_up) ** 2 + abs(a.amp_right - b.amp_right) ** 2
+    )
+
+
 @st.composite
 def polarization_states(draw, complex_amps: bool = True):
     """Random normalized single-photon state, bounded away from basis poles."""

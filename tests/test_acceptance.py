@@ -45,7 +45,8 @@ from partial_eraser import (
 from partial_eraser.cli import main
 from partial_eraser.epr import pair_distance
 from partial_eraser.montecarlo import iter_trials
-from partial_eraser.polarization import amplitude_distance
+
+from conftest import amplitude_distance
 
 EXACT_BOUNDARY = 8.352410032042774  # root of delta_ac(r) = 2 delta(r) above 1
 

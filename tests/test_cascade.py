@@ -28,7 +28,8 @@ from partial_eraser import (
 from partial_eraser import cascade as cascade_module
 from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
-from partial_eraser.polarization import amplitude_distance
+
+from conftest import amplitude_distance
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
 

@@ -4,11 +4,12 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from partial_eraser import montecarlo
-from partial_eraser.cli import main
+from partial_eraser import DomainError, montecarlo
+from partial_eraser.cli import GridSpec, main
 from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
 from partial_eraser.montecarlo import _CHUNK, trial_uniforms
@@ -181,7 +182,7 @@ class TestChart:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
         # 17 significant digits survive a float round trip bit for bit
-        from partial_eraser.cli import ChartRequest, GridSpec, chart_table
+        from partial_eraser.cli import ChartRequest, chart_table
 
         _, expected = chart_table(ChartRequest("angle_vs_alpha", GridSpec(0.0, 1.0, 7)))
         _, rows = read_rows(out)
@@ -251,6 +252,14 @@ class TestChart:
         assert main(argv) == 2
         assert_one_line_error(capsys, "100000000000 grid steps do not fit in memory")
         assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [2.5, 7.0, True, "7", None])
+    def test_grid_steps_are_integers(self, steps):
+        with pytest.raises(DomainError, match="grid steps must be an integer"):
+            GridSpec(0.0, 1.0, steps)
+
+    def test_numpy_integer_grid_steps(self):
+        assert GridSpec(0.0, 1.0, np.int64(3)).points() == [0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize(
         "bounds",

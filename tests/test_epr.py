@@ -30,12 +30,14 @@ from partial_eraser import (
     weighted_epr_track,
     y_correlation_pair,
 )
+from partial_eraser import epr
 from partial_eraser.epr import (
     collapse_pair,
     pair_axis_amplitudes,
     pair_click_probability,
     pair_distance,
 )
+from partial_eraser.polarization import _BRAS, _KETS
 from partial_eraser.montecarlo import (
     analytic_agreement,
     analytic_survival,
@@ -672,3 +674,128 @@ def test_apply_quadruple_bits_pinned():
     assert len(lines) == 2200 and lines.count("ZeroSurvival") == 548
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == QUADRUPLE_DIGEST
+
+
+# --- the basis tables the pair kernels read, built once ----------------------
+
+def silence_reference(pair, photon, the_op):
+    """``epr._silence`` as it multiplied the basis constants on every call;
+    its table form must give the same bits."""
+    kets, bras = _KETS[the_op.axis], _BRAS[the_op.axis]
+    if the_op.branch is Branch.PLUS:
+        (b0, b1), (o0, o1) = kets
+        (bb0, bb1), (ob0, ob1) = bras
+    else:
+        (o0, o1), (b0, b1) = kets
+        (ob0, ob1), (bb0, bb1) = bras
+    root = math.sqrt(the_op.alpha)
+    w00, w01 = root * b0 * bb0 + o0 * ob0, root * b0 * bb1 + o0 * ob1
+    w10, w11 = root * b1 * bb0 + o1 * ob0, root * b1 * bb1 + o1 * ob1
+    uu, rr = pair.amp_uu, pair.amp_rr
+    if photon is Photon.A:
+        m01, m10 = pair.amp_ur, pair.amp_ru
+    else:
+        m01, m10 = pair.amp_ru, pair.amp_ur
+    n01, n10 = w00 * m01 + w01 * rr, w10 * uu + w11 * m10
+    ur, ru = (n01, n10) if photon is Photon.A else (n10, n01)
+    uu, rr = w00 * uu + w01 * m10, w10 * m01 + w11 * rr
+    survival = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
+    c0, c1 = bb0 * pair.amp_uu + bb1 * m10, bb0 * m01 + bb1 * pair.amp_rr
+    p_click = (1.0 - the_op.alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
+    if survival <= 0.0:
+        p_click = max(p_click, 1.0)
+    return p_click, (uu, rr, ur, ru), survival
+
+
+def axis_amplitudes_reference(pair, axis):
+    """``pair_axis_amplitudes`` as it multiplied the bras on every call."""
+    uu, ur, ru, rr = pair.amp_uu, pair.amp_ur, pair.amp_ru, pair.amp_rr
+    (k0, k1), (l0, l1) = _BRAS[axis]
+    return [
+        [
+            0 + k0 * k0 * uu + k0 * k1 * ur + k1 * k0 * ru + k1 * k1 * rr,
+            0 + k0 * l0 * uu + k0 * l1 * ur + k1 * l0 * ru + k1 * l1 * rr,
+        ],
+        [
+            0 + l0 * k0 * uu + l0 * k1 * ur + l1 * k0 * ru + l1 * k1 * rr,
+            0 + l0 * l0 * uu + l0 * l1 * ur + l1 * l0 * ru + l1 * l1 * rr,
+        ],
+    ]
+
+
+def signed_part_pairs(gen):
+    """Pairs whose real and imaginary parts are +-0.0 and +-1, or +-0.0
+    and +-sqrt(1/2), the zeros' signs drawn with ``gen.random()``: the
+    parts on which a reordered product or sum would show in the bits."""
+    def zero():
+        return -0.0 if gen.random() < 0.5 else 0.0
+
+    for slot in range(4):
+        for real, imag in ((1.0, 0), (-1.0, 0), (0, 1.0), (0, -1.0)):
+            for _ in range(2):
+                amps = [complex(zero(), zero()) for _ in range(4)]
+                amps[slot] = complex(real or zero(), imag or zero())
+                yield PairState(*amps)
+    for sign_uu, sign_rr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for _ in range(2):
+            yield PairState(
+                complex(sign_uu * SQRT_HALF, zero()),
+                complex(sign_rr * SQRT_HALF, zero()),
+                complex(zero(), zero()),
+                complex(zero(), zero()),
+            )
+
+
+def test_silence_table_entries_are_the_products_they_replace():
+    """Each (axis, branch) entry holds the measured ket and bra and the
+    other branch's four projector terms, repr for repr, signed zeros
+    included."""
+    assert set(epr._SILENCE_TERMS) == {(axis, branch) for axis in Axis for branch in Branch}
+    for axis in Axis:
+        for branch in Branch:
+            b0, b1 = basis_vector(axis, branch)
+            o0, o1 = basis_vector(axis, branch.other())
+            bb0, bb1, ob0, ob1 = (c.conjugate() for c in (b0, b1, o0, o1))
+            expected = (b0, b1, bb0, bb1, o0 * ob0, o0 * ob1, o1 * ob0, o1 * ob1)
+            assert repr(epr._SILENCE_TERMS[axis, branch]) == repr(expected)
+
+
+def test_pair_bra_table_entries_are_the_products_they_replace():
+    assert set(epr._PAIR_BRAS) == set(Axis)
+    for axis in Axis:
+        (k0, k1), (l0, l1) = (
+            tuple(c.conjugate() for c in basis_vector(axis, branch)) for branch in Branch
+        )
+        expected = (
+            k0 * k0, k0 * k1, k1 * k0, k1 * k1,
+            k0 * l0, k0 * l1, k1 * l0, k1 * l1,
+            l0 * k0, l0 * k1, l1 * k0, l1 * k1,
+            l0 * l0, l0 * l1, l1 * l0, l1 * l1,
+        )  # fmt: skip
+        assert repr(epr._PAIR_BRAS[axis]) == repr(expected)
+
+
+def test_table_kernels_match_the_per_call_products():
+    """Seeded differential: ``epr._silence`` and ``pair_axis_amplitudes``
+    against the forms that multiplied the constants per call, repr for
+    repr, on the pinned pairs and on pairs of signed zeros and units, over
+    every photon, axis and branch and alpha 0, 1 and random."""
+    gen = np.random.default_rng(PINNED_SEED + 20)
+    pairs = [*pinned_pairs(gen), *signed_part_pairs(gen)]
+    assert len(pairs) == 55 + 40
+    assert any("-0" in repr(pair) for pair in pairs)
+    cases = 0
+    for pair in pairs:
+        for axis in Axis:
+            assert repr(pair_axis_amplitudes(pair, axis)) == repr(
+                axis_amplitudes_reference(pair, axis)
+            )
+            for photon in Photon:
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        assert repr(epr._silence(pair, photon, the_op)) == repr(
+                            silence_reference(pair, photon, the_op)
+                        )
+                        cases += 1
+    assert cases == 95 * 36

@@ -37,9 +37,16 @@ from partial_eraser import (
 )
 from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import count_trials
-from partial_eraser.polarization import amplitude_distance
 
-from conftest import alphas, alphas_positive, balanced_states, branches, axes, polarization_states
+from conftest import (
+    alphas,
+    alphas_positive,
+    amplitude_distance,
+    axes,
+    balanced_states,
+    branches,
+    polarization_states,
+)
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
 UP = basis_state(Axis.X, Branch.PLUS)

@@ -219,6 +219,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="must be an integer"):
             epr_config([], trials=trials, seed=seed)
 
+    @pytest.mark.parametrize(
+        "kind, branch",
+        [
+            ("epr", Branch.PLUS),
+            ("single", Branch.PLUS),
+            (None, Branch.PLUS),
+            (PrepKind.SINGLE_PHOTON, "minus"),
+            (PrepKind.SINGLE_PHOTON, None),
+            (PrepKind.EPR_PAIR, Axis.Y),
+        ],
+    )
+    def test_preparation_takes_only_members(self, kind, branch):
+        """A kind or branch that is not a member would be read as some
+        member (a string kind as a pair, a string branch as plus) and
+        report a wrong agreement without an error."""
+        with pytest.raises(ConfigError, match="preparation (kind|branch) must be a"):
+            Preparation(kind, branch)
+
+    @pytest.mark.parametrize("axis", ["y", None, Branch.PLUS])
+    def test_final_axis_is_an_axis(self, axis):
+        with pytest.raises(ConfigError, match="final_axis must be an Axis"):
+            dataclasses.replace(epr_config([]), final_axis=axis)
+
     def test_numpy_integers_are_counts(self):
         step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))
         config = epr_config([step], trials=np.int64(500), seed=np.uint64(2**64 - 1))
@@ -811,3 +834,20 @@ class TestEventLeaf:
             for field in fields:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(leaf, field.name, None)
+
+
+class TestPreparedStates:
+    def test_built_once_as_the_constructors_build_them(self):
+        """Every fold starts from one shared frozen state per preparation,
+        the state ``make_epr`` and ``basis_state`` build, repr for repr."""
+        cases = [(Preparation.epr(), make_epr())]
+        cases += [(Preparation.single(b), basis_state(Axis.Y, b)) for b in Branch]
+        for preparation, expected in cases:
+            state, _ = montecarlo._algebra(preparation)
+            assert repr(state) == repr(expected) and type(state) is type(expected)
+            assert montecarlo._algebra(dataclasses.replace(preparation))[0] is state
+            config = ExperimentConfig(preparation, (HALF_UP_ON_A,), Axis.Y, 10, 0)
+            enumerate_event_tree(config)
+            run_experiment(config)
+            assert montecarlo._algebra(preparation)[0] is state
+            assert repr(state) == repr(expected)
