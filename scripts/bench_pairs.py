@@ -17,9 +17,13 @@ Writes ``BENCH_<label>.json`` at the root of this repository: per
 workload and end-to-end metric (from ``BENCHMARK.json``), each side's
 median, quartiles (``statistics.quantiles(runs, n=4,
 method="inclusive")``) and runs in pair order, the number of pairs that
-the change won, and as ``made_by`` the command that repeats the comparison.  Each finished run is appended to ``runs.jsonl`` in
-the work directory as it comes; the directory, a new temporary one unless
-``--work-dir`` names it, is kept.
+the change won, and as ``made_by`` the command that repeats the
+comparison.  With ``--claim``, ``claim`` holds the verdict: "met" when
+the change won at least 9 in 10 pairs and its median gap exceeds the
+parent's IQR.  ``worse_than_bound`` lists every workload and metric whose
+median got worse by more than the metric's ``bound``.  Each finished run
+is appended to ``runs.jsonl`` in the work directory as it comes; the
+directory, a new temporary one unless ``--work-dir`` names it, is kept.
 """
 
 from __future__ import annotations
@@ -133,16 +137,42 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def claim_verdict(summary: dict, metric: str, better: str) -> str:
-    """Wins, the median gap and the parent's IQR of the claimed metric."""
+def claim_verdict(summary: dict, metric: str, better: str) -> dict:
+    """Wins, the median gap and the parent's IQR of the claimed metric, and
+    the verdict: "met" when the change won at least 9 in 10 pairs and its
+    median is better than the parent's by more than the parent's IQR."""
     parent, change = summary[metric]["parent"], summary[metric]["change"]
     gap = change["median"] - parent["median"]
     if better == "lower":
         gap = -gap
-    return (
-        f"{metric}: change won {summary['change_wins'][metric]} of {summary['pairs']}"
-        f" pairs; median gap {gap:.6g} against parent IQR {parent['iqr']:.6g}"
-    )
+    wins, pairs = summary["change_wins"][metric], summary["pairs"]
+    met = 10 * wins >= 9 * pairs and gap > parent["iqr"]
+    return {
+        "wins": wins,
+        "pairs": pairs,
+        "median_gap": round(gap, 6),
+        "parent_iqr": parent["iqr"],
+        "verdict": "met" if met else "not met",
+    }
+
+
+def worse_than_bound(results: dict, metrics: list[dict]) -> list[dict]:
+    """Every workload and metric whose change median is worse than the
+    parent's by more than the metric's ``bound``, a fraction of the
+    parent's median, as ``BENCHMARK.json`` gives it."""
+    flags = []
+    for workload, summary in results.items():
+        for metric in metrics:
+            name = metric["name"]
+            parent = summary[name]["parent"]["median"]
+            change = summary[name]["change"]["median"]
+            worse = parent - change if metric["better"] == "higher" else change - parent
+            if parent and worse / abs(parent) > metric["bound"]:
+                flags.append({
+                    "workload": workload, "metric": name, "parent": parent, "change": change,
+                    "worse_by": round(worse / abs(parent), 6), "bound": metric["bound"],
+                })
+    return flags
 
 
 def parse_args(argv, spec: dict):
@@ -251,9 +281,13 @@ def main(argv=None) -> int:
     }
     if args.claim:
         workload, metric = args.claim
-        report["claim"] = {"workload": workload, "metric": metric}
         better = next(m["better"] for m in metrics if m["name"] == metric)
-        print(claim_verdict(results[workload], metric, better))
+        verdict = claim_verdict(results[workload], metric, better)
+        report["claim"] = {"workload": workload, "metric": metric, **verdict}
+        print(f"claim {workload}:{metric} {verdict}")
+    report["worse_than_bound"] = worse_than_bound(results, metrics)
+    for flag in report["worse_than_bound"]:
+        print(f"worse than bound: {flag}")
     report["workloads"] = results
     out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -29,12 +29,14 @@ from .measurement import (
     TrackingMode,
 )
 from .polarization import (
+    _BRANCHES,
     _KETS,
     _PLUS,
     _X,
     Axis,
     Branch,
     PolarizationState,
+    _check_member,
     basis_state,
 )
 
@@ -89,6 +91,7 @@ class DetectorPlacement:
     beam_indices: frozenset[int]
 
     def __post_init__(self) -> None:
+        _check_member("branch", self.branch, _BRANCHES)
         for index in self.beam_indices:
             if isinstance(index, bool) or not isinstance(index, Integral):
                 raise DomainError(f"beam indices must be integers, got {index!r}")

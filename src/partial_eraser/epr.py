@@ -58,6 +58,7 @@ class Photon(Enum):
 
 
 _PHOTON_A, _PHOTON_B = Photon.A, Photon.B  # as ``polarization._PLUS``
+_PHOTONS = tuple(Photon)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,13 @@ from typing import Iterable
 
 from .errors import AxisMismatch, DomainError, ZeroSurvival
 from .polarization import (
+    _AXES,
+    _BRANCHES,
     _PLUS,
     Axis,
     Branch,
     PolarizationState,
+    _check_member,
     _normalized_amplitudes,
     _trusted_state,
     components_in,
@@ -75,6 +78,10 @@ class PartialMeasurementOp:
     alpha: float
 
     def __post_init__(self) -> None:
+        _check_member("axis", self.axis, _AXES)
+        _check_member("branch", self.branch, _BRANCHES)
+        if isinstance(self.alpha, bool):
+            raise DomainError(f"alpha must be a number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")

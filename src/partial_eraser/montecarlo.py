@@ -13,8 +13,10 @@ Silence reshapes the state the same way in every trial, so a plan has
 one fixed distribution over its outcomes, the rows of one table.  Trial
 ``i`` takes draw ``i`` of the one stream ``default_rng(master_seed)`` and
 lands on the row that this draw selects.  So runs are reproducible bit
-for bit, and ``trial_uniforms`` can draw any range of trials on its own,
-in any order or in parallel.  ``count_trials`` and
+for bit.  A run seeds that stream once and draws its chunks of trials one
+after another, keying each through a guide table; ``trial_uniforms``
+draws any range of trials on its own, in any order or in parallel, and
+is the reference for the layout.  ``count_trials`` and
 ``conditional_click_stat`` count rows, ``count_trials`` can render the
 ``run --log-trials`` CSV from the same keys in the same pass, and only
 ``iter_trials`` builds per-trial records.
@@ -35,10 +37,22 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .epr import Photon, _pair_step, make_epr, pair_axis_amplitudes
+from .epr import _PHOTONS, Photon, _pair_step, make_epr, pair_axis_amplitudes
 from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
 from .measurement import PartialMeasurementOp, _step
-from .polarization import _MINUS, _PLUS, _X, _Y, Axis, Branch, basis_state, components_in
+from .polarization import (
+    _AXES,
+    _BRANCHES,
+    _MINUS,
+    _PLUS,
+    _X,
+    _Y,
+    Axis,
+    Branch,
+    _check_member,
+    basis_state,
+    components_in,
+)
 
 
 class PrepKind(Enum):
@@ -47,6 +61,7 @@ class PrepKind(Enum):
 
 
 _SINGLE = PrepKind.SINGLE_PHOTON  # for the oracle kernels, as ``polarization._PLUS``
+_PREP_KINDS = tuple(PrepKind)
 
 
 @dataclass(frozen=True)
@@ -57,10 +72,8 @@ class Preparation:
     branch: Branch = Branch.PLUS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, PrepKind):
-            raise ConfigError(f"preparation kind must be a PrepKind, got {self.kind!r}")
-        if not isinstance(self.branch, Branch):
-            raise ConfigError(f"preparation branch must be a Branch, got {self.branch!r}")
+        _check_member("preparation kind", self.kind, _PREP_KINDS, ConfigError)
+        _check_member("preparation branch", self.branch, _BRANCHES, ConfigError)
 
     @staticmethod
     def single(branch: Branch = Branch.PLUS) -> "Preparation":
@@ -77,6 +90,11 @@ class MeasureStep:
 
     photon: Photon
     op: PartialMeasurementOp
+
+    def __post_init__(self) -> None:
+        _check_member("photon", self.photon, _PHOTONS, ConfigError)
+        if not isinstance(self.op, PartialMeasurementOp):
+            raise ConfigError(f"op must be a PartialMeasurementOp, got {self.op!r}")
 
 
 def _check_integer(name: str, value) -> None:
@@ -100,6 +118,8 @@ class CascadeStep:
     op: PartialMeasurementOp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_member("photon", self.photon, _PHOTONS, ConfigError)
+        _check_member("branch", self.branch, _BRANCHES, ConfigError)
         _check_integer("n_beams", self.n_beams)
         _check_integer("n_detectors", self.n_detectors)
         if self.n_beams < 1:
@@ -135,8 +155,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not isinstance(self.final_axis, Axis):
-            raise ConfigError(f"final_axis must be an Axis, got {self.final_axis!r}")
+        _check_member("final_axis", self.final_axis, _AXES, ConfigError)
         if self.preparation.kind is PrepKind.SINGLE_PHOTON:
             for step in self.plan:
                 if step.photon is not Photon.A:
@@ -194,13 +213,24 @@ def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     Trial ``i`` takes draw ``i`` of the one stream
     ``default_rng(master_seed)``, so entry ``i`` is a function of ``(seed,
     start + i)`` alone: ranges may be drawn in any order, and a run's
-    output does not depend on how it is split into ranges.
+    output does not depend on how it is split into ranges.  This is the
+    reference for the layout; the runner reads the same doubles from one
+    generator per run (``_uniform_chunks``).
     """
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
     bit_generator = np.random.PCG64(master_seed)
     bit_generator.advance(start)
     return np.random.Generator(bit_generator).random(stop - start)
+
+
+def _uniform_chunks(master_seed: int, trials: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, trial_uniforms(master_seed, start, stop))`` per chunk of
+    ``_CHUNK`` trials, drawn one after another from one generator seeded
+    once per run."""
+    draw = np.random.Generator(np.random.PCG64(master_seed)).random
+    for start in range(0, trials, _CHUNK):
+        yield start, draw(min(_CHUNK, trials - start))
 
 
 # The prepared states, built once: states are frozen, so every fold shares
@@ -290,33 +320,48 @@ def _compile_plan(config: ExperimentConfig, walk=None) -> tuple[list[tuple], lis
     return table, probabilities
 
 
-# Trials sampled per array batch: large enough to amortize numpy's
+# Trials drawn and keyed per array batch: large enough to amortize numpy's
 # per-call cost, small enough that a lazy consumer of ``iter_trials`` gets
 # its first record fast.  A batch holds one uniform and one key per trial,
-# whatever the plan's length.  Each trial's draw is fixed by its index, so
-# no output depends on it.
+# whatever the plan's length.  A run draws its batches one after another
+# from one stream, so each trial's draw is fixed by its index and no output
+# depends on the batch size.
 _CHUNK = 4096
+
+# Cells of the guide table that keys a chunk: a power of two, so that
+# ``u * _GUIDE_CELLS`` and the cell edges are exact.
+_GUIDE_CELLS = 1024
+
+
+def _row_keys(probabilities: list[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``key(u)``: each uniform's table row, bit for bit the binary search
+    over the rows' running sums, the last positive one and all after it
+    ``inf``, so no uniform lands on a row that cannot happen.  A guide
+    table (Chen and Asau's cutpoint method) holds the row of each cell's
+    left edge, the key of every uniform in the cell below that row's
+    threshold; the few others are searched."""
+    thresholds = np.cumsum(probabilities)
+    thresholds[np.flatnonzero(probabilities)[-1]:] = np.inf
+    guide = np.searchsorted(thresholds, np.arange(_GUIDE_CELLS) / _GUIDE_CELLS, side="right")
+
+    def key(u: np.ndarray) -> np.ndarray:
+        keys = guide.take((u * _GUIDE_CELLS).astype(np.intp))
+        late = np.flatnonzero(thresholds.take(keys) <= u)
+        keys[late] = np.searchsorted(thresholds, u.take(late), side="right")
+        return keys
+
+    return key
 
 
 def _outcomes(config: ExperimentConfig, walk=None):
-    """The plan's outcome table, and ``(start, keys)`` per chunk of trials.
-
-    A trial's key is the index of its table row: the rows split [0, 1) in
-    table order, each by its probability, and the trial's uniform picks
-    one.  The last row of positive probability takes the rounding rest, so
-    no trial lands on a row that cannot happen.  The chunks are sampled
-    lazily.  ``walk`` is as in ``_compile_plan``.
-    """
+    """The plan's outcome table, and ``(start, keys)`` per chunk of trials,
+    drawn from one stream per run and keyed lazily: a trial's key is the
+    table row that its uniform selects.  ``walk`` is as in
+    ``_compile_plan``."""
     table, probabilities = _compile_plan(config, walk)
-    thresholds = np.cumsum(probabilities)
-    thresholds[np.flatnonzero(probabilities)[-1]:] = np.inf
-
-    def chunks():
-        for start in range(0, config.trials, _CHUNK):
-            u = trial_uniforms(config.master_seed, start, min(start + _CHUNK, config.trials))
-            yield start, np.searchsorted(thresholds, u, side="right")
-
-    return table, chunks()
+    key = _row_keys(probabilities)
+    chunks = _uniform_chunks(config.master_seed, config.trials)
+    return table, ((start, key(u)) for start, u in chunks)
 
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialRecord]:

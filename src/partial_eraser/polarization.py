@@ -70,6 +70,17 @@ class Branch(Enum):
 # kernels read their members from private constants like these instead.
 _PLUS, _MINUS = Branch.PLUS, Branch.MINUS
 _X, _Y = Axis.X, Axis.Y
+_AXES, _BRANCHES = tuple(Axis), tuple(Branch)
+
+
+def _check_member(name: str, value, members: tuple, error: type = DomainError) -> None:
+    """``error`` unless ``value`` is one of ``members``, an enum's members
+    bound at import like ``_BRANCHES``: a string, a bool or another enum's
+    member is not one."""
+    for member in members:
+        if value is member:
+            return
+    raise error(f"{name} must be one of {', '.join(map(str, members))}, got {value!r}")
 
 
 # Per axis, the (plus, minus) basis kets as (amp_up, amp_right) coordinates,

@@ -341,11 +341,13 @@ class TestRun:
 
     def test_zero_survival_plan_is_config_error(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "s.csv"
+        chunks, draws = montecarlo._uniform_chunks, []
 
-        def no_draws(*args):
-            raise AssertionError("drew trials for a plan that has no prediction")
+        def recorded(master_seed, trials):
+            draws.append(trials)
+            return chunks(master_seed, trials)
 
-        monkeypatch.setattr(montecarlo, "trial_uniforms", no_draws)
+        monkeypatch.setattr(montecarlo, "_uniform_chunks", recorded)
         for text, flags in itertools.product(
             [ZERO_SURVIVAL, ROUNDED_ZERO_SURVIVAL], [[], ["--log-trials"], ["--gate", "4"]]
         ):
@@ -353,7 +355,12 @@ class TestRun:
             assert main(["run", str(config), "--output", str(out), *flags]) == 2
             assert_one_line_error(capsys, "no-click impossible")
             # The prediction comes before the first draw and the log file.
+            assert draws == []
             assert not out.exists() and not (tmp_path / "s.csv.trials.csv").exists()
+        # The patched seam is where a run draws: a plan with survivors reaches it.
+        config = write_config(tmp_path, EPR_HALF)
+        assert main(["run", str(config), "--output", str(out), "--trials", "10"]) == 0
+        assert draws == [10]
 
     @pytest.mark.parametrize("line", ["mode = normalized", "counter_from = 1"])
     def test_removed_config_keys_rejected(self, tmp_path, capsys, line):
@@ -431,19 +438,26 @@ class TestRun:
         assert sum(row[5] != "" for row in rows) == surviving
 
     def test_logged_run_draws_each_chunk_once(self, tmp_path, monkeypatch):
-        ranges = []
+        """A logged run seeds one stream and draws each chunk from it once,
+        the doubles that ``trial_uniforms`` gives for the chunk's range."""
+        chunks, streams, ranges = montecarlo._uniform_chunks, [], []
 
-        def counted(master_seed, start, stop):
-            ranges.append((start, stop))
-            return trial_uniforms(master_seed, start, stop)
+        def counted(master_seed, trials):
+            streams.append(master_seed)
+            for start, u in chunks(master_seed, trials):
+                stop = start + len(u)
+                assert u.tobytes() == trial_uniforms(master_seed, start, stop).tobytes()
+                ranges.append((start, stop))
+                yield start, u
 
-        monkeypatch.setattr(montecarlo, "trial_uniforms", counted)
+        monkeypatch.setattr(montecarlo, "_uniform_chunks", counted)
         config = write_config(tmp_path, ERASURE)
         trials = 3 * _CHUNK + 77
         assert main(
             ["run", str(config), "--output", str(tmp_path / "s.csv"), "--trials", str(trials),
              "--log-trials"]
         ) == 0
+        assert len(streams) == 1
         assert ranges == [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
 
     def test_outputs_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):

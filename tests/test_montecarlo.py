@@ -3,6 +3,7 @@ import functools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -17,6 +18,7 @@ from partial_eraser import (
     Branch,
     CascadeStep,
     ConfigError,
+    DetectorPlacement,
     DomainError,
     EventLeaf,
     ExperimentConfig,
@@ -234,13 +236,42 @@ class TestConfigValidation:
         """A kind or branch that is not a member would be read as some
         member (a string kind as a pair, a string branch as plus) and
         report a wrong agreement without an error."""
-        with pytest.raises(ConfigError, match="preparation (kind|branch) must be a"):
+        with pytest.raises(ConfigError, match="preparation (kind|branch) must be one of"):
             Preparation(kind, branch)
 
     @pytest.mark.parametrize("axis", ["y", None, Branch.PLUS])
     def test_final_axis_is_an_axis(self, axis):
-        with pytest.raises(ConfigError, match="final_axis must be an Axis"):
+        with pytest.raises(ConfigError, match="final_axis must be one of Axis.X"):
             dataclasses.replace(epr_config([]), final_axis=axis)
+
+    @pytest.mark.parametrize(
+        "build, args, bad, error, field",
+        [
+            (PartialMeasurementOp, ("x", Branch.PLUS, 0.5), 0, DomainError, "axis"),
+            (PartialMeasurementOp, (Branch.PLUS, Branch.PLUS, 0.5), 0, DomainError, "axis"),
+            (PartialMeasurementOp, (Axis.X, "plus", 0.5), 1, DomainError, "branch"),
+            (PartialMeasurementOp, (Axis.X, None, 0.5), 1, DomainError, "branch"),
+            (PartialMeasurementOp, (Axis.X, Branch.PLUS, True), 2, DomainError, "alpha"),
+            (PartialMeasurementOp, (Axis.X, Branch.PLUS, False), 2, DomainError, "alpha"),
+            (MeasureStep, ("A", HALF_UP_ON_A.op), 0, ConfigError, "photon"),
+            (MeasureStep, (True, HALF_UP_ON_A.op), 0, ConfigError, "photon"),
+            (MeasureStep, (Photon.A, 0.5), 1, ConfigError, "op"),
+            (MeasureStep, (Photon.A, HALF_UP_ON_A), 1, ConfigError, "op"),
+            (CascadeStep, ("A", Branch.PLUS, 3), 0, ConfigError, "photon"),
+            (CascadeStep, (Photon.A, "plus", 3), 1, ConfigError, "branch"),
+            (CascadeStep, (Photon.A, Axis.X, 3), 1, ConfigError, "branch"),
+            (DetectorPlacement, ("plus", frozenset({1})), 0, DomainError, "branch"),
+            (DetectorPlacement, (False, frozenset({1})), 0, DomainError, "branch"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_steps_and_ops_take_only_members(self, build, args, bad, error, field):
+        """A foreign axis, branch or photon would be read as some member
+        (a string branch as minus, a string photon as photon B), an op that
+        is not one fails later, and a bool is not a fraction."""
+        value = re.escape(repr(args[bad]))
+        with pytest.raises(error, match=f"^{field} must be .*, got {value}$"):
+            build(*args)
 
     def test_numpy_integers_are_counts(self):
         step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))
@@ -694,11 +725,17 @@ class TestChunkedSampler:
     @SAMPLER_PLANS
     @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["lowest", "highest"])
     def test_no_trial_lands_on_an_impossible_row(self, monkeypatch, config, u):
-        monkeypatch.setattr(
-            montecarlo, "trial_uniforms", lambda seed, start, stop: np.full(stop - start, u)
-        )
+        streams = []
+
+        def constant(master_seed, trials):
+            streams.append(trials)
+            for start in range(0, trials, _CHUNK):
+                yield start, np.full(min(_CHUNK, trials - start), u)
+
+        monkeypatch.setattr(montecarlo, "_uniform_chunks", constant)
         _, probabilities = _compile_plan(config)
         _, counts = _row_counts(config)
+        assert streams == [config.trials]
         assert sum(counts) == config.trials
         assert all(p > 0.0 for p, n in zip(probabilities, counts) if n)
 
@@ -717,6 +754,78 @@ class TestChunkedSampler:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, peak
+
+
+def searchsorted_keys(probabilities, u):
+    """The rows that ``u`` selects, keyed as the runner keyed them before
+    the guide table: one binary search over the running sums, the last
+    positive one and all after it ``inf``."""
+    thresholds = np.cumsum(probabilities)
+    thresholds[np.flatnonzero(probabilities)[-1]:] = np.inf
+    return np.searchsorted(thresholds, u, side="right")
+
+
+def edge_uniforms(probabilities):
+    """The uniforms where a guide table can go wrong: 0, the largest double
+    below 1, every cell edge, and every running sum with its two
+    neighbours, those of them that lie in [0, 1)."""
+    sums = np.cumsum(probabilities)
+    cells = np.arange(montecarlo._GUIDE_CELLS) / montecarlo._GUIDE_CELLS
+    u = np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], cells, sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+KEYED_TABLES = {
+    # 50 small detector rows inside a few guide cells
+    "clumped": ExperimentConfig(
+        Preparation.epr(),
+        (measure(Photon.A, Axis.X, Branch.PLUS, 0.001), CascadeStep(Photon.B, Branch.PLUS, 50)),
+        Axis.Y, 1, 0,
+    ),
+    "100-detector cascade": ExperimentConfig(
+        Preparation.single(Branch.PLUS),
+        (CascadeStep(Photon.A, Branch.MINUS, 100, 200),),
+        Axis.Y, 1, 0,
+    ),
+    # two of its four final rows cannot happen
+    "empty_plan": epr_config([], trials=1),
+}
+
+
+class TestRowKeys:
+    """The guide-table keys equal the binary search's, bit for bit."""
+
+    def assert_exact(self, probabilities):
+        u = np.concatenate([edge_uniforms(probabilities), trial_uniforms(7, 0, _CHUNK)])
+        keys = montecarlo._row_keys(probabilities)(u)
+        assert keys.dtype == np.intp
+        np.testing.assert_array_equal(keys, searchsorted_keys(probabilities, u))
+
+    @SAMPLER_PLANS
+    def test_sampler_plans(self, config):
+        self.assert_exact(_compile_plan(config)[1])
+
+    @pytest.mark.parametrize("name", KEYED_TABLES)
+    def test_named_tables(self, name):
+        probabilities = _compile_plan(KEYED_TABLES[name])[1]
+        assert len(probabilities) == {"clumped": 55, "100-detector cascade": 102}.get(name, 4)
+        assert (0.0 in probabilities) == (name == "empty_plan")
+        self.assert_exact(probabilities)
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e-3), st.floats(1e-300, 1.0)),
+            min_size=1, max_size=80,
+        ).filter(any),
+        st.floats(0.5, 2.0),
+    )
+    def test_random_probability_vectors(self, weights, total):
+        """Rows of any size, zero rows among them, summing to ``total``."""
+        self.assert_exact(list(np.array(weights) * (total / sum(weights))))
 
 
 def fstring_log(table, start, keys):

@@ -45,7 +45,10 @@ def canned_run(failed, **values):
 def test_bench_pairs_summary_of_canned_runs():
     """The summary and the verdict, on made-up results: no benchmark runs."""
     bench_pairs = load_script("bench_pairs")
-    metrics = [{"name": "rate", "better": "higher"}, {"name": "rss", "better": "lower"}]
+    metrics = [
+        {"name": "rate", "better": "higher", "bound": 0.2},
+        {"name": "rss", "better": "lower", "bound": 0.12},
+    ]
     parent_rates, change_rates = [10.0, 12.0, 11.0, 13.0, 9.0], [14.0, 11.0, 15.0, 16.0, 12.0]
     pairs = [
         {
@@ -68,7 +71,28 @@ def test_bench_pairs_summary_of_canned_runs():
     # rss: 39, 40, 41, 42, 43 against 40 each time; lower is better
     assert summary["change_wins"] == {"rate": 4, "rss": 1}
     verdict = bench_pairs.claim_verdict(summary, "rate", "higher")
-    assert verdict == "rate: change won 4 of 5 pairs; median gap 3 against parent IQR 2"
+    assert verdict == {
+        "wins": 4, "pairs": 5, "median_gap": 3.0, "parent_iqr": 2.0, "verdict": "not met",
+    }
+    # 9 of 10 pairs and a gap above the IQR are met; one fewer win, or a
+    # gap of exactly the IQR, is not.
+    ten = {"pairs": 10, "change_wins": {}, "rate": {"parent": summary["rate"]["parent"]}}
+    for wins, gap, expected in [
+        (9, 2.01, "met"), (8, 2.01, "not met"), (10, 2.0, "not met"), (10, -2.01, "not met"),
+    ]:
+        ten["change_wins"]["rate"] = wins
+        for better, sign in (("higher", 1), ("lower", -1)):
+            ten["rate"]["change"] = {"median": 11.0 + sign * gap}
+            assert bench_pairs.claim_verdict(ten, "rate", better)["verdict"] == expected
+    # rss medians 40 -> 41 (+2.5%) stays inside its 12% bound, and the rate
+    # improved; a second workload whose rate fell from 11 to 8.7 (-21%) is
+    # flagged.
+    assert bench_pairs.worse_than_bound({"w": summary}, metrics) == []
+    slower = {**summary, "rate": {**summary["rate"], "change": {"median": 8.7}}}
+    assert bench_pairs.worse_than_bound({"w": summary, "v": slower}, metrics) == [{
+        "workload": "v", "metric": "rate", "parent": 11.0, "change": 8.7,
+        "worse_by": 0.209091, "bound": 0.2,
+    }]
     args = bench_pairs.parse_args(
         ["--parent", "p", "--change", "c", "--label", "x", "--claim", "oracle_sweep:evals_per_s"],
         {"workloads": [{"name": "oracle_sweep"}], "end_to_end": [{"name": "evals_per_s"}]},
