@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume
 
-from partial_eraser import Axis, Branch, IntensityQuadruple, PolarizationState
+from partial_eraser import (
+    Axis,
+    Branch,
+    IntensityQuadruple,
+    PairState,
+    PolarizationState,
+    ZeroSurvival,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -23,6 +30,51 @@ def amplitude_distance(a: PolarizationState, b: PolarizationState) -> float:
     """Euclidean distance between the amplitude vectors of two states."""
     return math.sqrt(
         abs(a.amp_up - b.amp_up) ** 2 + abs(a.amp_right - b.amp_right) ** 2
+    )
+
+
+def unit_states(gen, count):
+    """``count`` random unit single-photon states, drawn with
+    ``gen.random()`` (stable across numpy versions, unlike ``normal``)."""
+    for _ in range(count):
+        parts = [2.0 * gen.random() - 1.0 for _ in range(4)]
+        norm = math.sqrt(sum(p * p for p in parts))
+        yield PolarizationState(
+            complex(parts[0] / norm, parts[1] / norm), complex(parts[2] / norm, parts[3] / norm)
+        )
+
+
+def unit_pairs(gen, count):
+    """``count`` random unit pair states, drawn as ``unit_states`` are."""
+    for _ in range(count):
+        parts = [2.0 * gen.random() - 1.0 for _ in range(8)]
+        norm = math.sqrt(sum(p * p for p in parts))
+        yield PairState(*(complex(parts[2 * i] / norm, parts[2 * i + 1] / norm) for i in range(4)))
+
+
+def amplitudes(state) -> tuple:
+    """The complex amplitudes of a single-photon or pair state: what the
+    ``*_amplitudes_pinned`` tests hash of a state."""
+    if isinstance(state, PairState):
+        return state.amp_uu, state.amp_rr, state.amp_ur, state.amp_ru
+    return state.amp_up, state.amp_right
+
+
+def amplitude_text(fn, *args) -> str:
+    """The amplitudes of the state ``fn(*args)`` as text, or
+    ``"ZeroSurvival"`` where it raises that."""
+    try:
+        return repr(amplitudes(fn(*args)))
+    except ZeroSurvival:
+        return "ZeroSurvival"
+
+
+def outcome_text(outcome) -> str:
+    """A sampled outcome's kind, probability, post-state amplitudes,
+    detector and ``clicked``, as text."""
+    return (
+        f"{outcome.kind} {outcome.probability!r} {amplitudes(outcome.post_state)!r}"
+        f" {outcome.detector} {outcome.clicked}"
     )
 
 

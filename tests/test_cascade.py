@@ -29,7 +29,7 @@ from partial_eraser import cascade as cascade_module
 from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
 
-from conftest import amplitude_distance
+from conftest import amplitude_distance, outcome_text, unit_states
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
 
@@ -430,3 +430,34 @@ def test_hot_kernels_load_no_enum_class():
         if names:
             offenders[f"{kernel.__module__}.{kernel.__name__}"] = names
     assert offenders == {}
+
+
+CASCADE_AMPLITUDES_DIGEST = "1c9db7a638e48ebd1c9c26df2acfef15ac93de0c186848c775e0a8dc789e8cd4"
+
+
+def cascade_inputs(gen):
+    """The six basis states, then 60 random unit states."""
+    for axis in Axis:
+        for branch in Branch:
+            yield basis_state(axis, branch)
+    yield from unit_states(gen, 60)
+
+
+def test_cascade_amplitudes_pinned():
+    """(state, branch, placement) passes of ``cascade_measure`` on one
+    seeded stream: each outcome's kind, probability, post-state
+    amplitudes, detector and ``.clicked``.  Any change to their bits, to a
+    signed zero or to where ZeroSurvival is raised changes the digest."""
+    gen = np.random.default_rng(CASCADE_PINNED_SEED)
+    stream = np.random.default_rng(CASCADE_PINNED_SEED + 1)
+    lines = []
+    for state in cascade_inputs(gen):
+        for branch in Branch:
+            for placement, cascade in pinned_placements(gen, branch):
+                try:
+                    lines.append(outcome_text(cascade_measure(state, placement, cascade, stream)))
+                except ZeroSurvival:
+                    lines.append("ZeroSurvival")
+    assert (len(lines), lines.count("ZeroSurvival")) == (924, 0)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CASCADE_AMPLITUDES_DIGEST

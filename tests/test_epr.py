@@ -30,7 +30,7 @@ from partial_eraser import (
     weighted_epr_track,
     y_correlation_pair,
 )
-from partial_eraser import epr
+from partial_eraser import epr, measurement
 from partial_eraser.epr import (
     collapse_pair,
     pair_axis_amplitudes,
@@ -45,7 +45,16 @@ from partial_eraser.montecarlo import (
     enumerate_event_tree,
 )
 
-from conftest import alphas_positive, axes, branches, finite, quadruples
+from conftest import (
+    alphas_positive,
+    amplitude_text,
+    axes,
+    branches,
+    finite,
+    outcome_text,
+    quadruples,
+    unit_pairs,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -799,3 +808,112 @@ def test_table_kernels_match_the_per_call_products():
                         )
                         cases += 1
     assert cases == 95 * 36
+
+
+# --- pinned amplitudes of the pair algebra, oracles and pair sampling --------
+
+PAIR_AMPLITUDES_DIGEST = "4f72d595154cb2cceca7fdbe5d5bc3189cae2edbb40aa77b4f4f6467f5c9701d"
+ORACLE_DIGEST = "cf4a046b59d584bbecc44d9cc12c02a339459cae5479b0283ce6bd3933b5b508"
+PAIR_SAMPLING_DIGEST = "d733f0363c238c101659cff1e113ef92d9191cdbda089b069b1b51c5455278de"
+QUADRUPLE_AMPLITUDES_DIGEST = "6775a242190518c508c4c681ff04b9862fecc2da1236f57a853d0001548dd9eb"
+# ``sample_partial_pair`` still takes a mode, and its one member.
+NORMALIZED = measurement.TrackingMode.NORMALIZED
+
+
+def pair_inputs(gen):
+    """make_epr(), the four product basis pairs, then 50 random unit
+    pairs."""
+    yield make_epr()
+    for amps in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+        yield PairState(*amps)
+    yield from unit_pairs(gen, 50)
+
+
+def test_pair_amplitudes_pinned():
+    """Per (pair, photon, op), with alpha 0, 1 and random:
+    ``pair_axis_amplitudes``, the amplitudes of ``apply_partial_pair`` and
+    ``collapse_pair``, and ``pair_click_probability`` wherever the silence
+    is possible.  Any change to their bits, to a signed zero or to where
+    ZeroSurvival is raised changes the digest."""
+    gen = np.random.default_rng(PINNED_SEED)
+    lines = []
+    for pair in pair_inputs(gen):
+        for photon in Photon:
+            for axis in Axis:
+                lines.append(repr(pair_axis_amplitudes(pair, axis)))
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        silent = amplitude_text(apply_partial_pair, pair, photon, the_op)
+                        lines += [silent, amplitude_text(collapse_pair, pair, photon, the_op)]
+                        if silent != "ZeroSurvival":
+                            lines.append(repr(pair_click_probability(pair, photon, the_op)))
+    assert (len(lines), lines.count("ZeroSurvival")) == (6262, 32)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PAIR_AMPLITUDES_DIGEST
+
+
+def test_oracle_bits_pinned():
+    """The event tree, survival and agreement of 300 seeded EPR plans with
+    each final axis, and of the single-photon cascades with m = 1..100
+    detectors and with m measuring then m erasing detectors.  Any change to
+    the bits of a leaf or a probability, or to a raised error, changes the
+    digest."""
+    gen = np.random.default_rng(ORACLE_PINNED_SEED)
+    lines = []
+    for _ in range(300):
+        plan = pinned_pair_plan(gen)
+        for axis in Axis:
+            lines += pinned_oracles(Preparation.epr(), plan, axis)
+    for m in range(1, 101):
+        measure = CascadeStep(Photon.A, Branch.PLUS, m)
+        erase = CascadeStep(Photon.A, Branch.MINUS, m)
+        lines += pinned_oracles(Preparation.single(), (measure,), Axis.Y)
+        lines += pinned_oracles(Preparation.single(), (measure, erase), Axis.Y)
+    assert (len(lines), lines.count("ZeroSurvival")) == (3300, 22)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_DIGEST
+
+
+def test_pair_sampling_amplitudes_pinned():
+    """Two ``sample_partial_pair`` outcomes per (pair, photon, op), over
+    every axis and branch and alpha 0, 1 and random, on one seeded stream:
+    kind, probability, post-state amplitudes and ``.clicked``.  Any change
+    to their bits, to a raised error or to the number of draws taken from
+    the stream changes the digest."""
+    gen = np.random.default_rng(ORACLE_PINNED_SEED)
+    stream = np.random.default_rng(ORACLE_PINNED_SEED + 1)
+    lines = []
+    for pair in pair_inputs(gen):
+        for photon in Photon:
+            for axis in Axis:
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        for _ in range(2):
+                            try:
+                                outcome = sample_partial_pair(
+                                    pair, photon, the_op, NORMALIZED, stream
+                                )
+                            except PartialEraserError as exc:
+                                lines.append(type(exc).__name__)
+                                continue
+                            lines.append(outcome_text(outcome))
+    assert (len(lines), lines.count("ZeroSurvival")) == (3960, 0)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PAIR_SAMPLING_DIGEST
+
+
+def test_apply_quadruple_amplitudes_pinned():
+    """The amplitudes of ``apply_quadruple`` on the 55 pinned pairs, 20
+    seeded quadruples each.  Any change to their bits, to a signed zero or
+    to where ZeroSurvival is raised changes the digest."""
+    gen = np.random.default_rng(QUADRUPLE_PINNED_SEED)
+    lines = []
+    for pair in pair_inputs(gen):
+        for _ in range(20):
+            quad = IntensityQuadruple(*(pinned_fraction(gen) for _ in range(4)))
+            lines.append(amplitude_text(apply_quadruple, pair, quad))
+    assert (len(lines), lines.count("ZeroSurvival")) == (1100, 265)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == QUADRUPLE_AMPLITUDES_DIGEST

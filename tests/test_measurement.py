@@ -42,10 +42,12 @@ from conftest import (
     alphas,
     alphas_positive,
     amplitude_distance,
+    amplitude_text,
     axes,
     balanced_states,
     branches,
     polarization_states,
+    unit_states,
 )
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
@@ -504,3 +506,45 @@ def test_single_photon_algebra_bits_pinned():
     assert len(lines) == 3726 and lines.count("ZeroSurvival") == 30
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SINGLE_ALGEBRA_DIGEST
+
+
+SINGLE_AMPLITUDES_DIGEST = "91cdb19bfb3ff45edbf265b172be78e5a1185ebece30f2930bc888c7975d54f8"
+
+
+def single_photon_inputs(gen):
+    """The six basis states, then 40 random unit states."""
+    for axis in Axis:
+        for branch in Branch:
+            yield basis_state(axis, branch)
+    yield from unit_states(gen, 40)
+
+
+def test_single_photon_amplitudes_pinned():
+    """Per state, every (axis, branch, alpha) op with alpha 0, 1, 1e-40
+    and random: ``click_probability`` and the amplitudes of
+    ``no_click_map``; then three random op sequences through
+    ``apply_sequence`` and ``no_click_sequence_probability``.  Any change to
+    the bits of a click or survival probability, of a no-click amplitude
+    or to where ZeroSurvival is raised changes the digest."""
+    gen = np.random.default_rng(SINGLE_PINNED_SEED)
+    ops = []
+    lines = []
+    for state in single_photon_inputs(gen):
+        for axis in Axis:
+            for branch in Branch:
+                for alpha in (0.0, 1.0, 1e-40, gen.random()):
+                    the_op = op(axis, branch, alpha)
+                    ops.append(the_op)
+                    lines += [
+                        repr(click_probability(the_op, state)),
+                        amplitude_text(no_click_map, the_op, state),
+                    ]
+        for _ in range(3):
+            sequence = [ops[int(gen.random() * len(ops))] for _ in range(1 + int(gen.random() * 4))]
+            lines += [
+                amplitude_text(apply_sequence, sequence, state),
+                repr(no_click_sequence_probability(sequence, state)),
+            ]
+    assert (len(lines), lines.count("ZeroSurvival")) == (2484, 11)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SINGLE_AMPLITUDES_DIGEST
