@@ -27,7 +27,6 @@ from .measurement import (
     MeasurementOutcome,
     OutcomeKind,
     PartialMeasurementOp,
-    TrackingMode,
     apply_sequence,
     click_probability,
     compose_same_axis,

@@ -23,10 +23,8 @@ from .errors import DegenerateState, DomainError, ZeroSurvival
 from .measurement import (
     _CLICK,
     _NO_CLICK,
-    _WEIGHTED,
     MeasurementOutcome,
     PartialMeasurementOp,
-    TrackingMode,
 )
 from .polarization import (
     _BRANCHES,
@@ -128,7 +126,6 @@ def cascade_measure(
     placement: DetectorPlacement,
     cascade: Cascade,
     rng,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
 ) -> MeasurementOutcome:
     """Sample one pass of the photon through the instrumented cascade.
 
@@ -187,7 +184,6 @@ def cascade_measure(
         post_fields = post.__dict__
         post_fields["amp_up"] = up / norm
         post_fields["amp_right"] = right / norm
-        post_fields["weight"] = state.weight * survival if mode is _WEIGHTED else state.weight
     fields["post_state"] = post
     fields["detector"] = None
     fields["clicked"] = False

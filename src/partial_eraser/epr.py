@@ -1,8 +1,8 @@
 """Entangled photon pairs under partial measurement and erasure.
 
 A pair state holds four complex amplitudes over the product basis
-(|up,up>, |right,right>, |up,right>, |right,up>) plus an intensity
-weight.  The correlated Bell state
+(|up,up>, |right,right>, |up,right>, |right,up>).  The correlated Bell
+state
 
     |EPR>      = (|up,up> + |right,right>) / sqrt(2)
                = (|diag,diag> + |antidiag,antidiag>) / sqrt(2)
@@ -42,7 +42,6 @@ from .errors import DomainError, ZeroSurvival
 from .measurement import (
     _CLICK,
     _NO_CLICK,
-    _WEIGHTED,
     MeasurementOutcome,
     PartialMeasurementOp,
     TrackingMode,
@@ -64,13 +63,12 @@ _PHOTONS = tuple(Photon)
 @dataclass(frozen=True)
 class PairState:
     """Two-photon amplitudes over (up up, right right, up right, right up)
-    with unit norm; ``weight`` carries the surviving pair intensity."""
+    with unit norm."""
 
     amp_uu: complex
     amp_rr: complex
     amp_ur: complex
     amp_ru: complex
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         norm2 = 0.0
@@ -78,8 +76,7 @@ class PairState:
             amp = complex(getattr(self, name))
             object.__setattr__(self, name, amp)
             norm2 += abs(amp) ** 2
-        object.__setattr__(self, "weight", float(self.weight))
-        _check_unit(norm2, self.weight, "pair amplitudes")
+        _check_unit(norm2, "pair amplitudes")
 
 
 @dataclass(frozen=True)
@@ -92,30 +89,27 @@ class EprDecomposition:
 
 def make_epr() -> PairState:
     """The correlated pair (|up,up> + |right,right>) / sqrt(2)."""
-    return PairState(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0, 1.0)
+    return PairState(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0)
 
 
-def _unit_pair(amps, norm2: float, weight: float) -> PairState:
+def _unit_pair(amps, norm2: float) -> PairState:
     """The pair of the (uu, rr, ur, ru) amplitudes ``amps``, whose squared
     norm is ``norm2``, scaled to unit norm.
 
-    Built without ``__init__``: the amplitudes are already complex and the
-    weight a float, so of ``PairState.__post_init__`` only its checks are
-    left, with the norm summed in the same field order.
+    Built without ``__init__``: the amplitudes are already complex, so of
+    ``PairState.__post_init__`` only its norm check is left, with the norm
+    summed in the same field order.
     """
     norm = math.sqrt(norm2)
     uu, rr, ur, ru = amps
     uu, rr, ur, ru = uu / norm, rr / norm, ur / norm, ru / norm
-    _check_unit(
-        abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, weight, "pair amplitudes"
-    )
+    _check_unit(abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, "pair amplitudes")
     pair = object.__new__(PairState)
     fields = pair.__dict__
     fields["amp_uu"] = uu
     fields["amp_rr"] = rr
     fields["amp_ur"] = ur
     fields["amp_ru"] = ru
-    fields["weight"] = weight
     return pair
 
 
@@ -160,17 +154,12 @@ def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     return p_click, (uu, rr, ur, ru), survival
 
 
-def apply_partial_pair(
-    pair: PairState,
-    photon: Photon,
-    op: PartialMeasurementOp,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
-) -> PairState:
+def apply_partial_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
     """No-click update of the pair under a partial measurement of one photon.
 
     The scaling acts on the chosen tensor factor only; the other photon is
     untouched, yet the *joint* state (and with it every correlation)
-    shifts.  Weight handling matches the single-photon case.
+    shifts.
     """
     if op.is_identity:
         return pair
@@ -179,20 +168,19 @@ def apply_partial_pair(
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-    weight = pair.weight * survival if mode is _WEIGHTED else pair.weight
-    return _unit_pair(amps, survival, weight)
+    return _unit_pair(amps, survival)
 
 
 def _pair_step(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     """``(p_click, no-click pair)`` from one ``_silence``, the pair as
-    ``apply_partial_pair`` gives it in NORMALIZED mode, or None for it
-    where the click is certain (``p_click >= 1``)."""
+    ``apply_partial_pair`` gives it, or None for it where the click is
+    certain (``p_click >= 1``)."""
     if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, pair
     p_click, amps, survival = _silence(pair, photon, op)
     if p_click >= 1.0:
         return p_click, None
-    return p_click, _unit_pair(amps, survival, pair.weight)
+    return p_click, _unit_pair(amps, survival)
 
 
 def pair_click_probability(
@@ -207,8 +195,7 @@ def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> 
     """Projective collapse of the clicked photon onto the measured branch.
 
     The partner photon keeps its conditional state, which for the
-    correlated family means it acquires the matching branch.  Weight
-    history is discarded (the click ends the interference bookkeeping).
+    correlated family means it acquires the matching branch.
     """
     i = 0 if op.branch is _PLUS else 1
     (b0, b1), (w0, w1) = _KETS[op.axis][i], _BRAS[op.axis][i]
@@ -223,7 +210,7 @@ def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> 
     norm2 = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
     if norm2 <= 0.0:
         raise ZeroSurvival("click impossible: measured branch is empty")
-    return _unit_pair((uu, rr, ur, ru), norm2, 1.0)
+    return _unit_pair((uu, rr, ur, ru), norm2)
 
 
 def sample_partial_pair(
@@ -233,15 +220,17 @@ def sample_partial_pair(
     mode: TrackingMode,
     rng,
 ) -> MeasurementOutcome:
-    """Draw a click / no-click event for a partial measurement on a pair."""
+    """Draw a click / no-click event for a partial measurement on a pair.
+
+    ``mode`` is read by nothing; it and this function go together
+    (ROADMAP item 6)."""
     p_click, amps, survival = _silence(pair, photon, op)
     if rng.random() < p_click:
         return _outcome(_CLICK, p_click, collapse_pair(pair, photon, op), None)
     if op.is_identity:
         post = pair
     else:  # p_click < 1 here, so the survival is positive
-        weight = pair.weight * survival if mode is _WEIGHTED else pair.weight
-        post = _unit_pair(amps, survival, weight)
+        post = _unit_pair(amps, survival)
     return _outcome(_NO_CLICK, 1.0 - p_click, post, None)
 
 
@@ -284,11 +273,7 @@ class IntensityQuadruple:
         return (self.beta * self.delta) / (self.alpha * self.gamma)
 
 
-def apply_quadruple(
-    pair: PairState,
-    q: IntensityQuadruple,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
-) -> PairState:
+def apply_quadruple(pair: PairState, q: IntensityQuadruple) -> PairState:
     """Apply the four up/right partial measurements (A up, A right,
     B up, B right) in order.  The quadruple has checked the fractions, so
     the ops are built trusted."""
@@ -299,7 +284,7 @@ def apply_quadruple(
         (_PHOTON_B, _MINUS, q.delta),
     )
     for photon, branch, alpha in steps:
-        pair = apply_partial_pair(pair, photon, _trusted_op(_X, branch, alpha), mode)
+        pair = apply_partial_pair(pair, photon, _trusted_op(_X, branch, alpha))
     return pair
 
 
@@ -324,8 +309,9 @@ def weighted_epr_track(q: IntensityQuadruple) -> tuple[float, float]:
 
         ( (sqrt(bd) + sqrt(ag)) / 2 ,  (sqrt(bd) - sqrt(ag)) / 2 ).
 
-    Squared, these are surviving intensities; the pair weight after the
-    four no-click measurements is their squared sum.
+    Squared, these are surviving intensities, and their sum is the
+    probability that all four measurements stay silent (``analytic_survival``
+    of the four-step plan).
     """
     ag = math.sqrt(q.alpha * q.gamma)
     bd = math.sqrt(q.beta * q.delta)

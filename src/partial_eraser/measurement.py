@@ -14,10 +14,9 @@ measurement.  Two things can happen:
 
       sqrt(alpha / (1 + alpha)) |up> + sqrt(1 / (1 + alpha)) |right>.
 
-Tracking modes: NORMALIZED renormalizes after every no-click event (the
-conditional state of the survivors); WEIGHTED additionally multiplies the
-state weight by the no-click probability, so the weight always equals the
-intensity that has survived every detector so far.
+A state is always the renormalized, conditional state of the survivors.
+The intensity that has survived every detector so far is the product of
+the no-click probabilities, ``no_click_sequence_probability``.
 
 Same-axis operators form a tiny algebra: same-branch measurements multiply
 their alphas, and an equal measurement on the opposite branch undoes a
@@ -48,11 +47,11 @@ from .polarization import (
 
 
 class TrackingMode(Enum):
-    """NORMALIZED renormalizes after each no-click; WEIGHTED carries the
-    surviving intensity in the state weight."""
+    """The one state update, renormalized after each no-click.  Only
+    ``epr.sample_partial_pair`` still takes it, and reads it not; both go
+    together (ROADMAP item 6)."""
 
     NORMALIZED = "normalized"
-    WEIGHTED = "weighted"
 
 
 class OutcomeKind(Enum):
@@ -60,8 +59,7 @@ class OutcomeKind(Enum):
     NO_CLICK = "no_click"
 
 
-_WEIGHTED = TrackingMode.WEIGHTED  # for the hot kernels, as ``polarization._PLUS``
-_CLICK, _NO_CLICK = OutcomeKind.CLICK, OutcomeKind.NO_CLICK
+_CLICK, _NO_CLICK = OutcomeKind.CLICK, OutcomeKind.NO_CLICK  # as ``polarization._PLUS``
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,9 @@ def _trusted_op(axis: Axis, branch: Branch, alpha: float) -> PartialMeasurementO
 class MeasurementOutcome:
     """One realized measurement event.
 
-    ``probability`` is the chance of this outcome given the input state
-    (conditional on the photon having survived everything earlier, i.e.
-    relative to the state's current weight).  A CLICK collapses the state
-    onto the measured branch and discards weight history; a NO_CLICK
+    ``probability`` is the chance of this outcome given the input state,
+    that is, conditional on the photon having survived everything earlier.
+    A CLICK collapses the state onto the measured branch; a NO_CLICK
     carries the reshaped state.  ``detector`` identifies which detector
     fired when the event came from a beam cascade.  ``clicked`` is derived
     from ``kind`` and takes no part in ``==``, ``hash`` or ``repr``.
@@ -160,12 +157,12 @@ def _silence(op: PartialMeasurementOp, state: PolarizationState):
 
 
 def _silent_state(
-    op: PartialMeasurementOp, c_meas: complex, c_other: complex, survival: float, weight: float
+    op: PartialMeasurementOp, c_meas: complex, c_other: complex, survival: float
 ) -> PolarizationState:
     """The no-click state from ``_silence``'s components, for a positive
     survival: the measured one scaled by sqrt(alpha), both renormalized.
     It is built without re-running the state checks: its amplitudes are
-    normalized here and ``weight`` is the caller's."""
+    normalized here."""
     root = math.sqrt(survival)
     c_meas = c_meas * (math.sqrt(op.alpha) / root)
     c_other = c_other / root
@@ -173,7 +170,7 @@ def _silent_state(
         up, right = _normalized_amplitudes(op.axis, c_meas, c_other)
     else:
         up, right = _normalized_amplitudes(op.axis, c_other, c_meas)
-    return _trusted_state(up, right, weight)
+    return _trusted_state(up, right)
 
 
 def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> float:
@@ -182,17 +179,11 @@ def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> flo
     return _silence(op, state)[0]
 
 
-def no_click_map(
-    op: PartialMeasurementOp,
-    state: PolarizationState,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
-) -> PolarizationState:
+def no_click_map(op: PartialMeasurementOp, state: PolarizationState) -> PolarizationState:
     """State update conditioned on none of the detectors firing.
 
     Scales the measured-branch amplitude by sqrt(alpha) and renormalizes.
-    In WEIGHTED mode the weight is multiplied by the no-click probability,
-    keeping it equal to the surviving intensity.  A state entirely in the
-    opposite branch is untouched.  Raises ZeroSurvival when the no-click
+    A state entirely in the opposite branch is untouched.  Raises ZeroSurvival when the no-click
     outcome is impossible (alpha = 0 with everything in the measured
     branch).
 
@@ -206,21 +197,19 @@ def no_click_map(
         raise ZeroSurvival(
             f"no-click impossible: alpha={op.alpha} on a fully measured branch"
         )
-    weight = state.weight * survival if mode is _WEIGHTED else state.weight
-    return _silent_state(op, c_meas, c_other, survival, weight)
+    return _silent_state(op, c_meas, c_other, survival)
 
 
 def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
     """``(p_click, no-click state)`` from one ``_silence``, the state as
-    ``no_click_map`` gives it in NORMALIZED mode, or None for it where the
-    click is certain (``p_click >= 1``).  ``photon`` is ignored: this is
+    ``no_click_map`` gives it, or None for it where the click is certain (``p_click >= 1``).  ``photon`` is ignored: this is
     the single photon's form of ``epr._pair_step``."""
     if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, state
     p_click, c_meas, c_other, survival = _silence(op, state)
     if p_click >= 1.0:
         return p_click, None
-    return p_click, _silent_state(op, c_meas, c_other, survival, state.weight)
+    return p_click, _silent_state(op, c_meas, c_other, survival)
 
 
 def compose_same_axis(
@@ -232,8 +221,8 @@ def compose_same_axis(
     the unmeasured fractions survives, so the pair reduces to one
     measurement of the more-measured branch with alpha = ratio <= 1
     (an equal pair reduces to the identity: erasure).  The reduced op's
-    no-click map equals the sequential one exactly in NORMALIZED mode; in
-    WEIGHTED mode the weights differ by the discarded overall factor.
+    no-click map equals the sequential one exactly; their no-click
+    probabilities differ by the discarded overall factor.
 
     Raises AxisMismatch for different axes, where no single partial
     measurement reproduces the pair (use apply_sequence).
@@ -256,9 +245,7 @@ def compose_same_axis(
 
 
 def apply_sequence(
-    ops: Iterable[PartialMeasurementOp],
-    state: PolarizationState,
-    mode: TrackingMode = TrackingMode.NORMALIZED,
+    ops: Iterable[PartialMeasurementOp], state: PolarizationState
 ) -> PolarizationState:
     """Fold the no-click maps of ``ops`` over ``state``, first op first.
 
@@ -267,7 +254,7 @@ def apply_sequence(
     identity.
     """
     for op in ops:
-        state = no_click_map(op, state, mode)
+        state = no_click_map(op, state)
     return state
 
 

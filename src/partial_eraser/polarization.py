@@ -17,11 +17,6 @@ with conventions
 The antidiagonal sign is fixed so that a partial measurement of the up
 branch rotates a diagonal state toward |right> with a positive antidiagonal
 component; the circular convention makes all three axes mutually unbiased.
-
-A state carries a separate intensity ``weight`` so that renormalized and
-intensity-tracking descriptions of the same measurement history share one
-representation: the amplitude pair always has unit norm, and ``weight``
-holds the surviving fraction of the original beam intensity.
 """
 
 from __future__ import annotations
@@ -102,55 +97,43 @@ def basis_vector(axis: Axis, branch: Branch) -> tuple[complex, complex]:
     return _KETS[axis][branch is _MINUS]
 
 
-def _check_unit(norm2: float, weight: float, amplitudes: str = "amplitudes") -> None:
+def _check_unit(norm2: float, amplitudes: str = "amplitudes") -> None:
     """DomainError unless the squared norm ``norm2`` of the ``amplitudes``
-    is 1 and the weight lies in [0, 1], each to within NORM_TOL; NaN fails
-    both checks."""
+    is 1 to within NORM_TOL; NaN fails the check."""
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise DomainError(f"{amplitudes} must have unit norm, got |psi|^2 = {norm2!r}")
-    if not 0.0 <= weight <= 1.0 + NORM_TOL:
-        raise DomainError(f"weight must lie in [0, 1], got {weight!r}")
 
 
 @dataclass(frozen=True)
 class PolarizationState:
-    """Pure single-photon polarization state with an intensity weight.
+    """Pure single-photon polarization state.
 
     ``amp_up`` and ``amp_right`` are the complex amplitudes on |up> and
-    |right>; they must form a unit vector (checked to 1e-12).  ``weight``
-    is the surviving beam intensity relative to the source (1.0 for an
-    unmeasured photon).
+    |right>; they must form a unit vector (checked to 1e-12).
     """
 
     amp_up: complex
     amp_right: complex
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp_up", complex(self.amp_up))
         object.__setattr__(self, "amp_right", complex(self.amp_right))
-        object.__setattr__(self, "weight", float(self.weight))
-        _check_unit(abs(self.amp_up) ** 2 + abs(self.amp_right) ** 2, self.weight)
+        _check_unit(abs(self.amp_up) ** 2 + abs(self.amp_right) ** 2)
 
 
-def basis_state(axis: Axis, branch: Branch, weight: float = 1.0) -> PolarizationState:
+def basis_state(axis: Axis, branch: Branch) -> PolarizationState:
     """The pure state pointing along one basis vector."""
-    up, right = basis_vector(axis, branch)
-    return PolarizationState(up, right, weight)
+    return PolarizationState(*basis_vector(axis, branch))
 
 
-def _trusted_state(
-    amp_up: complex, amp_right: complex, weight: float
-) -> PolarizationState:
+def _trusted_state(amp_up: complex, amp_right: complex) -> PolarizationState:
     """A state built without ``__post_init__``: no type conversions and no
-    norm or weight check.  Only for amplitudes the caller has just
-    normalized (or copied from a valid state), as complex numbers, with a
-    float weight already known to be valid."""
+    norm check.  Only for amplitudes the caller has just normalized (or
+    copied from a valid state), as complex numbers."""
     state = object.__new__(PolarizationState)
     fields = state.__dict__
     fields["amp_up"] = amp_up
     fields["amp_right"] = amp_right
-    fields["weight"] = weight
     return state
 
 
@@ -167,11 +150,9 @@ def _normalized_amplitudes(
     return up / norm, right / norm
 
 
-def from_components(
-    axis: Axis, c_plus: complex, c_minus: complex, weight: float = 1.0
-) -> PolarizationState:
+def from_components(axis: Axis, c_plus: complex, c_minus: complex) -> PolarizationState:
     """Build a state from its components along ``axis`` (normalizing)."""
-    return PolarizationState(*_normalized_amplitudes(axis, c_plus, c_minus), weight)
+    return PolarizationState(*_normalized_amplitudes(axis, c_plus, c_minus))
 
 
 def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, complex]:

@@ -19,7 +19,6 @@ from partial_eraser import (
     PartialMeasurementOp,
     Photon,
     Preparation,
-    TrackingMode,
     ZeroSurvival,
     apply_partial_pair,
     apply_quadruple,
@@ -126,7 +125,6 @@ class TestMakeEpr:
         assert pair.amp_rr == pytest.approx(SQRT_HALF)
         assert pair.amp_ur == 0.0
         assert pair.amp_ru == 0.0
-        assert pair.weight == 1.0
 
     def test_pure_epr_decomposition(self):
         decomp = epr_decompose(make_epr())
@@ -424,29 +422,41 @@ class TestWeightedTracking:
 
     @given(quadruples())
     def test_matches_weighted_simulation(self, quad):
-        pair = apply_quadruple(make_epr(), quad, TrackingMode.WEIGHTED)
+        # the surviving pair, scaled by the root of the probability that
+        # all four measurements stay silent
+        steps = [
+            (Photon.A, op(Axis.X, Branch.PLUS, quad.alpha)),
+            (Photon.A, op(Axis.X, Branch.MINUS, quad.beta)),
+            (Photon.B, op(Axis.X, Branch.PLUS, quad.gamma)),
+            (Photon.B, op(Axis.X, Branch.MINUS, quad.delta)),
+        ]
+        pair, survival = make_epr(), 1.0
+        for photon, the_op in steps:
+            survival *= 1.0 - pair_click_probability(pair, photon, the_op)
+            pair = apply_partial_pair(pair, photon, the_op)
+        assert pair == apply_quadruple(make_epr(), quad)
         decomp = epr_decompose(pair)
-        root_w = math.sqrt(pair.weight)
         epr, anti = weighted_epr_track(quad)
-        assert root_w * decomp.epr_amp.real == pytest.approx(epr, abs=1e-12)
-        assert root_w * decomp.anti_epr_amp.real == pytest.approx(anti, abs=1e-12)
+        assert math.sqrt(survival) * decomp.epr_amp.real == pytest.approx(epr, abs=1e-12)
+        assert math.sqrt(survival) * decomp.anti_epr_amp.real == pytest.approx(anti, abs=1e-12)
 
     @given(alphas_positive)
     def test_counterfactual_capture_accounting(self, alpha):
         # measured pair carries an anti-EPR intensity of ((1-sqrt(a))/2)^2;
         # the partner-side counter prunes exactly that plus the matched
-        # correlated intensity, all of it showing up as click weight
-        measured = apply_partial_pair(
-            make_epr(), Photon.A, op(Axis.X, Branch.PLUS, alpha), TrackingMode.WEIGHTED
-        )
-        anti_intensity = measured.weight * abs(epr_decompose(measured).anti_epr_amp) ** 2
+        # correlated intensity, all of it showing up as clicks, and leaves
+        # the intensity alpha
+        first = op(Axis.X, Branch.PLUS, alpha)
+        survival = 1.0 - pair_click_probability(make_epr(), Photon.A, first)
+        measured = apply_partial_pair(make_epr(), Photon.A, first)
+        anti_intensity = survival * abs(epr_decompose(measured).anti_epr_amp) ** 2
         assert anti_intensity == pytest.approx(((1 - math.sqrt(alpha)) / 2) ** 2, abs=1e-12)
 
         counter = op(Axis.X, Branch.MINUS, alpha)
-        click_mass = measured.weight * pair_click_probability(measured, Photon.B, counter)
-        erased = apply_partial_pair(measured, Photon.B, counter, TrackingMode.WEIGHTED)
+        click_mass = survival * pair_click_probability(measured, Photon.B, counter)
+        erased = apply_partial_pair(measured, Photon.B, counter)
         assert abs(epr_decompose(erased).anti_epr_amp) < 1e-12
-        assert measured.weight - erased.weight == pytest.approx(click_mass, abs=1e-12)
+        assert survival - click_mass == pytest.approx(alpha, abs=1e-12)
 
 
 def y_agreement(plan, trials):
@@ -473,81 +483,17 @@ class TestSampling:
 
     def test_sample_partial_pair_click_collapses_partner(self, rng):
         the_op = op(Axis.X, Branch.PLUS, 0.0)
-        outcome = sample_partial_pair(make_epr(), Photon.A, the_op, TrackingMode.NORMALIZED, rng)
+        outcome = sample_partial_pair(make_epr(), Photon.A, the_op, NORMALIZED, rng)
         while not outcome.clicked:
-            outcome = sample_partial_pair(
-                make_epr(), Photon.A, the_op, TrackingMode.NORMALIZED, rng
-            )
-        post = outcome.post_state
-        assert abs(post.amp_uu) == pytest.approx(1.0, abs=1e-12)
-        assert post.weight == 1.0
+            outcome = sample_partial_pair(make_epr(), Photon.A, the_op, NORMALIZED, rng)
+        assert abs(outcome.post_state.amp_uu) == pytest.approx(1.0, abs=1e-12)
 
 
-# --- pinned bits of the pair algebra ---------------------------------------
+# --- the seeds and inputs of the pins at the end of this file ---------------
 
 PINNED_SEED = 20261018
-# sha256 over the reprs below; any change to the bits of a pair result,
-# a signed zero or a raised ZeroSurvival changes it.
-PAIR_ALGEBRA_DIGEST = "c1732c2ddc64859d584668f4783e94de605f9f3d62fc2d6392f6b7a571ea0cfb"
-
-
-def pinned_pairs(gen):
-    """make_epr(), the four product basis pairs, then random pairs with
-    random weights, all drawn with ``gen.random()`` (stable across numpy
-    versions, unlike ``normal``)."""
-    yield make_epr()
-    for amps in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        yield PairState(*amps)
-    for _ in range(50):
-        parts = [2.0 * gen.random() - 1.0 for _ in range(8)]
-        norm = math.sqrt(sum(p * p for p in parts))
-        amps = [complex(parts[2 * i] / norm, parts[2 * i + 1] / norm) for i in range(4)]
-        yield PairState(*amps, gen.random())
-
-
-def pinned_text(fn, *args):
-    try:
-        return repr(fn(*args))
-    except ZeroSurvival:
-        return "ZeroSurvival"
-
-
-def test_pair_algebra_bits_pinned():
-    """1,980 (pair, photon, op) cases: ``apply_partial_pair`` in both
-    modes, ``collapse_pair``, ``pair_axis_amplitudes``, and
-    ``pair_click_probability`` wherever the silence is possible."""
-    gen = np.random.default_rng(PINNED_SEED)
-    lines = []
-    for pair in pinned_pairs(gen):
-        for photon in Photon:
-            for axis in Axis:
-                lines.append(repr(pair_axis_amplitudes(pair, axis)))
-                for branch in Branch:
-                    for alpha in (0.0, 1.0, gen.random()):
-                        the_op = op(axis, branch, alpha)
-                        silent = pinned_text(apply_partial_pair, pair, photon, the_op)
-                        lines += [
-                            silent,
-                            pinned_text(
-                                apply_partial_pair, pair, photon, the_op,
-                                TrackingMode.WEIGHTED,
-                            ),
-                            pinned_text(collapse_pair, pair, photon, the_op),
-                        ]
-                        if silent != "ZeroSurvival":
-                            lines.append(repr(pair_click_probability(pair, photon, the_op)))
-    assert len(lines) == 8242 and lines.count("ZeroSurvival") == 40
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PAIR_ALGEBRA_DIGEST
-
-
-# --- pinned bits of the oracles and of pair sampling -------------------------
-
 ORACLE_PINNED_SEED = 20261019
-# sha256 over the reprs below; any change to the bits of an event tree, a
-# survival or agreement probability, a sampled outcome, a raised error or
-# the number of draws taken from the stream changes it.
-ORACLE_SAMPLING_DIGEST = "5ff17cb56f3f5b389840dfdd548f7b69189e3581bbe35a0cec707642d07f7646"
+QUADRUPLE_PINNED_SEED = 20261020
 
 
 def pinned_pick(gen, options):
@@ -581,49 +527,6 @@ def pinned_oracles(preparation, plan, axis):
     return lines
 
 
-def test_oracle_and_pair_sampling_bits_pinned():
-    """One digest over (1) the event tree, survival and agreement of 300
-    seeded EPR plans with each final axis, and of the single-photon
-    cascades with m = 1..100 detectors and with m measuring then m
-    erasing detectors; (2) 7,920 ``sample_partial_pair`` outcomes, repr and
-    ``.clicked``, over both photons, both modes, every axis and branch and
-    alpha 0, 1 and random, all on one seeded stream."""
-    gen = np.random.default_rng(ORACLE_PINNED_SEED)
-    lines = []
-    for _ in range(300):
-        plan = pinned_pair_plan(gen)
-        for axis in Axis:
-            lines += pinned_oracles(Preparation.epr(), plan, axis)
-    for m in range(1, 101):
-        measure = CascadeStep(Photon.A, Branch.PLUS, m)
-        erase = CascadeStep(Photon.A, Branch.MINUS, m)
-        lines += pinned_oracles(Preparation.single(), (measure,), Axis.Y)
-        lines += pinned_oracles(Preparation.single(), (measure, erase), Axis.Y)
-    oracle_lines = len(lines)
-
-    stream = np.random.default_rng(ORACLE_PINNED_SEED + 1)
-    for pair in pinned_pairs(gen):
-        for photon in Photon:
-            for mode in TrackingMode:
-                for axis in Axis:
-                    for branch in Branch:
-                        for alpha in (0.0, 1.0, gen.random()):
-                            the_op = op(axis, branch, alpha)
-                            for _ in range(2):
-                                try:
-                                    outcome = sample_partial_pair(
-                                        pair, photon, the_op, mode, stream
-                                    )
-                                except PartialEraserError as exc:
-                                    lines.append(type(exc).__name__)
-                                    continue
-                                lines.append(f"{outcome!r} {outcome.clicked}")
-    assert oracle_lines == 3300 and len(lines) == 3300 + 7920
-    assert lines.count("ZeroSurvival") == 22
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == ORACLE_SAMPLING_DIGEST
-
-
 # PairState(1, 0, 0, e) under a complete up measurement of photon A: the
 # silence survives with probability e^2, which underflows near e = 1e-160.
 NEAR_ZERO_SURVIVAL = (
@@ -634,33 +537,25 @@ NEAR_ZERO_SURVIVAL = (
 )
 
 
-@pytest.mark.parametrize("mode", list(TrackingMode))
 @pytest.mark.parametrize("e, error", NEAR_ZERO_SURVIVAL)
-def test_near_zero_survival_errors(e, error, mode):
+def test_near_zero_survival_errors(e, error):
     """Where the renormalized silence loses its unit norm the pair algebra
     raises DomainError; where the survival underflows to 0, ZeroSurvival.
     The click is certain either way."""
     pair = PairState(1, 0, 0, e)
     the_op = op(Axis.X, Branch.PLUS, 0.0)
     assert pair_click_probability(pair, Photon.A, the_op) == 1.0
-    assert sample_partial_pair(pair, Photon.A, the_op, mode, np.random.default_rng(0)).clicked
+    assert sample_partial_pair(
+        pair, Photon.A, the_op, NORMALIZED, np.random.default_rng(0)
+    ).clicked
     if error is None:
-        post = apply_partial_pair(pair, Photon.A, the_op, mode)
-        assert post == PairState(0, 0, 0, 1, e * e if mode is TrackingMode.WEIGHTED else 1.0)
+        assert apply_partial_pair(pair, Photon.A, the_op) == PairState(0, 0, 0, 1)
         return
     with pytest.raises(error) as excinfo:
-        apply_partial_pair(pair, Photon.A, the_op, mode)
+        apply_partial_pair(pair, Photon.A, the_op)
     assert type(excinfo.value) is error
     expected = "pair amplitudes must have unit norm" if error is DomainError else "no-click impossible"
     assert str(excinfo.value).startswith(expected)
-
-
-# --- pinned bits of apply_quadruple ------------------------------------------
-
-QUADRUPLE_PINNED_SEED = 20261020
-# sha256 over the reprs below; any change to the bits of a surviving pair,
-# a signed zero, a weight or a raised ZeroSurvival changes it.
-QUADRUPLE_DIGEST = "d07e444d2dd196371b4518e316bd3f5937739549433592ea08365ee101b31229"
 
 
 def pinned_fraction(gen):
@@ -668,21 +563,6 @@ def pinned_fraction(gen):
     completely, so some quadruples leave no silence."""
     edge = pinned_pick(gen, (0.0, 1.0, None))
     return gen.random() if edge is None else edge
-
-
-def test_apply_quadruple_bits_pinned():
-    """``apply_quadruple`` in both modes on the 55 pinned pairs, 20 seeded
-    quadruples each."""
-    gen = np.random.default_rng(QUADRUPLE_PINNED_SEED)
-    lines = []
-    for pair in pinned_pairs(gen):
-        for _ in range(20):
-            quad = IntensityQuadruple(*(pinned_fraction(gen) for _ in range(4)))
-            for mode in TrackingMode:
-                lines.append(pinned_text(apply_quadruple, pair, quad, mode))
-    assert len(lines) == 2200 and lines.count("ZeroSurvival") == 548
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == QUADRUPLE_DIGEST
 
 
 # --- the basis tables the pair kernels read, built once ----------------------
@@ -790,7 +670,7 @@ def test_table_kernels_match_the_per_call_products():
     repr, on the pinned pairs and on pairs of signed zeros and units, over
     every photon, axis and branch and alpha 0, 1 and random."""
     gen = np.random.default_rng(PINNED_SEED + 20)
-    pairs = [*pinned_pairs(gen), *signed_part_pairs(gen)]
+    pairs = [*pair_inputs(gen), *signed_part_pairs(gen)]
     assert len(pairs) == 55 + 40
     assert any("-0" in repr(pair) for pair in pairs)
     cases = 0

@@ -21,7 +21,6 @@ from partial_eraser import (
     Photon,
     PolarizationState,
     Preparation,
-    TrackingMode,
     ZeroSurvival,
     apply_sequence,
     basis_state,
@@ -35,7 +34,7 @@ from partial_eraser import (
     no_click_map,
     sample_partial_pair,
 )
-from partial_eraser.measurement import no_click_sequence_probability
+from partial_eraser.measurement import TrackingMode, no_click_sequence_probability
 from partial_eraser.montecarlo import count_trials
 
 from conftest import (
@@ -74,7 +73,7 @@ def sequence_oracle(ops, state):
     return vec / np.linalg.norm(vec)
 
 
-def brute_force_cascade_weight(alpha, n_beams=100):
+def brute_force_cascade_survival(alpha, n_beams=100):
     """Surviving intensity of a measured diagonal photon, summed beam by
     beam over the graded mirror chain (no operator algebra involved)."""
     transmissions = [(n_beams - 1 - i) / (n_beams - i) for i in range(n_beams)]
@@ -99,24 +98,22 @@ class TestNoClickMap:
     def test_identity_at_alpha_one(self, state, axis, branch):
         assert no_click_map(op(axis, branch, 1.0), state) is state
 
-    def test_weighted_half_measurement(self):
-        state = no_click_map(op(Axis.X, Branch.PLUS, 0.5), DIAG, TrackingMode.WEIGHTED)
+    def test_half_measurement_survival(self):
+        the_op = op(Axis.X, Branch.PLUS, 0.5)
+        state = no_click_map(the_op, DIAG)
         assert state.amp_up == pytest.approx(math.sqrt(0.5 / 1.5), abs=1e-12)
         assert state.amp_right == pytest.approx(math.sqrt(1 / 1.5), abs=1e-12)
-        assert state.weight == pytest.approx(0.75, abs=1e-12)
+        survival = no_click_sequence_probability([the_op], DIAG)
+        assert survival == pytest.approx(0.75, abs=1e-12)
         # oracle: beam-by-beam intensity bookkeeping over the mirror chain
-        assert state.weight == pytest.approx(brute_force_cascade_weight(0.5), abs=1e-12)
+        assert survival == pytest.approx(brute_force_cascade_survival(0.5), abs=1e-12)
 
     @given(st.floats(min_value=0.01, max_value=0.99))
-    def test_weighted_weight_matches_beam_sum(self, alpha):
+    def test_survival_matches_beam_sum(self, alpha):
         n_detectors = round((1 - alpha) * 100)
         actual_alpha = (100 - n_detectors) / 100
-        state = no_click_map(
-            op(Axis.X, Branch.PLUS, actual_alpha), DIAG, TrackingMode.WEIGHTED
-        )
-        assert state.weight == pytest.approx(
-            brute_force_cascade_weight(actual_alpha), abs=1e-12
-        )
+        survival = no_click_sequence_probability([op(Axis.X, Branch.PLUS, actual_alpha)], DIAG)
+        assert survival == pytest.approx(brute_force_cascade_survival(actual_alpha), abs=1e-12)
 
     def test_opposite_branch_state_untouched(self):
         state = no_click_map(op(Axis.X, Branch.PLUS, 0.3), RIGHT)
@@ -146,17 +143,13 @@ class TestNoClickMap:
         axes,
         branches,
         alphas_positive,
-        st.floats(min_value=0.0, max_value=1.0),
-        st.sampled_from(list(TrackingMode)),
     )
-    def test_result_passes_the_state_checks(self, state, axis, branch, alpha, weight, mode):
+    def test_result_passes_the_state_checks(self, state, axis, branch, alpha):
         # the map builds its result without re-running the state checks;
         # the checked constructor must accept it unchanged
-        state = PolarizationState(state.amp_up, state.amp_right, weight)
-        result = no_click_map(op(axis, branch, alpha), state, mode)
+        result = no_click_map(op(axis, branch, alpha), state)
         assert type(result.amp_up) is complex and type(result.amp_right) is complex
-        assert type(result.weight) is float
-        assert PolarizationState(result.amp_up, result.amp_right, result.weight) == result
+        assert PolarizationState(result.amp_up, result.amp_right) == result
 
 
 class TestClickProbability:
@@ -345,23 +338,24 @@ class TestErasureAlgebra:
         assert amplitude_distance(one, two) < 1e-12
 
     @given(alphas_positive)
-    def test_erasure_cost_in_weighted_mode(self, alpha):
-        final = apply_sequence(
-            [op(Axis.X, Branch.PLUS, alpha), op(Axis.X, Branch.MINUS, alpha)],
-            DIAG,
-            TrackingMode.WEIGHTED,
-        )
-        diag_component = components_in(final, Axis.Y)[0]
-        weighted_amp = math.sqrt(final.weight) * abs(diag_component)
-        assert weighted_amp == pytest.approx(math.sqrt(alpha), abs=1e-12)
-        assert final.weight == pytest.approx(alpha, abs=1e-12)
+    def test_erasure_cost_is_survival(self, alpha):
+        # erasure restores the diagonal state, at the cost of the intensity
+        ops = [op(Axis.X, Branch.PLUS, alpha), op(Axis.X, Branch.MINUS, alpha)]
+        final = apply_sequence(ops, DIAG)
+        survival = no_click_sequence_probability(ops, DIAG)
+        surviving_amp = math.sqrt(survival) * abs(components_in(final, Axis.Y)[0])
+        assert surviving_amp == pytest.approx(math.sqrt(alpha), abs=1e-12)
+        assert survival == pytest.approx(alpha, abs=1e-12)
 
     @given(balanced_states(), st.lists(st.tuples(axes, branches, alphas_positive), max_size=4))
-    def test_weighted_weight_is_survival_probability(self, state, raw_ops):
+    def test_sequence_survival_is_the_unnormalized_norm(self, state, raw_ops):
+        # the survival is the squared norm of the unrenormalized scaled state
         ops = [op(axis, branch, alpha) for axis, branch, alpha in raw_ops]
-        weighted = apply_sequence(ops, state, TrackingMode.WEIGHTED)
+        vec = np.array([state.amp_up, state.amp_right])
+        for the_op in ops:
+            vec = scaling_matrix_oracle(the_op) @ vec
         survival = no_click_sequence_probability(ops, state)
-        assert weighted.weight == pytest.approx(state.weight * survival, abs=1e-12)
+        assert survival == pytest.approx(np.linalg.norm(vec) ** 2, abs=1e-12)
 
 
 def walk_event_tree(ops, state):
@@ -397,17 +391,14 @@ def sampled_outcomes():
     cascade = build_cascade(10)
     for branch in Branch:
         placement = DetectorPlacement(branch, frozenset({1, 4, 7}))
-        for mode in TrackingMode:
-            for _ in range(40):
-                yield cascade_measure(DIAG, placement, cascade, gen, mode)
+        for _ in range(40):
+            yield cascade_measure(DIAG, placement, cascade, gen)
     the_op = op(Axis.X, Branch.PLUS, 0.5)
     for photon in Photon:
-        for mode in TrackingMode:
-            for _ in range(40):
-                yield sample_partial_pair(make_epr(), photon, the_op, mode, gen)
+        for _ in range(40):
+            yield sample_partial_pair(make_epr(), photon, the_op, TrackingMode.NORMALIZED, gen)
     for branch in Branch:
-        for mode in TrackingMode:
-            yield cascade_measure(DIAG, DetectorPlacement(branch, frozenset()), cascade, gen, mode)
+        yield cascade_measure(DIAG, DetectorPlacement(branch, frozenset()), cascade, gen)
 
 
 class TestOutcomeContract:
@@ -445,68 +436,9 @@ class TestOutcomeContract:
             assert dataclasses.replace(flipped, kind=outcome.kind) == outcome
 
 
-# --- pinned bits of the single-photon algebra --------------------------------
+# --- pinned amplitudes of the single-photon algebra -------------------------
 
 SINGLE_PINNED_SEED = 20261021
-# sha256 over the reprs below; any change to the bits of a click
-# probability, a no-click state or weight, a survival probability, or to
-# where ZeroSurvival is raised changes it.
-SINGLE_ALGEBRA_DIGEST = "8408eec9991297c84dd57cb21a86d1bcc83df6cd817f8ab3966869a36d34e48c"
-
-
-def pinned_states(gen):
-    """The six basis states, then random states with random weights, all
-    drawn with ``gen.random()`` (stable across numpy versions)."""
-    for axis in Axis:
-        for branch in Branch:
-            yield basis_state(axis, branch)
-    for _ in range(40):
-        parts = [2.0 * gen.random() - 1.0 for _ in range(4)]
-        norm = math.sqrt(sum(p * p for p in parts))
-        yield PolarizationState(
-            complex(parts[0] / norm, parts[1] / norm),
-            complex(parts[2] / norm, parts[3] / norm),
-            gen.random(),
-        )
-
-
-def pinned_text(fn, *args):
-    try:
-        return repr(fn(*args))
-    except ZeroSurvival:
-        return "ZeroSurvival"
-
-
-def test_single_photon_algebra_bits_pinned():
-    """Per state, every (axis, branch, alpha) op with alpha 0, 1, 1e-40
-    and random: ``click_probability`` and ``no_click_map`` in both modes;
-    then three random op sequences through ``apply_sequence`` in both
-    modes and ``no_click_sequence_probability``."""
-    gen = np.random.default_rng(SINGLE_PINNED_SEED)
-    ops = []
-    lines = []
-    for state in pinned_states(gen):
-        for axis in Axis:
-            for branch in Branch:
-                for alpha in (0.0, 1.0, 1e-40, gen.random()):
-                    the_op = op(axis, branch, alpha)
-                    ops.append(the_op)
-                    lines += [
-                        repr(click_probability(the_op, state)),
-                        pinned_text(no_click_map, the_op, state),
-                        pinned_text(no_click_map, the_op, state, TrackingMode.WEIGHTED),
-                    ]
-        for _ in range(3):
-            sequence = [ops[int(gen.random() * len(ops))] for _ in range(1 + int(gen.random() * 4))]
-            lines += [
-                pinned_text(apply_sequence, sequence, state),
-                pinned_text(apply_sequence, sequence, state, TrackingMode.WEIGHTED),
-                repr(no_click_sequence_probability(sequence, state)),
-            ]
-    assert len(lines) == 3726 and lines.count("ZeroSurvival") == 30
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == SINGLE_ALGEBRA_DIGEST
-
 
 SINGLE_AMPLITUDES_DIGEST = "91cdb19bfb3ff45edbf265b172be78e5a1185ebece30f2930bc888c7975d54f8"
 

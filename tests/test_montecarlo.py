@@ -29,19 +29,18 @@ from partial_eraser import (
     Photon,
     Preparation,
     PrepKind,
-    TrackingMode,
     TrialRecord,
     TrialStats,
     ZeroSurvival,
     analytic_agreement,
     analytic_survival,
-    apply_partial_pair,
     basis_state,
     conditional_click_stat,
     enumerate_event_tree,
     estimate_vs_analytic,
     make_epr,
     run_experiment,
+    weighted_epr_track,
     y_correlation_pair,
     y_correlation_single,
 )
@@ -60,6 +59,8 @@ from partial_eraser.montecarlo import (
     survived,
     trial_uniforms,
 )
+
+from conftest import quadruples
 
 
 def measure(photon, axis, branch, alpha):
@@ -140,12 +141,19 @@ class TestRunExperiment:
         sigma = math.sqrt(survival * (1 - survival) / stats.total)
         assert abs(stats.surviving / stats.total - survival) < 3 * sigma
 
-    def test_weighted_weight_equals_survival(self):
-        config = epr_config([HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=10)
-        state = make_epr()
-        for step in config.plan:
-            state = apply_partial_pair(state, step.photon, step.op, TrackingMode.WEIGHTED)
-        assert state.weight == pytest.approx(analytic_survival(config), abs=1e-12)
+    @given(quadruples())
+    def test_survival_is_weighted_track_squared_sum(self, quad):
+        config = epr_config(
+            [
+                measure(Photon.A, Axis.X, Branch.PLUS, quad.alpha),
+                measure(Photon.A, Axis.X, Branch.MINUS, quad.beta),
+                measure(Photon.B, Axis.X, Branch.PLUS, quad.gamma),
+                measure(Photon.B, Axis.X, Branch.MINUS, quad.delta),
+            ],
+            trials=10,
+        )
+        epr, anti = weighted_epr_track(quad)
+        assert analytic_survival(config) == pytest.approx(epr**2 + anti**2, abs=1e-12)
 
     def test_zero_survival_plan(self):
         config = ExperimentConfig(

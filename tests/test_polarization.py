@@ -79,7 +79,7 @@ class TestComponents:
     @given(polarization_states(), axes)
     def test_basis_round_trip(self, state, axis):
         c_plus, c_minus = components_in(state, axis)
-        back = from_components(axis, c_plus, c_minus, state.weight)
+        back = from_components(axis, c_plus, c_minus)
         assert abs(back.amp_up - state.amp_up) < 1e-12
         assert abs(back.amp_right - state.amp_right) < 1e-12
 
@@ -99,10 +99,6 @@ class TestStateValidation:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(DomainError):
             PolarizationState(1.0, 1.0)
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(DomainError):
-            PolarizationState(1.0, 0.0, weight=-0.1)
 
     @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
     def test_rejects_nan_amplitudes(self, nan):
