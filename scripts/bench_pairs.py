@@ -19,8 +19,10 @@ median, quartiles (``statistics.quantiles(runs, n=4,
 method="inclusive")``) and runs in pair order, the number of pairs that
 the change won, and as ``made_by`` the command that repeats the
 comparison.  With ``--claim``, ``claim`` holds the verdict: "met" when
-the change won at least 9 in 10 pairs and its median gap exceeds the
-parent's IQR.  ``worse_than_bound`` lists every workload and metric whose
+the change won at least 9 in 10 pairs, its median gap exceeds the
+parent's IQR, and no workload is in ``more_failed_jobs``, which lists
+every workload on which the change failed a larger share of its jobs than
+the parent.  ``worse_than_bound`` lists every workload and metric whose
 median got worse by more than the metric's ``bound``.  Each finished run
 is appended to ``runs.jsonl`` in the work directory as it comes; the
 directory, a new temporary one unless ``--work-dir`` names it, is kept.
@@ -137,21 +139,35 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def claim_verdict(summary: dict, metric: str, better: str) -> dict:
+def more_failed_jobs(results: dict) -> list[dict]:
+    """Every workload on which the change failed a larger share of its
+    jobs than the parent, with both sides' failed and attempted counts."""
+    flags = []
+    for workload, summary in results.items():
+        failed, attempted = summary["failed_jobs"], summary["attempted_jobs"]
+        if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
+            flags.append({"workload": workload, "failed_jobs": failed, "attempted_jobs": attempted})
+    return flags
+
+
+def claim_verdict(summary: dict, metric: str, better: str, more_failed: list[str]) -> dict:
     """Wins, the median gap and the parent's IQR of the claimed metric, and
-    the verdict: "met" when the change won at least 9 in 10 pairs and its
-    median is better than the parent's by more than the parent's IQR."""
+    the verdict: "met" when the change won at least 9 in 10 pairs, its
+    median is better than the parent's by more than the parent's IQR, and
+    ``more_failed``, the workloads on which the change failed a larger
+    share of its jobs, is empty: a gain bought with failures is none."""
     parent, change = summary[metric]["parent"], summary[metric]["change"]
     gap = change["median"] - parent["median"]
     if better == "lower":
         gap = -gap
     wins, pairs = summary["change_wins"][metric], summary["pairs"]
-    met = 10 * wins >= 9 * pairs and gap > parent["iqr"]
+    met = 10 * wins >= 9 * pairs and gap > parent["iqr"] and not more_failed
     return {
         "wins": wins,
         "pairs": pairs,
         "median_gap": round(gap, 6),
         "parent_iqr": parent["iqr"],
+        "more_failed": list(more_failed),
         "verdict": "met" if met else "not met",
     }
 
@@ -279,10 +295,14 @@ def main(argv=None) -> int:
         f" --seconds {seconds:g} --trace 0",
         "protocol": f"{PROTOCOL}; {args.pairs} pairs per workload",
     }
+    report["more_failed_jobs"] = more_failed_jobs(results)
+    for flag in report["more_failed_jobs"]:
+        print(f"more failed jobs: {flag}")
     if args.claim:
         workload, metric = args.claim
         better = next(m["better"] for m in metrics if m["name"] == metric)
-        verdict = claim_verdict(results[workload], metric, better)
+        more_failed = [flag["workload"] for flag in report["more_failed_jobs"]]
+        verdict = claim_verdict(results[workload], metric, better, more_failed)
         report["claim"] = {"workload": workload, "metric": metric, **verdict}
         print(f"claim {workload}:{metric} {verdict}")
     report["worse_than_bound"] = worse_than_bound(results, metrics)

@@ -48,7 +48,7 @@ from .measurement import (
     _outcome,
     _trusted_op,
 )
-from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _SQRT_HALF, _X, Axis, _check_unit
+from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _SQRT_HALF, _X, Axis, _check_unit, _real
 
 
 class Photon(Enum):
@@ -261,7 +261,7 @@ class IntensityQuadruple:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
-            value = float(getattr(self, name))
+            value = _real(name, getattr(self, name))
             object.__setattr__(self, name, value)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {value!r}")

@@ -41,6 +41,7 @@ from .polarization import (
     PolarizationState,
     _check_member,
     _normalized_amplitudes,
+    _real,
     _trusted_state,
     components_in,
 )
@@ -78,9 +79,7 @@ class PartialMeasurementOp:
     def __post_init__(self) -> None:
         _check_member("axis", self.axis, _AXES)
         _check_member("branch", self.branch, _BRANCHES)
-        if isinstance(self.alpha, bool):
-            raise DomainError(f"alpha must be a number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 from .errors import DegenerateState, DomainError
 
@@ -78,6 +79,14 @@ def _check_member(name: str, value, members: tuple, error: type = DomainError) -
     raise error(f"{name} must be one of {', '.join(map(str, members))}, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; DomainError if it is a bool or not a real
+    number (a numeric string, ``numpy.True_``), naming the value."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 # Per axis, the (plus, minus) basis kets as (amp_up, amp_right) coordinates,
 # and their conjugates (the bras), so the basis changes below look up one
 # entry instead of conjugating per call.
@@ -94,6 +103,8 @@ _BRAS = {
 
 def basis_vector(axis: Axis, branch: Branch) -> tuple[complex, complex]:
     """(amp_up, amp_right) coordinates of one basis state."""
+    _check_member("axis", axis, _AXES)
+    _check_member("branch", branch, _BRANCHES)
     return _KETS[axis][branch is _MINUS]
 
 

@@ -45,6 +45,7 @@ from partial_eraser.montecarlo import (
 )
 
 from conftest import (
+    alphas,
     alphas_positive,
     amplitude_text,
     axes,
@@ -402,6 +403,46 @@ class TestErasureAcrossPhotons:
         ]
         result = assert_matches_oracle(make_epr(), steps)
         assert pair_distance(result, make_epr()) < 1e-12
+
+
+def transposed_branch(axis, branch):
+    """The branch whose ket is the complex conjugate of ``branch``'s ket:
+    the branch that the transpose of a measurement of ``branch`` measures."""
+    ket = tuple(c.conjugate() for c in basis_vector(axis, branch))
+    return next(other for other in Branch if basis_vector(axis, other) == ket)
+
+
+class TestEprTheorems:
+    """The paper's two theorems, on every axis.  For |EPR> = (|uu> +
+    |rr>)/sqrt(2), (M x 1)|EPR> = (1 x M^T)|EPR>: a partial measurement on
+    one photon is the transposed measurement on the other, and so a
+    counter-measurement on either photon erases a measurement on the
+    other."""
+
+    def test_transpose_flips_the_branch_only_on_z(self):
+        for axis in Axis:
+            for branch in Branch:
+                expected = branch.other() if axis is Axis.Z else branch
+                assert transposed_branch(axis, branch) is expected
+
+    @given(photons, axes, branches, alphas)
+    def test_op_on_one_photon_is_transposed_op_on_other(self, photon, axis, branch, alpha):
+        other = Photon.B if photon is Photon.A else Photon.A
+        the_op = op(axis, branch, alpha)
+        transposed = op(axis, transposed_branch(axis, branch), alpha)
+        assert pair_click_probability(make_epr(), photon, the_op) == pytest.approx(
+            pair_click_probability(make_epr(), other, transposed), abs=1e-12
+        )
+        here = apply_partial_pair(make_epr(), photon, the_op)
+        assert pair_distance(here, apply_partial_pair(make_epr(), other, transposed)) < 1e-12
+
+    @given(photons, axes, branches, alphas_positive)
+    def test_counter_on_other_photon_restores_epr(self, photon, axis, branch, alpha):
+        other = Photon.B if photon is Photon.A else Photon.A
+        measured = apply_partial_pair(make_epr(), photon, op(axis, branch, alpha))
+        counter = op(axis, transposed_branch(axis, branch).other(), alpha)
+        erased = apply_partial_pair(measured, other, counter)
+        assert pair_distance(erased, make_epr()) < 1e-12
 
 
 class TestWeightedTracking:

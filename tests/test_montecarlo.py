@@ -270,16 +270,30 @@ class TestConfigValidation:
             (CascadeStep, (Photon.A, Axis.X, 3), 1, ConfigError, "branch"),
             (DetectorPlacement, ("plus", frozenset({1})), 0, DomainError, "branch"),
             (DetectorPlacement, (False, frozenset({1})), 0, DomainError, "branch"),
+            (PartialMeasurementOp, (Axis.X, Branch.PLUS, "0.5"), 2, DomainError, "alpha"),
+            (PartialMeasurementOp, (Axis.X, Branch.PLUS, np.True_), 2, DomainError, "alpha"),
+            (PartialMeasurementOp, (Axis.X, Branch.PLUS, None), 2, DomainError, "alpha"),
+            (IntensityQuadruple, (True, 1, 1, 1), 0, DomainError, "alpha"),
+            (IntensityQuadruple, (1, "0.5", 1, 1), 1, DomainError, "beta"),
+            (IntensityQuadruple, (1, 1, 1, np.False_), 3, DomainError, "delta"),
         ],
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_steps_and_ops_take_only_members(self, build, args, bad, error, field):
         """A foreign axis, branch or photon would be read as some member
         (a string branch as minus, a string photon as photon B), an op that
-        is not one fails later, and a bool is not a fraction."""
+        is not one fails later, and neither a bool nor a value that is not a
+        real number, such as a numeric string, is a fraction."""
         value = re.escape(repr(args[bad]))
         with pytest.raises(error, match=f"^{field} must be .*, got {value}$"):
             build(*args)
+
+    def test_numpy_numbers_are_fractions(self):
+        the_op = PartialMeasurementOp(Axis.X, Branch.PLUS, np.float32(0.5))
+        assert type(the_op.alpha) is float and the_op.alpha == 0.5
+        quad = IntensityQuadruple(np.float64(0.25), np.int64(1), 1, np.float32(0.5))
+        assert (quad.alpha, quad.beta, quad.gamma, quad.delta) == (0.25, 1.0, 1.0, 0.5)
+        assert all(type(value) is float for value in vars(quad).values())
 
     def test_numpy_integers_are_counts(self):
         step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,27 @@ class TestStateValidation:
     def test_from_components_rejects_zero_vector(self):
         with pytest.raises(DegenerateState):
             from_components(Axis.X, 0.0, 0.0)
+
+    @pytest.mark.parametrize("build", [basis_vector, basis_state])
+    @pytest.mark.parametrize(
+        "axis, branch, field",
+        [
+            ("x", Branch.PLUS, "axis"),
+            (None, Branch.PLUS, "axis"),
+            (Branch.PLUS, Branch.PLUS, "axis"),
+            (Axis.X, "minus", "branch"),
+            (Axis.Y, "minus", "branch"),
+            (Axis.Z, True, "branch"),
+            (Axis.X, Axis.X, "branch"),
+        ],
+    )
+    def test_basis_takes_only_members(self, build, axis, branch, field):
+        """A string branch of "minus" would be read as plus, and a string
+        axis would raise a bare KeyError from the basis table."""
+        value = axis if field == "axis" else branch
+        expected = f"^{field} must be one of .*, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=expected):
+            build(axis, branch)
 
 
 class TestPolarizationAngle:

@@ -70,20 +70,38 @@ def test_bench_pairs_summary_of_canned_runs():
     assert summary["rate"]["change"]["median"] == 14.0
     # rss: 39, 40, 41, 42, 43 against 40 each time; lower is better
     assert summary["change_wins"] == {"rate": 4, "rss": 1}
-    verdict = bench_pairs.claim_verdict(summary, "rate", "higher")
+    verdict = bench_pairs.claim_verdict(summary, "rate", "higher", [])
     assert verdict == {
-        "wins": 4, "pairs": 5, "median_gap": 3.0, "parent_iqr": 2.0, "verdict": "not met",
+        "wins": 4, "pairs": 5, "median_gap": 3.0, "parent_iqr": 2.0, "more_failed": [],
+        "verdict": "not met",
     }
     # 9 of 10 pairs and a gap above the IQR are met; one fewer win, or a
-    # gap of exactly the IQR, is not.
+    # gap of exactly the IQR, is not, and neither is a gain on a run whose
+    # change failed a larger share of jobs on some workload.
     ten = {"pairs": 10, "change_wins": {}, "rate": {"parent": summary["rate"]["parent"]}}
-    for wins, gap, expected in [
-        (9, 2.01, "met"), (8, 2.01, "not met"), (10, 2.0, "not met"), (10, -2.01, "not met"),
+    for wins, gap, more_failed, expected in [
+        (9, 2.01, [], "met"), (8, 2.01, [], "not met"), (10, 2.0, [], "not met"),
+        (10, -2.01, [], "not met"), (10, 2.01, ["w"], "not met"),
     ]:
         ten["change_wins"]["rate"] = wins
         for better, sign in (("higher", 1), ("lower", -1)):
             ten["rate"]["change"] = {"median": 11.0 + sign * gap}
-            assert bench_pairs.claim_verdict(ten, "rate", better)["verdict"] == expected
+            verdict = bench_pairs.claim_verdict(ten, "rate", better, more_failed)
+            assert (verdict["verdict"], verdict["more_failed"]) == (expected, more_failed)
+    # The change failed 1 of 50 jobs and the parent none: flagged.  Equal
+    # shares are not, nor fewer failures, and the shares are compared, not
+    # the counts (2 of 100 is not more than 1 of 50).
+    assert bench_pairs.more_failed_jobs({"w": summary}) == [{
+        "workload": "w", "failed_jobs": {"parent": 0, "change": 1},
+        "attempted_jobs": {"parent": 50, "change": 50},
+    }]
+    for failed, attempted in [
+        ({"parent": 1, "change": 1}, {"parent": 50, "change": 50}),
+        ({"parent": 2, "change": 0}, {"parent": 50, "change": 50}),
+        ({"parent": 1, "change": 2}, {"parent": 50, "change": 100}),
+    ]:
+        even = {**summary, "failed_jobs": failed, "attempted_jobs": attempted}
+        assert bench_pairs.more_failed_jobs({"w": even}) == []
     # rss medians 40 -> 41 (+2.5%) stays inside its 12% bound, and the rate
     # improved; a second workload whose rate fell from 11 to 8.7 (-21%) is
     # flagged.
