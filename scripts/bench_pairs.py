@@ -146,7 +146,9 @@ def more_failed_jobs(results: dict) -> list[dict]:
     for workload, summary in results.items():
         failed, attempted = summary["failed_jobs"], summary["attempted_jobs"]
         if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
-            flags.append({"workload": workload, "failed_jobs": failed, "attempted_jobs": attempted})
+            flags.append(
+                {"workload": workload, "failed_jobs": failed, "attempted_jobs": attempted}
+            )
     return flags
 
 

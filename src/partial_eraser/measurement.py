@@ -49,8 +49,8 @@ from .polarization import (
 
 class TrackingMode(Enum):
     """The one state update, renormalized after each no-click.  Only
-    ``epr.sample_partial_pair`` still takes it, and reads it not; both go
-    together (ROADMAP item 6)."""
+    ``epr.sample_partial_pair`` still takes it, and does not read it; both
+    go together (ROADMAP item 6)."""
 
     NORMALIZED = "normalized"
 
@@ -182,9 +182,9 @@ def no_click_map(op: PartialMeasurementOp, state: PolarizationState) -> Polariza
     """State update conditioned on none of the detectors firing.
 
     Scales the measured-branch amplitude by sqrt(alpha) and renormalizes.
-    A state entirely in the opposite branch is untouched.  Raises ZeroSurvival when the no-click
-    outcome is impossible (alpha = 0 with everything in the measured
-    branch).
+    A state entirely in the opposite branch is untouched.  Raises
+    ZeroSurvival when the no-click outcome is impossible (alpha = 0 with
+    everything in the measured branch).
 
     This is the general formula; ``cascade.cascade_measure`` writes out
     the same steps for the X axis.
@@ -201,8 +201,9 @@ def no_click_map(op: PartialMeasurementOp, state: PolarizationState) -> Polariza
 
 def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
     """``(p_click, no-click state)`` from one ``_silence``, the state as
-    ``no_click_map`` gives it, or None for it where the click is certain (``p_click >= 1``).  ``photon`` is ignored: this is
-    the single photon's form of ``epr._pair_step``."""
+    ``no_click_map`` gives it, or None for it where the click is certain
+    (``p_click >= 1``).  ``photon`` is ignored: this is the single
+    photon's form of ``epr._pair_step``."""
     if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, state
     p_click, c_meas, c_other, survival = _silence(op, state)
