@@ -28,7 +28,7 @@ from partial_eraser import cascade as cascade_module
 from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
 
-from conftest import amplitude_distance, outcome_text, unit_states
+from conftest import amplitude_distance, kind_outcome_text, outcome_text, unit_states
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
 
@@ -404,9 +404,32 @@ def test_cascade_amplitudes_pinned():
         for branch in Branch:
             for placement, cascade in pinned_placements(gen, branch):
                 try:
-                    lines.append(outcome_text(cascade_measure(state, placement, cascade, stream)))
+                    lines.append(kind_outcome_text(cascade_measure(state, placement, cascade, stream)))
                 except ZeroSurvival:
                     lines.append("ZeroSurvival")
     assert (len(lines), lines.count("ZeroSurvival")) == (924, 0)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CASCADE_AMPLITUDES_DIGEST
+
+
+CASCADE_OUTCOMES_DIGEST = "163c96cd1aeeadfc8748f2e004f9022015fdd662a22dcc0ecf52bd8c9f371672"
+
+
+def test_cascade_outcomes_pinned():
+    """(state, branch, placement) passes of ``cascade_measure`` on one
+    seeded stream: each outcome's ``clicked``, probability, post-state
+    amplitudes and detector.  Any change to their bits, to a signed zero
+    or to where ZeroSurvival is raised changes the digest."""
+    gen = np.random.default_rng(CASCADE_PINNED_SEED)
+    stream = np.random.default_rng(CASCADE_PINNED_SEED + 1)
+    lines = []
+    for state in cascade_inputs(gen):
+        for branch in Branch:
+            for placement, cascade in pinned_placements(gen, branch):
+                try:
+                    lines.append(outcome_text(cascade_measure(state, placement, cascade, stream)))
+                except ZeroSurvival:
+                    lines.append("ZeroSurvival")
+    assert (len(lines), lines.count("ZeroSurvival")) == (924, 0)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CASCADE_OUTCOMES_DIGEST
