@@ -25,7 +25,6 @@ from .polarization import (
 )
 from .measurement import (
     MeasurementOutcome,
-    OutcomeKind,
     PartialMeasurementOp,
     apply_sequence,
     click_probability,

@@ -19,13 +19,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import DegenerateState, DomainError, ZeroSurvival
-from .measurement import (
-    _CLICK,
-    _NO_CLICK,
-    MeasurementOutcome,
-    PartialMeasurementOp,
-)
+from .errors import DegenerateState, DomainError
+from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible
 from .polarization import (
     _BRANCHES,
     _KETS,
@@ -34,6 +29,7 @@ from .polarization import (
     Axis,
     Branch,
     PolarizationState,
+    _check_integer,
     _check_member,
     basis_state,
 )
@@ -53,10 +49,7 @@ class Cascade:
     n_beams: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_beams, bool) or not isinstance(self.n_beams, Integral):
-            raise DomainError(f"n_beams must be an integer, got {self.n_beams!r}")
-        if self.n_beams < 1:
-            raise DomainError(f"n_beams must be >= 1, got {self.n_beams!r}")
+        _check_integer("n_beams", self.n_beams, low=1)
         object.__setattr__(self, "n_beams", int(self.n_beams))
 
     @property
@@ -155,13 +148,12 @@ def cascade_measure(
     if u < p_click:
         # u is uniform on [0, p_click); reuse it to pick the detector.
         which = min(int(u / p_click * m), m - 1)
-        fields["kind"] = _CLICK
+        fields["clicked"] = True
         fields["probability"] = p_click
         fields["post_state"] = _CLICK_PLUS if plus else _CLICK_MINUS
         fields["detector"] = placement._ordered[which]
-        fields["clicked"] = True
         return outcome
-    fields["kind"] = _NO_CLICK
+    fields["clicked"] = False
     fields["probability"] = 1.0 - p_click
     alpha = (n - m) / n
     if alpha == 1.0:
@@ -169,7 +161,7 @@ def cascade_measure(
     else:
         survival = alpha * mass + abs(c_other) ** 2
         if survival <= 0.0:
-            raise ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
+            raise _impossible(alpha)
         root = math.sqrt(survival)
         c_meas = c_meas * (math.sqrt(alpha) / root)
         c_other = c_other / root
@@ -186,6 +178,5 @@ def cascade_measure(
         post_fields["amp_right"] = right / norm
     fields["post_state"] = post
     fields["detector"] = None
-    fields["clicked"] = False
     return outcome
 

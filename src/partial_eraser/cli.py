@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import ConfigError, ConvergenceFailure, DomainError, PartialEraserE
 from .inequality import delta_ac, delta_pair, inequality_margin, violation_region
 from .measurement import PartialMeasurementOp, no_click_map
 from .montecarlo import (
+    _DIAGONAL,
     CascadeStep,
     ExperimentConfig,
     Preparation,
@@ -44,7 +44,7 @@ from .montecarlo import (
     estimate_vs_analytic,
     run_experiment,
 )
-from .polarization import Axis, Branch, basis_state, polarization_angle, uncertainty_spreads
+from .polarization import Axis, Branch, _check_integer, polarization_angle, uncertainty_spreads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,11 +52,8 @@ EXIT_GATE = 3
 EXIT_IO = 4
 EXIT_CONVERGENCE = 5
 
-_DIAG = basis_state(Axis.Y, Branch.PLUS)
-
-
 def _angle_row(alpha: float) -> list[float]:
-    state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAG)
+    state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAGONAL[Branch.PLUS])
     return [alpha, polarization_angle(state)]
 
 
@@ -76,8 +73,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise DomainError(f"grid bounds must be finite, got [{self.low}, {self.high}]")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral):
-            raise DomainError(f"grid steps must be an integer, got {self.steps!r}")
+        _check_integer("grid steps", self.steps)
         if self.steps < 2:
             raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
         if not self.low < self.high:

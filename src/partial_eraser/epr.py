@@ -40,15 +40,26 @@ from enum import Enum
 
 from .errors import DomainError, ZeroSurvival
 from .measurement import (
-    _CLICK,
-    _NO_CLICK,
     MeasurementOutcome,
     PartialMeasurementOp,
     TrackingMode,
+    _impossible,
     _outcome,
     _trusted_op,
 )
-from .polarization import _BRAS, _KETS, _MINUS, _PLUS, _SQRT_HALF, _X, Axis, _check_unit, _real
+from .polarization import (
+    _AXES,
+    _BRAS,
+    _KETS,
+    _MINUS,
+    _PLUS,
+    _SQRT_HALF,
+    _X,
+    Axis,
+    _check_member,
+    _check_unit,
+    _fraction,
+)
 
 
 class Photon(Enum):
@@ -165,9 +176,7 @@ def apply_partial_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp
         return pair
     _, amps, survival = _silence(pair, photon, op)
     if survival <= 0.0:
-        raise ZeroSurvival(
-            f"no-click impossible: alpha={op.alpha} on a fully measured branch"
-        )
+        raise _impossible(op.alpha)
     return _unit_pair(amps, survival)
 
 
@@ -226,12 +235,12 @@ def sample_partial_pair(
     (ROADMAP item 6)."""
     p_click, amps, survival = _silence(pair, photon, op)
     if rng.random() < p_click:
-        return _outcome(_CLICK, p_click, collapse_pair(pair, photon, op), None)
+        return _outcome(True, p_click, collapse_pair(pair, photon, op), None)
     if op.is_identity:
         post = pair
     else:  # p_click < 1 here, so the survival is positive
         post = _unit_pair(amps, survival)
-    return _outcome(_NO_CLICK, 1.0 - p_click, post, None)
+    return _outcome(False, 1.0 - p_click, post, None)
 
 
 def epr_decompose(pair: PairState) -> EprDecomposition:
@@ -261,10 +270,7 @@ class IntensityQuadruple:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
-            value = _real(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+            object.__setattr__(self, name, _fraction(name, getattr(self, name)))
 
     @property
     def k_ratio(self) -> float:
@@ -335,10 +341,13 @@ _PAIR_BRAS = {
 def pair_axis_amplitudes(pair: PairState, axis: Axis):
     """2x2 amplitudes of the pair in ``axis`` x ``axis`` coordinates,
     indexed [branch of A][branch of B] with 0 = PLUS, 1 = MINUS."""
+    try:
+        bras = _PAIR_BRAS[axis]
+    except KeyError:
+        _check_member("axis", axis, _AXES)
+        raise
     uu, ur, ru, rr = pair.amp_uu, pair.amp_ur, pair.amp_ru, pair.amp_rr
-    kk0, kk1, kk2, kk3, kl0, kl1, kl2, kl3, lk0, lk1, lk2, lk3, ll0, ll1, ll2, ll3 = (
-        _PAIR_BRAS[axis]
-    )
+    kk0, kk1, kk2, kk3, kl0, kl1, kl2, kl3, lk0, lk1, lk2, lk3, ll0, ll1, ll2, ll3 = bras
     return [  # summed from 0, as sum() is, so a sum of -0.0 parts reads +0.0
         [
             0 + kk0 * uu + kk1 * ur + kk2 * ru + kk3 * rr,

@@ -27,7 +27,7 @@ two branches' unmeasured fractions matters for the surviving state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -40,8 +40,8 @@ from .polarization import (
     Branch,
     PolarizationState,
     _check_member,
+    _fraction,
     _normalized_amplitudes,
-    _real,
     _trusted_state,
     components_in,
 )
@@ -53,14 +53,6 @@ class TrackingMode(Enum):
     go together (ROADMAP item 6)."""
 
     NORMALIZED = "normalized"
-
-
-class OutcomeKind(Enum):
-    CLICK = "click"
-    NO_CLICK = "no_click"
-
-
-_CLICK, _NO_CLICK = OutcomeKind.CLICK, OutcomeKind.NO_CLICK  # as ``polarization._PLUS``
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,7 @@ class PartialMeasurementOp:
     def __post_init__(self) -> None:
         _check_member("axis", self.axis, _AXES)
         _check_member("branch", self.branch, _BRANCHES)
-        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _fraction("alpha", self.alpha))
 
     @property
     def is_identity(self) -> bool:
@@ -105,36 +95,33 @@ class MeasurementOutcome:
 
     ``probability`` is the chance of this outcome given the input state,
     that is, conditional on the photon having survived everything earlier.
-    A CLICK collapses the state onto the measured branch; a NO_CLICK
+    A click collapses the state onto the measured branch; a silence
     carries the reshaped state.  ``detector`` identifies which detector
-    fired when the event came from a beam cascade.  ``clicked`` is derived
-    from ``kind`` and takes no part in ``==``, ``hash`` or ``repr``.
+    fired when the event came from a beam cascade.
     """
 
-    kind: OutcomeKind
+    clicked: bool
     probability: float
     post_state: object
     detector: int | None = None
-    clicked: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clicked", self.kind is _CLICK)
 
 
 def _outcome(
-    kind: OutcomeKind, probability: float, post_state, detector: int | None
+    clicked: bool, probability: float, post_state, detector: int | None
 ) -> MeasurementOutcome:
-    """An outcome built without ``__init__``, for the sampling hot paths;
-    the fields are the constructor's and ``clicked`` is set as
-    ``__post_init__`` sets it."""
+    """The constructor's outcome, built without ``__init__`` for the sampling hot paths."""
     outcome = object.__new__(MeasurementOutcome)
     fields = outcome.__dict__
-    fields["kind"] = kind
+    fields["clicked"] = clicked
     fields["probability"] = probability
     fields["post_state"] = post_state
     fields["detector"] = detector
-    fields["clicked"] = kind is _CLICK
     return outcome
+
+
+def _impossible(alpha: float) -> ZeroSurvival:
+    """The one failure: a silence that cannot happen, at unmeasured fraction ``alpha``."""
+    return ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
 
 
 def _silence(op: PartialMeasurementOp, state: PolarizationState):
@@ -193,9 +180,7 @@ def no_click_map(op: PartialMeasurementOp, state: PolarizationState) -> Polariza
         return state
     _, c_meas, c_other, survival = _silence(op, state)
     if survival <= 0.0:
-        raise ZeroSurvival(
-            f"no-click impossible: alpha={op.alpha} on a fully measured branch"
-        )
+        raise _impossible(op.alpha)
     return _silent_state(op, c_meas, c_other, survival)
 
 

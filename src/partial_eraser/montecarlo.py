@@ -32,14 +32,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .epr import _PHOTONS, Photon, _pair_step, make_epr, pair_axis_amplitudes
-from .errors import ConfigError, DomainError, InsufficientStatistics, ZeroSurvival
-from .measurement import PartialMeasurementOp, _step
+from .errors import ConfigError, DomainError, InsufficientStatistics
+from .measurement import PartialMeasurementOp, _impossible, _step
 from .polarization import (
     _AXES,
     _BRANCHES,
@@ -49,6 +48,7 @@ from .polarization import (
     _Y,
     Axis,
     Branch,
+    _check_integer,
     _check_member,
     basis_state,
     components_in,
@@ -73,7 +73,8 @@ class Preparation:
 
     def __post_init__(self) -> None:
         _check_member("preparation kind", self.kind, _PREP_KINDS, ConfigError)
-        _check_member("preparation branch", self.branch, _BRANCHES, ConfigError)
+        branches = _BRANCHES if self.kind is _SINGLE else (_PLUS,)  # a pair has no branch
+        _check_member("preparation branch", self.branch, branches, ConfigError)
 
     @staticmethod
     def single(branch: Branch = Branch.PLUS) -> "Preparation":
@@ -97,12 +98,6 @@ class MeasureStep:
             raise ConfigError(f"op must be a PartialMeasurementOp, got {self.op!r}")
 
 
-def _check_integer(name: str, value) -> None:
-    """Counts and seeds are integers: numpy's too, but not bools."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CascadeStep:
     """A beam-cascade measurement: ``n_detectors`` detectors on one branch
@@ -120,10 +115,8 @@ class CascadeStep:
     def __post_init__(self) -> None:
         _check_member("photon", self.photon, _PHOTONS, ConfigError)
         _check_member("branch", self.branch, _BRANCHES, ConfigError)
-        _check_integer("n_beams", self.n_beams)
-        _check_integer("n_detectors", self.n_detectors)
-        if self.n_beams < 1:
-            raise ConfigError(f"n_beams must be >= 1, got {self.n_beams!r}")
+        _check_integer("n_beams", self.n_beams, ConfigError, low=1)
+        _check_integer("n_detectors", self.n_detectors, ConfigError)
         if not 0 <= self.n_detectors <= self.n_beams:
             raise ConfigError(
                 f"n_detectors must lie in [0, {self.n_beams}], got {self.n_detectors!r}"
@@ -147,10 +140,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", tuple(self.plan))
-        _check_integer("trials", self.trials)
-        _check_integer("master_seed", self.master_seed)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        _check_integer("trials", self.trials, ConfigError, low=1)
+        _check_integer("master_seed", self.master_seed, ConfigError)
         if self.trials > 2**64:
             raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:
@@ -481,8 +472,7 @@ def analytic_agreement(config: ExperimentConfig) -> float:
 def _agreement(config: ExperimentConfig, p_clicks: list[float], state) -> float:
     """``analytic_agreement`` from the plan's ``_walk``."""
     if state is None:
-        alpha = config.plan[len(p_clicks) - 1].op.alpha
-        raise ZeroSurvival(f"no-click impossible: alpha={alpha} on a fully measured branch")
+        raise _impossible(config.plan[len(p_clicks) - 1].op.alpha)
     outcomes = _final_outcomes(config.preparation, state, config.final_axis)
     p = sum(p for p, _, _, agrees in outcomes if agrees)
     return min(1.0, max(0.0, p))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import DegenerateState, DomainError
 
@@ -79,12 +79,23 @@ def _check_member(name: str, value, members: tuple, error: type = DomainError) -
     raise error(f"{name} must be one of {', '.join(map(str, members))}, got {value!r}")
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float; DomainError if it is a bool or not a real
-    number (a numeric string, ``numpy.True_``), naming the value."""
+def _check_integer(name: str, value, error: type = DomainError, low: int | None = None) -> None:
+    """``error`` unless ``value`` is an integer (numpy's too, not a bool) and not below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value!r}")
+
+
+def _fraction(name: str, value) -> float:
+    """``value`` as a float in [0, 1], else DomainError naming the value; a
+    bool is not a number, nor is ``numpy.True_`` or ``"0.5"``, and NaN fails."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
 
 
 # Per axis, the (plus, minus) basis kets as (amp_up, amp_right) coordinates,
@@ -163,6 +174,7 @@ def _normalized_amplitudes(
 
 def from_components(axis: Axis, c_plus: complex, c_minus: complex) -> PolarizationState:
     """Build a state from its components along ``axis`` (normalizing)."""
+    _check_member("axis", axis, _AXES)
     return PolarizationState(*_normalized_amplitudes(axis, c_plus, c_minus))
 
 
@@ -172,7 +184,11 @@ def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, comple
     The squared magnitudes sum to 1, so they are the Born probabilities of
     the two outcomes of a complete measurement along that axis.
     """
-    (p_up, p_right), (m_up, m_right) = _BRAS[axis]
+    try:
+        (p_up, p_right), (m_up, m_right) = _BRAS[axis]
+    except KeyError:
+        _check_member("axis", axis, _AXES)
+        raise
     c_plus = p_up * state.amp_up + p_right * state.amp_right
     c_minus = m_up * state.amp_up + m_right * state.amp_right
     return c_plus, c_minus
@@ -204,8 +220,7 @@ def uncertainty_spreads(alpha: float) -> tuple[float, float]:
     alpha = 1 (nothing measured) gives full X uncertainty and an intact Y
     polarization; alpha = 0 (complete measurement) the reverse.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = _fraction("alpha", alpha)
     spread_x = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
     spread_y = (1.0 - alpha) / (1.0 + alpha)
     return spread_x, spread_y
@@ -220,6 +235,5 @@ def y_correlation_single(alpha: float) -> float:
     Ranges from 1 (alpha = 1, nothing measured) down to 1/2 (alpha = 0,
     complete measurement leaves the diagonal outcome random).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = _fraction("alpha", alpha)
     return (1.0 + math.sqrt(alpha)) ** 2 / (2.0 + 2.0 * alpha)

@@ -69,15 +69,6 @@ def amplitude_text(fn, *args) -> str:
         return "ZeroSurvival"
 
 
-def kind_outcome_text(outcome) -> str:
-    """A sampled outcome's kind, probability, post-state amplitudes,
-    detector and ``clicked``, as text."""
-    return (
-        f"{outcome.kind} {outcome.probability!r} {amplitudes(outcome.post_state)!r}"
-        f" {outcome.detector} {outcome.clicked}"
-    )
-
-
 def outcome_text(outcome) -> str:
     """A sampled outcome's ``clicked``, probability, post-state amplitudes
     and detector, as text."""

@@ -51,7 +51,6 @@ from conftest import (
     axes,
     branches,
     finite,
-    kind_outcome_text,
     outcome_text,
     quadruples,
     unit_pairs,
@@ -736,7 +735,6 @@ def test_table_kernels_match_the_per_call_products():
 
 PAIR_AMPLITUDES_DIGEST = "4f72d595154cb2cceca7fdbe5d5bc3189cae2edbb40aa77b4f4f6467f5c9701d"
 ORACLE_DIGEST = "cf4a046b59d584bbecc44d9cc12c02a339459cae5479b0283ce6bd3933b5b508"
-PAIR_SAMPLING_DIGEST = "d733f0363c238c101659cff1e113ef92d9191cdbda089b069b1b51c5455278de"
 PAIR_SAMPLING_OUTCOMES_DIGEST = "16437b06c7dbb24e2cba4cb3dcb700681bcf7c274044df5753e3ac8cc2c832d6"
 QUADRUPLE_AMPLITUDES_DIGEST = "6775a242190518c508c4c681ff04b9862fecc2da1236f57a853d0001548dd9eb"
 # ``sample_partial_pair`` still takes a mode, and its one member.
@@ -796,35 +794,6 @@ def test_oracle_bits_pinned():
     assert (len(lines), lines.count("ZeroSurvival")) == (3300, 22)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ORACLE_DIGEST
-
-
-def test_pair_sampling_amplitudes_pinned():
-    """Two ``sample_partial_pair`` outcomes per (pair, photon, op), over
-    every axis and branch and alpha 0, 1 and random, on one seeded stream:
-    kind, probability, post-state amplitudes and ``.clicked``.  Any change
-    to their bits, to a raised error or to the number of draws taken from
-    the stream changes the digest."""
-    gen = np.random.default_rng(ORACLE_PINNED_SEED)
-    stream = np.random.default_rng(ORACLE_PINNED_SEED + 1)
-    lines = []
-    for pair in pair_inputs(gen):
-        for photon in Photon:
-            for axis in Axis:
-                for branch in Branch:
-                    for alpha in (0.0, 1.0, gen.random()):
-                        the_op = op(axis, branch, alpha)
-                        for _ in range(2):
-                            try:
-                                outcome = sample_partial_pair(
-                                    pair, photon, the_op, NORMALIZED, stream
-                                )
-                            except PartialEraserError as exc:
-                                lines.append(type(exc).__name__)
-                                continue
-                            lines.append(kind_outcome_text(outcome))
-    assert (len(lines), lines.count("ZeroSurvival")) == (3960, 0)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PAIR_SAMPLING_DIGEST
 
 
 def test_pair_sampling_outcomes_pinned():

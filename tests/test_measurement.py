@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 
@@ -16,7 +15,6 @@ from partial_eraser import (
     ExperimentConfig,
     MeasurementOutcome,
     MeasureStep,
-    OutcomeKind,
     PartialMeasurementOp,
     Photon,
     PolarizationState,
@@ -409,31 +407,24 @@ class TestOutcomeContract:
         kinds = set()
         for outcome in sampled_outcomes():
             built = MeasurementOutcome(
-                outcome.kind, outcome.probability, outcome.post_state, outcome.detector
+                outcome.clicked, outcome.probability, outcome.post_state, outcome.detector
             )
             assert outcome == built
             assert repr(outcome) == repr(built)
             assert hash(outcome) == hash(built)
-            assert outcome.clicked is built.clicked is (outcome.kind is OutcomeKind.CLICK)
-            assert vars(outcome) == vars(built)
-            state = outcome.post_state  # the same fields, in the same order
+            assert type(outcome.clicked) is bool
+            # the same fields, in the same order, of the outcome and its state
+            assert list(vars(outcome).items()) == list(vars(built).items())
+            state = outcome.post_state
             assert list(vars(state).items()) == list(vars(type(state)(**vars(state))).items())
-            kinds.add((type(outcome.post_state).__name__, outcome.kind, outcome.detector is None))
+            state_type = type(outcome.post_state).__name__
+            kinds.add((state_type, outcome.clicked, outcome.detector is None))
         assert kinds == {
-            ("PolarizationState", OutcomeKind.CLICK, False),
-            ("PolarizationState", OutcomeKind.NO_CLICK, True),
-            ("PairState", OutcomeKind.CLICK, True),
-            ("PairState", OutcomeKind.NO_CLICK, True),
+            ("PolarizationState", True, False),
+            ("PolarizationState", False, True),
+            ("PairState", True, True),
+            ("PairState", False, True),
         }
-
-    def test_replace_recomputes_clicked(self):
-        for outcome in sampled_outcomes():
-            other = (
-                OutcomeKind.NO_CLICK if outcome.kind is OutcomeKind.CLICK else OutcomeKind.CLICK
-            )
-            flipped = dataclasses.replace(outcome, kind=other)
-            assert flipped.clicked is (other is OutcomeKind.CLICK)
-            assert dataclasses.replace(flipped, kind=outcome.kind) == outcome
 
 
 # --- pinned amplitudes of the single-photon algebra -------------------------

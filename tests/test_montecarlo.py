@@ -247,6 +247,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="preparation (kind|branch) must be one of"):
             Preparation(kind, branch)
 
+    def test_epr_preparation_takes_no_minus_branch(self):
+        """The pair ignores the branch, and the config text has no place for
+        one, so a minus pair would not survive ``format_experiment``."""
+        expected = "^preparation branch must be one of Branch.PLUS, got <Branch.MINUS: 'minus'>$"
+        with pytest.raises(ConfigError, match=expected):
+            Preparation(PrepKind.EPR_PAIR, Branch.MINUS)
+        assert Preparation(PrepKind.EPR_PAIR, Branch.PLUS) == Preparation.epr()
+
     @pytest.mark.parametrize("axis", ["y", None, Branch.PLUS])
     def test_final_axis_is_an_axis(self, axis):
         with pytest.raises(ConfigError, match="final_axis must be one of Axis.X"):

@@ -20,6 +20,7 @@ from partial_eraser import (
     uncertainty_spreads,
     y_correlation_single,
 )
+from partial_eraser.epr import make_epr, pair_axis_amplitudes
 from partial_eraser.polarization import PolarizationState
 
 from conftest import alphas, axes, polarization_states
@@ -133,6 +134,22 @@ class TestStateValidation:
         with pytest.raises(DomainError, match=expected):
             build(axis, branch)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda axis: components_in(basis_state(Axis.Y, Branch.PLUS), axis),
+            lambda axis: from_components(axis, 1, 0),
+            lambda axis: pair_axis_amplitudes(make_epr(), axis),
+        ],
+        ids=["components_in", "from_components", "pair_axis_amplitudes"],
+    )
+    @pytest.mark.parametrize("axis", ["x", "y", None, Branch.PLUS])
+    def test_axis_takes_only_members(self, call, axis):
+        """A string axis would raise a bare KeyError from a basis table."""
+        expected = f"^axis must be one of .*, got {re.escape(repr(axis))}$"
+        with pytest.raises(DomainError, match=expected):
+            call(axis)
+
 
 class TestPolarizationAngle:
     @pytest.mark.parametrize(
@@ -186,9 +203,10 @@ class TestUncertaintySpreads:
         assert spread_x == pytest.approx(0.94281, abs=5e-6)
         assert spread_y == pytest.approx(0.33333, abs=5e-6)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, True, np.True_, "0.5"])
     def test_domain(self, alpha):
-        with pytest.raises(DomainError):
+        """Neither a bool nor a numeric string is a fraction."""
+        with pytest.raises(DomainError, match="^alpha must"):
             uncertainty_spreads(alpha)
 
     def test_monotonicity(self):
@@ -212,9 +230,9 @@ class TestDiagonalCorrelation:
         assert y_correlation_single(1.0) == 1.0
         assert y_correlation_single(0.0) == 0.5
 
-    @pytest.mark.parametrize("alpha", [-1e-9, 1.0000001])
+    @pytest.mark.parametrize("alpha", [-1e-9, 1.0000001, True, np.True_, "0.5"])
     def test_domain(self, alpha):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^alpha must"):
             y_correlation_single(alpha)
 
     def test_equals_half_of_one_plus_x_spread(self):
