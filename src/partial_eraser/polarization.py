@@ -92,7 +92,10 @@ def _fraction(name: str, value) -> float:
     bool is not a number, nor is ``numpy.True_`` or ``"0.5"``, and NaN fails."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
     return value

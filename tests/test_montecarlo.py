@@ -238,22 +238,17 @@ class TestConfigValidation:
             (PrepKind.SINGLE_PHOTON, "minus"),
             (PrepKind.SINGLE_PHOTON, None),
             (PrepKind.EPR_PAIR, Axis.Y),
+            (PrepKind.EPR_PAIR, Branch.MINUS),
         ],
     )
     def test_preparation_takes_only_members(self, kind, branch):
         """A kind or branch that is not a member would be read as some
         member (a string kind as a pair, a string branch as plus) and
-        report a wrong agreement without an error."""
+        report a wrong agreement without an error.  A pair has no branch:
+        one of minus would be ignored, and ``format_experiment`` would
+        write it back as the plus pair."""
         with pytest.raises(ConfigError, match="preparation (kind|branch) must be one of"):
             Preparation(kind, branch)
-
-    def test_epr_preparation_takes_no_minus_branch(self):
-        """The pair ignores the branch, and the config text has no place for
-        one, so a minus pair would not survive ``format_experiment``."""
-        expected = "^preparation branch must be one of Branch.PLUS, got <Branch.MINUS: 'minus'>$"
-        with pytest.raises(ConfigError, match=expected):
-            Preparation(PrepKind.EPR_PAIR, Branch.MINUS)
-        assert Preparation(PrepKind.EPR_PAIR, Branch.PLUS) == Preparation.epr()
 
     @pytest.mark.parametrize("axis", ["y", None, Branch.PLUS])
     def test_final_axis_is_an_axis(self, axis):

@@ -203,9 +203,10 @@ class TestUncertaintySpreads:
         assert spread_x == pytest.approx(0.94281, abs=5e-6)
         assert spread_y == pytest.approx(0.33333, abs=5e-6)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, True, np.True_, "0.5"])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, 10**400, True, np.True_, "0.5"])
     def test_domain(self, alpha):
-        """Neither a bool nor a numeric string is a fraction."""
+        """Neither a bool nor a numeric string is a fraction, and an integer
+        too large for a float is out of range, not an OverflowError."""
         with pytest.raises(DomainError, match="^alpha must"):
             uncertainty_spreads(alpha)
 
