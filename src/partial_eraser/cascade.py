@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import DegenerateState, DomainError
+from .errors import DomainError
 from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible
 from .polarization import (
     _BRANCHES,
@@ -170,8 +170,6 @@ def cascade_measure(
         up = c_plus * _KET_PLUS_UP + c_minus * _KET_MINUS_UP
         right = c_plus * _KET_PLUS_RIGHT + c_minus * _KET_MINUS_RIGHT
         norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
-        if norm < 1e-15:
-            raise DegenerateState("cannot normalize a zero vector")
         post = object.__new__(PolarizationState)  # as ``_trusted_state`` builds it
         post_fields = post.__dict__
         post_fields["amp_up"] = up / norm

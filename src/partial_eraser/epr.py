@@ -45,7 +45,6 @@ from .measurement import (
     TrackingMode,
     _impossible,
     _outcome,
-    _trusted_op,
 )
 from .polarization import (
     _AXES,
@@ -103,24 +102,25 @@ def make_epr() -> PairState:
     return PairState(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0)
 
 
-def _unit_pair(amps, norm2: float) -> PairState:
-    """The pair of the (uu, rr, ur, ru) amplitudes ``amps``, whose squared
-    norm is ``norm2``, scaled to unit norm.
-
-    Built without ``__init__``: the amplitudes are already complex, so of
-    ``PairState.__post_init__`` only its norm check is left, with the norm
-    summed in the same field order.
-    """
+def _unit_amplitudes(amps, norm2: float):
+    """The (uu, rr, ur, ru) amplitudes ``amps``, whose squared norm is
+    ``norm2``, scaled to unit norm and checked as ``PairState`` checks
+    them, the norm summed in the same field order."""
     norm = math.sqrt(norm2)
     uu, rr, ur, ru = amps
     uu, rr, ur, ru = uu / norm, rr / norm, ur / norm, ru / norm
     _check_unit(abs(uu) ** 2 + abs(rr) ** 2 + abs(ur) ** 2 + abs(ru) ** 2, "pair amplitudes")
+    return uu, rr, ur, ru
+
+
+def _unit_pair(amps, norm2: float) -> PairState:
+    """The pair of ``_unit_amplitudes(amps, norm2)``, built without
+    ``__init__``: the amplitudes are already complex and checked."""
     pair = object.__new__(PairState)
     fields = pair.__dict__
-    fields["amp_uu"] = uu
-    fields["amp_rr"] = rr
-    fields["amp_ur"] = ur
-    fields["amp_ru"] = ru
+    fields["amp_uu"], fields["amp_rr"], fields["amp_ur"], fields["amp_ru"] = _unit_amplitudes(
+        amps, norm2
+    )
     return pair
 
 
@@ -137,28 +137,27 @@ _SILENCE_TERMS = {
 }
 
 
-def _silence(pair: PairState, photon: Photon, op: PartialMeasurementOp):
-    """The click probability, the (uu, rr, ur, ru) amplitudes of
-    sqrt(alpha) |b><b| + |o><o| applied to ``photon``, unnormalized, and
-    their squared norm (the survival probability), summed uu, ur, ru, rr.
-    The click probability is at least 1 wherever the survival is not
-    positive.  The pair is read as the rows (uu, m01), (m10, rr) over
-    ``photon``'s (up, right) index, each row over the partner's."""
-    b0, b1, bb0, bb1, oo00, oo01, oo10, oo11 = _SILENCE_TERMS[op.axis, op.branch]
-    alpha = op.alpha
+def _silence(amps, photon: Photon, terms, alpha: float):
+    """The click probability, the (uu, rr, ur, ru) amplitudes ``amps``
+    under sqrt(alpha) |b><b| + |o><o| on ``photon``, unnormalized, with
+    b and o from ``terms`` (a ``_SILENCE_TERMS`` entry), and their squared
+    norm (the survival), summed uu, ur, ru, rr.  The click probability is
+    at least 1 wherever the survival is not positive.  The pair is read as
+    the rows (uu, m01), (m10, rr) over ``photon``'s (up, right) index."""
+    b0, b1, bb0, bb1, oo00, oo01, oo10, oo11 = terms
     root = math.sqrt(alpha)
     w00, w01 = root * b0 * bb0 + oo00, root * b0 * bb1 + oo01
     w10, w11 = root * b1 * bb0 + oo10, root * b1 * bb1 + oo11
-    uu, rr = pair.amp_uu, pair.amp_rr
+    uu, rr, ur, ru = amps
     if photon is _PHOTON_A:
-        m01, m10 = pair.amp_ur, pair.amp_ru
+        m01, m10 = ur, ru
     else:
-        m01, m10 = pair.amp_ru, pair.amp_ur
+        m01, m10 = ru, ur
+    c0, c1 = bb0 * uu + bb1 * m10, bb0 * m01 + bb1 * rr
     n01, n10 = w00 * m01 + w01 * rr, w10 * uu + w11 * m10
     ur, ru = (n01, n10) if photon is _PHOTON_A else (n10, n01)
     uu, rr = w00 * uu + w01 * m10, w10 * m01 + w11 * rr
     survival = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
-    c0, c1 = bb0 * pair.amp_uu + bb1 * m10, bb0 * m01 + bb1 * pair.amp_rr
     p_click = (1.0 - alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
     if survival <= 0.0:
         p_click = max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
@@ -172,9 +171,10 @@ def apply_partial_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp
     untouched, yet the *joint* state (and with it every correlation)
     shifts.
     """
-    if op.is_identity:
+    if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return pair
-    _, amps, survival = _silence(pair, photon, op)
+    amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
+    _, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)
     if survival <= 0.0:
         raise _impossible(op.alpha)
     return _unit_pair(amps, survival)
@@ -186,7 +186,8 @@ def _pair_step(pair: PairState, photon: Photon, op: PartialMeasurementOp):
     certain (``p_click >= 1``)."""
     if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, pair
-    p_click, amps, survival = _silence(pair, photon, op)
+    amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
+    p_click, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)
     if p_click >= 1.0:
         return p_click, None
     return p_click, _unit_pair(amps, survival)
@@ -197,7 +198,8 @@ def pair_click_probability(
 ) -> float:
     """Probability that the op's detectors fire on the chosen photon; at
     least 1 wherever ``apply_partial_pair`` finds the silence impossible."""
-    return _silence(pair, photon, op)[0]
+    amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
+    return _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)[0]
 
 
 def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
@@ -233,10 +235,12 @@ def sample_partial_pair(
 
     ``mode`` is read by nothing; it and this function go together
     (ROADMAP item 6)."""
-    p_click, amps, survival = _silence(pair, photon, op)
+    alpha = op.alpha
+    amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
+    p_click, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], alpha)
     if rng.random() < p_click:
         return _outcome(True, p_click, collapse_pair(pair, photon, op), None)
-    if op.is_identity:
+    if alpha == 1.0:  # ``op.is_identity``, without the property call
         post = pair
     else:  # p_click < 1 here, so the survival is positive
         post = _unit_pair(amps, survival)
@@ -279,19 +283,28 @@ class IntensityQuadruple:
         return (self.beta * self.delta) / (self.alpha * self.gamma)
 
 
+# The four steps of ``apply_quadruple``, (A up, A right, B up, B right):
+# each photon and the X-axis silence terms of its measured branch.
+_QUADRUPLE_STEPS = tuple(
+    (photon, _SILENCE_TERMS[_X, branch]) for photon in _PHOTONS for branch in (_PLUS, _MINUS)
+)
+
+
 def apply_quadruple(pair: PairState, q: IntensityQuadruple) -> PairState:
     """Apply the four up/right partial measurements (A up, A right,
-    B up, B right) in order.  The quadruple has checked the fractions, so
-    the ops are built trusted."""
-    steps = (
-        (_PHOTON_A, _PLUS, q.alpha),
-        (_PHOTON_A, _MINUS, q.beta),
-        (_PHOTON_B, _PLUS, q.gamma),
-        (_PHOTON_B, _MINUS, q.delta),
-    )
-    for photon, branch, alpha in steps:
-        pair = apply_partial_pair(pair, photon, _trusted_op(_X, branch, alpha))
-    return pair
+    B up, B right) in order, as four ``apply_partial_pair`` calls would:
+    one fold over the amplitudes that builds one pair at the end, or
+    returns ``pair`` itself where every fraction is 1."""
+    amps, norm2 = (pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru), None
+    for (photon, terms), alpha in zip(_QUADRUPLE_STEPS, (q.alpha, q.beta, q.gamma, q.delta)):
+        if alpha == 1.0:
+            continue
+        if norm2 is not None:  # the previous step's normalization
+            amps = _unit_amplitudes(amps, norm2)
+        _, amps, norm2 = _silence(amps, photon, terms, alpha)
+        if norm2 <= 0.0:
+            raise _impossible(alpha)
+    return pair if norm2 is None else _unit_pair(amps, norm2)
 
 
 def y_correlation_pair(q: IntensityQuadruple) -> float:

@@ -27,6 +27,7 @@ from partial_eraser import (
 from partial_eraser import cascade as cascade_module
 from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
+from partial_eraser.polarization import NORM_TOL
 
 from conftest import amplitude_distance, outcome_text, unit_states
 
@@ -78,6 +79,11 @@ class TestValidation:
     def test_placement_rejects_non_integer_indices(self, index):
         with pytest.raises(DomainError, match="integers"):
             DetectorPlacement(Branch.PLUS, frozenset({5, index}))
+
+    @pytest.mark.parametrize("indices", [{-1}, {-3, 0, 2}, {np.int64(-1)}], ids=repr)
+    def test_placement_rejects_negative_indices(self, indices):
+        with pytest.raises(DomainError, match="^beam indices must be non-negative$"):
+            DetectorPlacement(Branch.PLUS, frozenset(indices))
 
     def test_placement_accepts_numpy_integers(self):
         placement = DetectorPlacement(Branch.PLUS, frozenset(np.arange(3)))
@@ -320,6 +326,40 @@ def test_silent_pass_bits_match_no_click_map():
     assert (cases, mismatches) == (2880, 0)
 
 
+def tiny_part_states():
+    """States with one component zero or of magnitude 1e-8 down to the
+    smallest subnormal, as a real, a negative or an imaginary part, on
+    either side and beside a real or an imaginary unit."""
+    for tiny in (0.0, 1e-8, 1e-16, 1e-100, 1e-160, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
+        for small in (tiny, -tiny, complex(0.0, tiny)):
+            for unit in (1.0, 1j):
+                yield PolarizationState(unit, small)
+                yield PolarizationState(small, unit)
+
+
+def test_every_silent_pass_leaves_a_unit_state():
+    """A silent pass divides by the square root of a positive survival, so
+    its post-state has unit norm up to rounding, with no zero vector to
+    guard against: on tiny and zero components and on random states, for
+    both branches and every detector count of a 100-beam cascade."""
+    cascade = build_cascade(100)
+    placements = [
+        DetectorPlacement(branch, frozenset(range(m))) for branch in Branch for m in range(101)
+    ]
+    states = [*tiny_part_states(), *unit_states(np.random.default_rng(52), 400)]
+    passes, worst = 0, 0.0
+    for state in states:
+        for placement in placements:
+            outcome = cascade_measure(state, placement, cascade, _AlwaysSilent())
+            if not outcome.clicked:
+                post = outcome.post_state
+                passes += 1
+                worst = max(worst, abs(abs(post.amp_up) ** 2 + abs(post.amp_right) ** 2 - 1.0))
+    # only the 120 tiny-part states' unit branch, fully measured, clicks
+    assert (len(states), passes) == (520, 520 * 202 - 120)
+    assert worst <= NORM_TOL
+
+
 # The per-pass kernels of the samplers, the pair algebra and the oracles.
 HOT_KERNELS = (
     cascade_module.cascade_measure,
@@ -331,6 +371,7 @@ HOT_KERNELS = (
     epr.apply_partial_pair,
     epr.sample_partial_pair,
     epr._pair_step,
+    epr._unit_amplitudes,
     epr._unit_pair,
     epr.collapse_pair,
     epr._silence,

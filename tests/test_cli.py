@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from partial_eraser import DomainError, montecarlo
-from partial_eraser.cli import GridSpec, main
+from partial_eraser.cli import ChartRequest, GridSpec, main
 from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
 from partial_eraser.montecarlo import _CHUNK, trial_uniforms
@@ -257,6 +258,19 @@ class TestChart:
     def test_grid_steps_are_integers(self, steps):
         with pytest.raises(DomainError, match="grid steps must be an integer"):
             GridSpec(0.0, 1.0, steps)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GridSpec(0.0, 1.0, 1), "grid needs at least 2 steps, got 1"),
+            (lambda: GridSpec(0.0, 1.0, -3), "grid needs at least 2 steps, got -3"),
+            (lambda: GridSpec(0.0, 1.0, 5, "cubic"), "unknown grid scale 'cubic'"),
+            (lambda: ChartRequest("pie", GridSpec(0.0, 1.0, 2)), "unknown chart 'pie'"),
+        ],
+    )
+    def test_grid_and_chart_errors(self, build, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_numpy_integer_grid_steps(self):
         assert GridSpec(0.0, 1.0, np.int64(3)).points() == [0.0, 0.5, 1.0]

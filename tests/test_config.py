@@ -89,6 +89,14 @@ def test_alias_axis_mismatch_rejected():
         ("op = A,x,sideways,0.5", "unknown branch"),
         ("op = A,x,plus,1.5", "alpha"),
         ("cascade = A,plus,7,4", "n_detectors"),
+        ("op = A,x,plus,half", "^line 1: bad alpha 'half'$"),
+        ("cascade = A,plus", r"^line 1: cascade needs photon,branch,n_detectors\[,n_beams\]$"),
+        (
+            "cascade = A,plus,7,4,2",
+            r"^line 1: cascade needs photon,branch,n_detectors\[,n_beams\]$",
+        ),
+        ("cascade = A,plus,seven", "^line 1: detector and beam counts must be integers$"),
+        ("cascade = A,plus,7,many", "^line 1: detector and beam counts must be integers$"),
         ("trials = soon", "integer"),
         ("preparation = banana", "unknown preparation"),
         ("preparation = singlet", "unknown preparation"),

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +175,11 @@ class TestApplyPartialPair:
     def test_identity(self):
         pair = make_epr()
         assert apply_partial_pair(pair, Photon.A, op(Axis.X, Branch.PLUS, 1.0)) is pair
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0)])
+    def test_k_ratio_undefined_without_the_up_products(self, alpha, gamma):
+        with pytest.raises(DomainError, match=r"^k ratio undefined when alpha \* gamma = 0$"):
+            IntensityQuadruple(alpha, 0.5, gamma, 0.5).k_ratio
 
     def test_matched_quadruple_restores_epr(self):
         # products 0.9*0.6 = 0.8*0.675, so the ratio is one
@@ -724,11 +731,57 @@ def test_table_kernels_match_the_per_call_products():
                 for branch in Branch:
                     for alpha in (0.0, 1.0, gen.random()):
                         the_op = op(axis, branch, alpha)
-                        assert repr(epr._silence(pair, photon, the_op)) == repr(
+                        amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
+                        terms = epr._SILENCE_TERMS[axis, branch]
+                        assert repr(epr._silence(amps, photon, terms, the_op.alpha)) == repr(
                             silence_reference(pair, photon, the_op)
                         )
                         cases += 1
     assert cases == 95 * 36
+
+
+def four_op_quadruple(pair, quad):
+    """``apply_quadruple`` as four ``apply_partial_pair`` calls through
+    public ops: the loop its one fold over the amplitudes replaced."""
+    steps = (
+        (Photon.A, Branch.PLUS, quad.alpha),
+        (Photon.A, Branch.MINUS, quad.beta),
+        (Photon.B, Branch.PLUS, quad.gamma),
+        (Photon.B, Branch.MINUS, quad.delta),
+    )
+    for photon, branch, alpha in steps:
+        pair = apply_partial_pair(pair, photon, op(Axis.X, branch, alpha))
+    return pair
+
+
+def result_or_error(fn, *args):
+    """``repr(fn(*args))``, or the type and message of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except PartialEraserError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_quadruple_fold_matches_four_pair_updates():
+    """Seeded differential: ``apply_quadruple`` against four
+    ``apply_partial_pair`` calls, repr for repr and error for error, on the
+    pinned pairs, the signed-zero pairs and the near-zero survivals, for
+    every quadruple of 0, 1 and a random fraction.  Where every fraction
+    is 1 both give back the input pair itself."""
+    gen = np.random.default_rng(PINNED_SEED + 40)
+    near_zero = [PairState(1, 0, 0, e) for e, _ in NEAR_ZERO_SURVIVAL]
+    pairs = [*pair_inputs(gen), *signed_part_pairs(gen), *near_zero]
+    assert len(pairs) == 55 + 40 + 4
+    outcomes = Counter()
+    for pair in pairs:
+        for edges in itertools.product((0.0, 1.0, None), repeat=4):
+            quad = IntensityQuadruple(*(gen.random() if e is None else e for e in edges))
+            fold = result_or_error(apply_quadruple, pair, quad)
+            assert fold == result_or_error(four_op_quadruple, pair, quad)
+            outcomes[fold.split(":")[0].split("(")[0]] += 1  # the type of the result
+        same = IntensityQuadruple(1.0, 1.0, 1.0, 1.0)
+        assert apply_quadruple(pair, same) is pair is four_op_quadruple(pair, same)
+    assert outcomes == {"PairState": 5156, "ZeroSurvival": 2809, "DomainError": 54}
 
 
 # --- pinned amplitudes of the pair algebra, oracles and pair sampling --------

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from partial_eraser import (
     Axis,
     Branch,
+    ConvergenceFailure,
     DomainError,
     ExperimentConfig,
     MeasureStep,
@@ -22,6 +23,7 @@ from partial_eraser import (
     violation_region,
     violation_report,
 )
+from partial_eraser import inequality
 from partial_eraser.montecarlo import count_trials
 
 # exact boundary: with w = sqrt(rho) + 1/sqrt(rho) the margin vanishes at
@@ -132,6 +134,18 @@ class TestViolation:
     def test_tolerance_domain(self):
         with pytest.raises(DomainError):
             violation_region(0.0)
+
+    @pytest.mark.parametrize(
+        "margin, message",
+        [
+            (lambda rho: -1.0, r"^margin not positive just above 1 \(rho = 1\.001\)$"),
+            (lambda rho: 1.0, "^failed to bracket the margin sign change$"),
+        ],
+    )
+    def test_convergence_failures(self, monkeypatch, margin, message):
+        monkeypatch.setattr(inequality, "inequality_margin", margin)
+        with pytest.raises(ConvergenceFailure, match=message):
+            violation_region(1e-9)
 
     def test_tolerance_below_float_spacing(self):
         # The bisection stops at adjacent floats instead of looping forever.

@@ -383,6 +383,11 @@ class TestEstimator:
         stats = TrialStats(10, 0, 10, 10, 1.0, 0.0, 0.9)
         assert estimate_vs_analytic(stats) == math.inf
 
+    def test_no_survivors_have_no_z_score(self):
+        stats = TrialStats(10, 10, 0, 0, 0.0, 0.0, 0.5)
+        with pytest.raises(DomainError, match="^z score undefined with no surviving trials$"):
+            estimate_vs_analytic(stats)
+
     def test_zero_error_forgives_rounding_of_an_exact_prediction(self):
         stats = TrialStats(10, 0, 10, 10, 1.0, 0.0, 1 - 2**-52)
         assert estimate_vs_analytic(stats) == 0.0
