@@ -15,12 +15,11 @@ no-click map and the click rate only through its detector count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import DomainError
-from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible
+from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible, _silent_state
 from .polarization import (
     _BRANCHES,
     _KETS,
@@ -34,9 +33,9 @@ from .polarization import (
     basis_state,
 )
 
-# A cascade measures on the X axis.  Its kets, unpacked once for the silent
-# pass in ``cascade_measure``, and the state each click leaves.
-(_KET_PLUS_UP, _KET_PLUS_RIGHT), (_KET_MINUS_UP, _KET_MINUS_RIGHT) = _KETS[Axis.X]
+# A cascade measures on the X axis: its kets, for the silent pass in
+# ``cascade_measure``, and the state each click leaves.
+_X_KETS = _KETS[Axis.X]
 _CLICK_PLUS = basis_state(Axis.X, Branch.PLUS)
 _CLICK_MINUS = basis_state(Axis.X, Branch.MINUS)
 
@@ -49,8 +48,7 @@ class Cascade:
     n_beams: int
 
     def __post_init__(self) -> None:
-        _check_integer("n_beams", self.n_beams, low=1)
-        object.__setattr__(self, "n_beams", int(self.n_beams))
+        object.__setattr__(self, "n_beams", _check_integer("n_beams", self.n_beams, low=1))
 
     @property
     def transmissions(self) -> tuple[float, ...]:
@@ -124,9 +122,9 @@ def cascade_measure(
 
     Click probability is (m/n) |<branch|psi>|^2, spread uniformly over the
     m placed detectors; the click outcome records which one fired.  A
-    silent pass applies the equivalent partial measurement's no-click map,
-    written out here for the X axis as ``no_click_map`` takes it, so the
-    two agree to the bit.
+    silent pass applies the equivalent partial measurement's no-click map:
+    the state is built by ``measurement._silent_state``, the builder that
+    ``no_click_map`` calls, from the amplitudes read here directly.
     """
     n = cascade.n_beams
     if placement._max_index >= n:
@@ -156,24 +154,12 @@ def cascade_measure(
     fields["clicked"] = False
     fields["probability"] = 1.0 - p_click
     alpha = (n - m) / n
-    if alpha == 1.0:
-        post = state
-    else:
+    post = state
+    if alpha < 1.0:
         survival = alpha * mass + abs(c_other) ** 2
         if survival <= 0.0:
             raise _impossible(alpha)
-        root = math.sqrt(survival)
-        c_meas = c_meas * (math.sqrt(alpha) / root)
-        c_other = c_other / root
-        c_plus, c_minus = (c_meas, c_other) if plus else (c_other, c_meas)
-
-        up = c_plus * _KET_PLUS_UP + c_minus * _KET_MINUS_UP
-        right = c_plus * _KET_PLUS_RIGHT + c_minus * _KET_MINUS_RIGHT
-        norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
-        post = object.__new__(PolarizationState)  # as ``_trusted_state`` builds it
-        post_fields = post.__dict__
-        post_fields["amp_up"] = up / norm
-        post_fields["amp_right"] = right / norm
+        post = _silent_state(_X_KETS, plus, alpha, c_meas, c_other, survival)
     fields["post_state"] = post
     fields["detector"] = None
     return outcome

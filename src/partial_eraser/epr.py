@@ -66,7 +66,7 @@ class Photon(Enum):
     B = "B"
 
 
-_PHOTON_A, _PHOTON_B = Photon.A, Photon.B  # as ``polarization._PLUS``
+_PHOTON_A = Photon.A  # as ``polarization._PLUS``
 _PHOTONS = tuple(Photon)
 
 
@@ -106,6 +106,9 @@ def _unit_amplitudes(amps, norm2: float):
     """The (uu, rr, ur, ru) amplitudes ``amps``, whose squared norm is
     ``norm2``, scaled to unit norm and checked as ``PairState`` checks
     them, the norm summed in the same field order."""
+    if norm2 < 2.2250738585072014e-308:  # subnormal, so short of bits: 2^600 rescales exactly
+        amps = [a * 2.0**600 for a in amps]
+        norm2 = sum(abs(a) ** 2 for a in amps)
     norm = math.sqrt(norm2)
     uu, rr, ur, ru = amps
     uu, rr, ur, ru = uu / norm, rr / norm, ur / norm, ru / norm

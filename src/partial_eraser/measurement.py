@@ -35,14 +35,13 @@ from .errors import AxisMismatch, DomainError, ZeroSurvival
 from .polarization import (
     _AXES,
     _BRANCHES,
+    _KETS,
     _PLUS,
     Axis,
     Branch,
     PolarizationState,
     _check_member,
     _fraction,
-    _normalized_amplitudes,
-    _trusted_state,
     components_in,
 )
 
@@ -132,20 +131,26 @@ def _silence(op: PartialMeasurementOp, state: PolarizationState):
 
 
 def _silent_state(
-    op: PartialMeasurementOp, c_meas: complex, c_other: complex, survival: float
+    kets, plus: bool, alpha: float, c_meas: complex, c_other: complex, survival: float
 ) -> PolarizationState:
-    """The no-click state from ``_silence``'s components, for a positive
-    survival: the measured one scaled by sqrt(alpha), both renormalized.
-    It is built without re-running the state checks: its amplitudes are
-    normalized here."""
+    """The one no-click state of a single photon, for a positive survival:
+    the measured component (``plus`` names its branch) scaled by
+    sqrt(alpha), both renormalized and recombined through the axis ``kets``
+    (a ``_KETS`` entry), then normalized and built in place, past
+    ``__init__``: a positive survival leaves no zero vector."""
     root = math.sqrt(survival)
-    c_meas = c_meas * (math.sqrt(op.alpha) / root)
+    c_meas = c_meas * (math.sqrt(alpha) / root)
     c_other = c_other / root
-    if op.branch is _PLUS:
-        up, right = _normalized_amplitudes(op.axis, c_meas, c_other)
-    else:
-        up, right = _normalized_amplitudes(op.axis, c_other, c_meas)
-    return _trusted_state(up, right)
+    c_plus, c_minus = (c_meas, c_other) if plus else (c_other, c_meas)
+    (p_up, p_right), (m_up, m_right) = kets
+    up = c_plus * p_up + c_minus * m_up
+    right = c_plus * p_right + c_minus * m_right
+    norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
+    state = object.__new__(PolarizationState)
+    fields = state.__dict__
+    fields["amp_up"] = up / norm
+    fields["amp_right"] = right / norm
+    return state
 
 
 def click_probability(op: PartialMeasurementOp, state: PolarizationState) -> float:
@@ -162,15 +167,14 @@ def no_click_map(op: PartialMeasurementOp, state: PolarizationState) -> Polariza
     ZeroSurvival when the no-click outcome is impossible (alpha = 0 with
     everything in the measured branch).
 
-    This is the general formula; ``cascade.cascade_measure`` writes out
-    the same steps for the X axis.
+    ``_silent_state`` builds the state, for ``cascade_measure`` too.
     """
     if op.is_identity:
         return state
     _, c_meas, c_other, survival = _silence(op, state)
     if survival <= 0.0:
         raise _impossible(op.alpha)
-    return _silent_state(op, c_meas, c_other, survival)
+    return _silent_state(_KETS[op.axis], op.branch is _PLUS, op.alpha, c_meas, c_other, survival)
 
 
 def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
@@ -183,7 +187,8 @@ def _step(state: PolarizationState, photon, op: PartialMeasurementOp):
     p_click, c_meas, c_other, survival = _silence(op, state)
     if p_click >= 1.0:
         return p_click, None
-    return p_click, _silent_state(op, c_meas, c_other, survival)
+    kets = _KETS[op.axis]
+    return p_click, _silent_state(kets, op.branch is _PLUS, op.alpha, c_meas, c_other, survival)
 
 
 def compose_same_axis(

@@ -115,13 +115,13 @@ class CascadeStep:
     def __post_init__(self) -> None:
         _check_member("photon", self.photon, _PHOTONS, ConfigError)
         _check_member("branch", self.branch, _BRANCHES, ConfigError)
-        _check_integer("n_beams", self.n_beams, ConfigError, low=1)
-        _check_integer("n_detectors", self.n_detectors, ConfigError)
-        if not 0 <= self.n_detectors <= self.n_beams:
-            raise ConfigError(
-                f"n_detectors must lie in [0, {self.n_beams}], got {self.n_detectors!r}"
-            )
-        alpha = (self.n_beams - self.n_detectors) / self.n_beams
+        n_beams = _check_integer("n_beams", self.n_beams, ConfigError, low=1)
+        n_detectors = _check_integer("n_detectors", self.n_detectors, ConfigError)
+        if not 0 <= n_detectors <= n_beams:
+            raise ConfigError(f"n_detectors must lie in [0, {n_beams}], got {n_detectors!r}")
+        object.__setattr__(self, "n_beams", n_beams)
+        object.__setattr__(self, "n_detectors", n_detectors)
+        alpha = (n_beams - n_detectors) / n_beams
         object.__setattr__(self, "op", PartialMeasurementOp(_X, self.branch, alpha))
 
 
@@ -140,8 +140,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", tuple(self.plan))
-        _check_integer("trials", self.trials, ConfigError, low=1)
-        _check_integer("master_seed", self.master_seed, ConfigError)
+        trials = _check_integer("trials", self.trials, ConfigError, low=1)
+        master_seed = _check_integer("master_seed", self.master_seed, ConfigError)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "master_seed", master_seed)
         if self.trials > 2**64:
             raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
         if not 0 <= self.master_seed < 2**64:
@@ -211,7 +213,7 @@ def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
     bit_generator = np.random.PCG64(master_seed)
-    bit_generator.advance(start)
+    bit_generator.advance(int(start))  # numpy's own integers overflow here
     return np.random.Generator(bit_generator).random(stop - start)
 
 

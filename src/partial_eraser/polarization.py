@@ -79,12 +79,14 @@ def _check_member(name: str, value, members: tuple, error: type = DomainError) -
     raise error(f"{name} must be one of {', '.join(map(str, members))}, got {value!r}")
 
 
-def _check_integer(name: str, value, error: type = DomainError, low: int | None = None) -> None:
-    """``error`` unless ``value`` is an integer (numpy's too, not a bool) and not below ``low``."""
+def _check_integer(name: str, value, error: type = DomainError, low: int | None = None) -> int:
+    """``value`` as an ``int``, else ``error``: it must be an integer
+    (numpy's too, not a bool) and not below ``low``."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 def _fraction(name: str, value) -> float:
@@ -151,34 +153,16 @@ def basis_state(axis: Axis, branch: Branch) -> PolarizationState:
     return PolarizationState(*basis_vector(axis, branch))
 
 
-def _trusted_state(amp_up: complex, amp_right: complex) -> PolarizationState:
-    """A state built without ``__post_init__``: no type conversions and no
-    norm check.  Only for amplitudes the caller has just normalized (or
-    copied from a valid state), as complex numbers."""
-    state = object.__new__(PolarizationState)
-    fields = state.__dict__
-    fields["amp_up"] = amp_up
-    fields["amp_right"] = amp_right
-    return state
-
-
-def _normalized_amplitudes(
-    axis: Axis, c_plus: complex, c_minus: complex
-) -> tuple[complex, complex]:
-    """Unit (amp_up, amp_right) of c_plus |plus> + c_minus |minus>."""
+def from_components(axis: Axis, c_plus: complex, c_minus: complex) -> PolarizationState:
+    """Build a state from its components along ``axis`` (normalizing)."""
+    _check_member("axis", axis, _AXES)
     (p_up, p_right), (m_up, m_right) = _KETS[axis]
     up = c_plus * p_up + c_minus * m_up
     right = c_plus * p_right + c_minus * m_right
     norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
     if norm < 1e-15:
         raise DegenerateState("cannot normalize a zero vector")
-    return up / norm, right / norm
-
-
-def from_components(axis: Axis, c_plus: complex, c_minus: complex) -> PolarizationState:
-    """Build a state from its components along ``axis`` (normalizing)."""
-    _check_member("axis", axis, _AXES)
-    return PolarizationState(*_normalized_amplitudes(axis, c_plus, c_minus))
+    return PolarizationState(up / norm, right / norm)
 
 
 def components_in(state: PolarizationState, axis: Axis) -> tuple[complex, complex]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -42,6 +43,31 @@ def unit_states(gen, count):
         yield PolarizationState(
             complex(parts[0] / norm, parts[1] / norm), complex(parts[2] / norm, parts[3] / norm)
         )
+
+
+def signed_part_states():
+    """States whose four real parts take every sign class of +0, -0, +x
+    and -x with at least one nonzero part, with equal and with unequal
+    magnitudes."""
+    for signs in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4):
+        if not any(signs):
+            continue
+        for magnitudes in ((1.0, 1.0, 1.0, 1.0), (0.1, 0.7, 0.3, 0.9)):
+            parts = [s * m for s, m in zip(signs, magnitudes)]
+            norm = math.sqrt(sum(p * p for p in parts))
+            parts = [p / norm for p in parts]
+            yield PolarizationState(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+
+
+def tiny_part_states():
+    """States with one component zero or of magnitude 1e-8 down to the
+    smallest subnormal, as a real, a negative or an imaginary part, on
+    either side and beside a real or an imaginary unit."""
+    for tiny in (0.0, 1e-8, 1e-16, 1e-100, 1e-160, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
+        for small in (tiny, -tiny, complex(0.0, tiny)):
+            for unit in (1.0, 1j):
+                yield PolarizationState(unit, small)
+                yield PolarizationState(small, unit)
 
 
 def unit_pairs(gen, count):

@@ -1,7 +1,6 @@
 import dis
 import enum
 import hashlib
-import itertools
 import math
 import types
 
@@ -29,7 +28,13 @@ from partial_eraser import epr, measurement, montecarlo
 from partial_eraser.cascade import Cascade
 from partial_eraser.polarization import NORM_TOL
 
-from conftest import amplitude_distance, outcome_text, unit_states
+from conftest import (
+    amplitude_distance,
+    outcome_text,
+    signed_part_states,
+    tiny_part_states,
+    unit_states,
+)
 
 DIAG = basis_state(Axis.Y, Branch.PLUS)
 
@@ -296,20 +301,6 @@ class _AlwaysSilent:
         return 1.0 - 2.0**-53
 
 
-def signed_part_states():
-    """States whose four real parts take every sign class of +0, -0, +x
-    and -x with at least one nonzero part, with equal and with unequal
-    magnitudes."""
-    for signs in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4):
-        if not any(signs):
-            continue
-        for magnitudes in ((1.0, 1.0, 1.0, 1.0), (0.1, 0.7, 0.3, 0.9)):
-            parts = [s * m for s, m in zip(signs, magnitudes)]
-            norm = math.sqrt(sum(p * p for p in parts))
-            parts = [p / norm for p in parts]
-            yield PolarizationState(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-
-
 def test_silent_pass_bits_match_no_click_map():
     """The silent post-state of ``cascade_measure`` is the general
     ``no_click_map`` of its equivalent op, bit for bit, on signed zeros."""
@@ -324,17 +315,6 @@ def test_silent_pass_bits_match_no_click_map():
                 cases += 1
                 mismatches += repr(outcome.post_state) != repr(expected)
     assert (cases, mismatches) == (2880, 0)
-
-
-def tiny_part_states():
-    """States with one component zero or of magnitude 1e-8 down to the
-    smallest subnormal, as a real, a negative or an imaginary part, on
-    either side and beside a real or an imaginary unit."""
-    for tiny in (0.0, 1e-8, 1e-16, 1e-100, 1e-160, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
-        for small in (tiny, -tiny, complex(0.0, tiny)):
-            for unit in (1.0, 1j):
-                yield PolarizationState(unit, small)
-                yield PolarizationState(small, unit)
 
 
 def test_every_silent_pass_leaves_a_unit_state():

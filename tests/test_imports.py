@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Checks on the package source that stand in for a lint step.
 
-The package has no lint step, and a refactor that moves a helper between
-modules easily leaves the old import behind.  ``__init__`` is left out: it
-imports names to export them.
+Every module of the package uses each name it imports: a refactor that
+moves a helper between modules easily leaves the old import behind
+(``__init__`` is left out: it imports names to export them).  Every
+module-level private name is read somewhere, and one function builds
+single-photon states in place.
 """
 
 import ast
@@ -10,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "partial_eraser"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "partial_eraser"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# Every Python file that may read a private name of the package.
+READERS = sorted(
+    path for folder in (PACKAGE, ROOT / "tests", ROOT / "bench", ROOT / "scripts")
+    for path in folder.glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +52,77 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(source: str) -> set[str]:
+    """The ``_name``s (not dunders) that ``source`` binds at module level:
+    assignment targets, functions and classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """The names that ``source`` loads, imports or reads as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_finds_a_dead_private_name():
+    source = (
+        "_A, _B = 1, 2\n"
+        "_C: int = 3\n"
+        "__all__ = []\n"
+        "def _f():\n"
+        "    return _A\n"
+        "class _K:\n"
+        "    _x = 1\n"
+        "print(mod._C)\n"
+    )
+    assert private_names(source) - read_names(source) == {"_B", "_f", "_K"}
+
+
+def test_every_private_name_is_read():
+    """A module-level ``_name`` in the package that no file of the package,
+    the tests, the bench or the scripts reads is dead code."""
+    read = set().union(*(read_names(path.read_text()) for path in READERS))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in sorted(private_names(path.read_text()) - read)
+    ]
+    assert dead == []
+
+
+def in_place_builds(node, scope=None):
+    """``(function, class)`` per ``object.__new__(class)`` call under
+    ``node``, with the name of the innermost function around the call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__":
+            yield scope, ast.unparse(child.args[0])
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield from in_place_builds(child, inner)
+
+
+def test_one_function_builds_single_photon_states_in_place():
+    """``measurement._silent_state`` is the one builder of a single
+    photon's state past ``__init__``: its checks run everywhere else."""
+    builds = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, built in in_place_builds(ast.parse(path.read_text()))
+        if built == "PolarizationState"
+    ]
+    assert builds == [("measurement.py", "_silent_state")]

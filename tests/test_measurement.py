@@ -32,8 +32,9 @@ from partial_eraser import (
     no_click_map,
     sample_partial_pair,
 )
-from partial_eraser.measurement import TrackingMode, no_click_sequence_probability
+from partial_eraser.measurement import TrackingMode, _step, no_click_sequence_probability
 from partial_eraser.montecarlo import count_trials
+from partial_eraser.polarization import NORM_TOL
 
 from conftest import (
     alphas,
@@ -44,6 +45,8 @@ from conftest import (
     balanced_states,
     branches,
     polarization_states,
+    signed_part_states,
+    tiny_part_states,
     unit_states,
 )
 
@@ -425,6 +428,34 @@ class TestOutcomeContract:
             ("PairState", True, True),
             ("PairState", False, True),
         }
+
+
+# Unmeasured fractions from none to the smallest subnormal and to just below 1.
+SILENT_ALPHAS = (0.0, 5e-324, 1e-300, 1e-16, 0.01, 0.5, 0.99, 1.0 - 2.0**-53)
+
+
+def test_every_silent_state_is_a_unit_state():
+    """``measurement._silent_state`` builds every single-photon no-click
+    state past ``__init__``, with no zero-vector check.  On tiny, subnormal
+    and signed-zero components, on every axis and both branches, the states
+    that ``no_click_map`` and ``_step`` give have unit norm."""
+    states = [*tiny_part_states(), *signed_part_states()]
+    posts, worst = [], 0.0
+    for state in states:
+        for axis in Axis:
+            for branch in Branch:
+                for alpha in SILENT_ALPHAS:
+                    the_op = op(axis, branch, alpha)
+                    posts.append(_step(state, None, the_op)[1])
+                    try:
+                        posts.append(no_click_map(the_op, state))
+                    except ZeroSurvival:
+                        posts.append(None)
+    for post in posts:
+        if post is not None:
+            worst = max(worst, abs(abs(post.amp_up) ** 2 + abs(post.amp_right) ** 2 - 1.0))
+    assert (len(states), len(posts), posts.count(None)) == (600, 57600, 1456)
+    assert worst <= NORM_TOL
 
 
 # --- pinned amplitudes of the single-photon algebra -------------------------

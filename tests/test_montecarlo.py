@@ -35,6 +35,7 @@ from partial_eraser import (
     analytic_agreement,
     analytic_survival,
     basis_state,
+    basis_vector,
     conditional_click_stat,
     enumerate_event_tree,
     estimate_vs_analytic,
@@ -60,7 +61,7 @@ from partial_eraser.montecarlo import (
     trial_uniforms,
 )
 
-from conftest import quadruples
+from conftest import alphas, axes, branches, quadruples
 
 
 def measure(photon, axis, branch, alpha):
@@ -299,9 +300,19 @@ class TestConfigValidation:
         assert all(type(value) is float for value in vars(quad).values())
 
     def test_numpy_integers_are_counts(self):
+        """Stored as ``int``, so they show as the Python integers do."""
         step = CascadeStep(Photon.A, Branch.PLUS, np.int64(2), np.int32(10))
         config = epr_config([step], trials=np.int64(500), seed=np.uint64(2**64 - 1))
         assert run_experiment(config).total == 500
+        same = epr_config([CascadeStep(Photon.A, Branch.PLUS, 2, 10)], 500, 2**64 - 1)
+        assert repr(step) == repr(same.plan[0]) == (
+            "CascadeStep(photon=<Photon.A: 'A'>, branch=<Branch.PLUS: 'plus'>, "
+            "n_detectors=2, n_beams=10)"
+        )
+        assert repr(config) == repr(same)
+        assert repr(run_experiment(config)) == repr(run_experiment(same))
+        values = (step.n_detectors, step.n_beams, config.trials, config.master_seed)
+        assert all(type(value) is int for value in values)
 
 
 class TestCascadeStepOp:
@@ -546,6 +557,27 @@ class TestTrialUniforms:
     def test_out_of_range_is_domain_error(self, seed, start, stop):
         with pytest.raises(DomainError):
             trial_uniforms(seed, start, stop)
+
+    @pytest.mark.parametrize(
+        "seed, start, stop",
+        [
+            (5, np.int64(0), np.int64(3)),
+            (0, np.int64(2**32 - 5), np.int64(2**32 + 5)),
+            (np.uint64(2**64 - 1), np.uint64(2**63), np.uint64(2**63 + 7)),
+            (np.int32(7), np.int32(9), np.int32(9)),
+        ],
+        ids=repr,
+    )
+    def test_numpy_integer_ranges(self, seed, start, stop):
+        """A range given as numpy integers draws the doubles of the same
+        range given as Python integers."""
+        expected = trial_uniforms(int(seed), int(start), int(stop))
+        assert trial_uniforms(seed, start, stop).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (5, 4)])
+    def test_numpy_integers_out_of_range_are_domain_errors(self, start, stop):
+        with pytest.raises(DomainError):
+            trial_uniforms(0, np.int64(start), np.int64(stop))
 
 
 # Cached, so that the tests below share one scalar pass per plan.
@@ -990,3 +1022,134 @@ class TestPreparedStates:
             run_experiment(config)
             assert montecarlo._algebra(preparation)[0] is state
             assert repr(state) == repr(expected)
+
+
+# --- a whole-plan oracle from the paper's two theorems ---------------------
+#
+# A measurement on one photon of the EPR pair (|uu> + |rr>)/sqrt(2) acts as
+# the transposed measurement on the other: (M x 1)|Phi+> = (1 x M^T)|Phi+>.
+# So an EPR plan's no-click state is (K x 1)|Phi+>: photon A's silence
+# operators multiply K on the left, and the transposes of photon B's
+# multiply it on the right.  A single photon's is K|prep>.  Every row
+# probability follows from 2x2 matrices alone; the oracle shares no code
+# with the step functions, the walk or the event tree.
+
+_H = math.sqrt(0.5)
+ORACLE_KETS = {
+    (Axis.X, Branch.PLUS): (1.0, 0.0),
+    (Axis.X, Branch.MINUS): (0.0, 1.0),
+    (Axis.Y, Branch.PLUS): (_H, _H),
+    (Axis.Y, Branch.MINUS): (-_H, _H),
+    (Axis.Z, Branch.PLUS): (_H, 1j * _H),
+    (Axis.Z, Branch.MINUS): (_H, -1j * _H),
+}
+
+
+def oracle_ket(axis, branch):
+    return np.array(ORACLE_KETS[axis, branch], dtype=complex)
+
+
+def oracle_rows(config):
+    """Every outcome row's probability, keyed by the row as
+    ``_compile_plan`` writes it, including the rows of steps after a
+    certain click and of final outcomes that cannot happen."""
+    single = config.preparation.kind is PrepKind.SINGLE_PHOTON
+    prep = oracle_ket(Axis.Y, config.preparation.branch)
+
+    def weight(k):
+        """Probability of the unnormalized no-click branch with matrix ``k``."""
+        if single:
+            return np.linalg.norm(k @ prep) ** 2
+        return np.linalg.norm(k) ** 2 / 2
+
+    k, rows = np.eye(2, dtype=complex), {}
+    for index, step in enumerate(config.plan):
+        if isinstance(step, CascadeStep):
+            n, m = step.n_beams, step.n_detectors
+            axis, branch, measured, unmeasured = Axis.X, step.branch, m / n, (n - m) / n
+            detectors = range(m)
+        else:
+            axis, branch, unmeasured = step.op.axis, step.op.branch, step.op.alpha
+            measured, detectors = 1.0 - unmeasured, (None,)
+        ket = oracle_ket(axis, branch)
+        projector = np.outer(ket, ket.conj())
+        click = math.sqrt(measured) * projector
+        silence = np.eye(2) - (1.0 - math.sqrt(unmeasured)) * projector
+        if step.photon is Photon.A:
+            p_click, k = weight(click @ k), silence @ k
+        else:
+            p_click, k = weight(k @ click.T), k @ silence.T
+        for detector in detectors:
+            rows[index, detector, None, None, None] = p_click / len(detectors)
+    finals = [oracle_ket(config.final_axis, branch) for branch in Branch]
+    for a, bra_a in zip(Branch, np.conj(finals)):
+        if single:
+            rows[None, None, a, None, a is config.preparation.branch] = abs(bra_a @ k @ prep) ** 2
+            continue
+        for b, bra_b in zip(Branch, np.conj(finals)):
+            rows[None, None, a, b, a is b] = abs(bra_a @ k @ bra_b) ** 2 / 2
+    return rows
+
+
+def assert_rows_match_oracle(config):
+    """Every row of the compiled plan has the oracle's probability within
+    1e-12, and the rows it leaves out, after a certain click, have none."""
+    expected = oracle_rows(config)
+    table, probabilities = _compile_plan(config)
+    for row, p in zip(table, probabilities):
+        assert abs(p - expected.pop(row)) <= 1e-12, row
+    assert all(p <= 1e-12 for p in expected.values()), expected
+
+
+@st.composite
+def oracle_plans(draw):
+    """Single-photon and pair plans of up to six abstract ops and
+    cascades, with any final axis."""
+    single = draw(st.booleans())
+    plan = []
+    for _ in range(draw(st.integers(0, 6))):
+        photon = Photon.A if single else draw(st.sampled_from(list(Photon)))
+        if draw(st.booleans()):
+            n_beams = draw(st.integers(1, 12))
+            n_detectors = draw(st.integers(0, n_beams))
+            plan.append(CascadeStep(photon, draw(branches), n_detectors, n_beams))
+        else:
+            plan.append(measure(photon, draw(axes), draw(branches), draw(alphas)))
+    preparation = Preparation.single(draw(branches)) if single else Preparation.epr()
+    return ExperimentConfig(preparation, tuple(plan), draw(axes), 1, 0)
+
+
+class TestWholePlanOracle:
+    def test_kets_are_the_basis_vectors(self):
+        for (axis, branch), ket in ORACLE_KETS.items():
+            assert np.abs(np.subtract(ket, basis_vector(axis, branch))).max() <= 1e-15
+
+    @SAMPLER_PLANS
+    def test_sampler_plans(self, config):
+        assert_rows_match_oracle(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_plans())
+    def test_random_plans(self, config):
+        assert_rows_match_oracle(config)
+
+    def test_subnormal_pair_survival(self):
+        """A silence whose pair survival is subnormal, so its square root
+        is short of bits, still leaves a unit pair."""
+        plan = (
+            measure(Photon.A, Axis.Y, Branch.PLUS, 0.5),
+            CascadeStep(Photon.B, Branch.PLUS, 1, 2),
+            measure(Photon.A, Axis.X, Branch.PLUS, 2.2250738585e-313),
+            CascadeStep(Photon.B, Branch.PLUS, 1, 2),
+            measure(Photon.A, Axis.X, Branch.MINUS, 0.0),
+        )
+        assert_rows_match_oracle(ExperimentConfig(Preparation.epr(), plan, Axis.X, 1, 0))
+
+    def test_thousand_step_measure_and_erase_chain(self):
+        """500 rounds of a partial measurement on A undone on B: the
+        effect that keeps travelling back and forth between the photons."""
+        rounds = [
+            measure(Photon.A, Axis.X, Branch.PLUS, 0.999),
+            measure(Photon.B, Axis.X, Branch.MINUS, 0.999),
+        ]
+        assert_rows_match_oracle(epr_config(rounds * 500, trials=1))
