@@ -273,7 +273,9 @@ class TestChart:
             build()
 
     def test_numpy_integer_grid_steps(self):
-        assert GridSpec(0.0, 1.0, np.int64(3)).points() == [0.0, 0.5, 1.0]
+        grid = GridSpec(0.0, 1.0, np.int64(3))
+        assert type(grid.steps) is int and grid == GridSpec(0.0, 1.0, 3)
+        assert grid.points() == [0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize(
         "bounds",
