@@ -152,6 +152,36 @@ class TestViolation:
         _, high = violation_region(5e-324)
         assert abs(high - EXACT_BOUNDARY) < 1e-12
 
+    @pytest.mark.parametrize(
+        "tolerance, high",
+        [
+            (1e300, 12.0),
+            (1e-2, 8.35546875),
+            (1e-6, 8.352409839630127),
+            (1e-9, 8.352410031948239),
+            (5e-324, 8.352410032042776),
+        ],
+    )
+    def test_region_bits_pinned(self, tolerance, high):
+        # the bisection starts from [8, 16]; each tolerance stops it at a
+        # fixed interval, whose midpoint is pinned bit for bit
+        assert violation_region(tolerance) == (1.0, high)
+
+    def test_margin_signs_bracket_the_region(self):
+        # the facts the bisection's starting interval rests on
+        assert inequality_margin(8.0) > 0.0 > inequality_margin(16.0)
+        for eps in (1e-3, 1e-2, 1e-1):
+            assert inequality_margin(1.0 + eps) > 0.0
+
+    def test_bound_broken_below_one(self):
+        # delta(r) = delta(1/r), so the region mirrors onto (1 / 8.35..., 1)
+        for rho in np.linspace(1.01, 8.3, 200):
+            assert violation_report(1.0 / rho).violated
+            assert inequality_margin(1.0 / rho) == pytest.approx(
+                inequality_margin(rho), rel=1e-9
+            )
+        assert not violation_report(1.0 / 8.4).violated
+
 
 def disagreement_rate(k, trials, seed):
     """Sampled diagonal disagreement of a pair prepared at ratio k, and the
