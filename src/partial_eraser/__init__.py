@@ -4,7 +4,6 @@ entangled-pair correlation experiments."""
 from .errors import (
     AxisMismatch,
     ConfigError,
-    ConvergenceFailure,
     DegenerateState,
     DomainError,
     InsufficientStatistics,

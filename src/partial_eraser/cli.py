@@ -8,7 +8,7 @@ Subcommands:
     cascade-demo      sampled click statistics of the mirror cascade
 
 Exit codes: 0 success, 2 bad config or arguments, 3 statistical gate
-failure, 4 I/O error, 5 root-finding failure.
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .config import (
     resolve_seed,
 )
 from .epr import IntensityQuadruple, Photon, weighted_epr_track
-from .errors import ConfigError, ConvergenceFailure, DomainError, PartialEraserError
+from .errors import ConfigError, DomainError, PartialEraserError
 from .inequality import delta_ac, delta_pair, inequality_margin, violation_region
 from .measurement import PartialMeasurementOp, no_click_map
 from .montecarlo import (
@@ -50,7 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_IO = 4
-EXIT_CONVERGENCE = 5
 
 def _angle_row(alpha: float) -> list[float]:
     state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAGONAL[Branch.PLUS])
@@ -292,8 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PartialEraserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConvergenceFailure):
-            return EXIT_CONVERGENCE
         return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 

@@ -27,7 +27,3 @@ class ConfigError(PartialEraserError, ValueError):
 
 class InsufficientStatistics(PartialEraserError, RuntimeError):
     """Too few post-selected trials to report a conditional estimate."""
-
-
-class ConvergenceFailure(PartialEraserError, RuntimeError):
-    """Root bracketing or bisection failed to converge."""

@@ -14,8 +14,9 @@ Any local assignment of outcomes would force
 
 but with delta_ac(rho) = delta(rho^2) the left side exceeds the right
 for every rho in (1, ~8.35): the chained disagreement grows faster than
-additively.  ``violation_region`` localizes the upper boundary by
-bisection on the margin delta_ac - 2 delta.
+additively.  Both rates are unchanged at 1 / rho, so the bound is broken
+on (1 / 8.35..., 1) as well.  ``violation_region`` localizes the upper
+boundary by bisection on the margin delta_ac - 2 delta.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError
 
 
 def delta_pair(rho: float) -> float:
@@ -75,28 +76,19 @@ def violation_report(rho: float) -> ViolationReport:
 
 
 def violation_region(tolerance: float) -> tuple[float, float]:
-    """The interval of ratios where the additive bound is broken.
+    """The interval of ratios above 1 where the additive bound is broken.
 
     The lower boundary is 1 (the margin vanishes quadratically and is
     positive on a dense grid just above it).  The upper boundary is the
     sign change of the margin, located by bisection to ``tolerance`` (or
-    to adjacent floats).
+    to adjacent floats).  The margin at 1 / rho equals that at rho, so the
+    bound is also broken on the mirror interval below 1, not returned here.
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
 
-    for eps in (1e-3, 1e-2, 1e-1):
-        if inequality_margin(1.0 + eps) <= 0.0:
-            raise ConvergenceFailure(
-                f"margin not positive just above 1 (rho = {1.0 + eps})"
-            )
-
-    lo, hi = 2.0, 4.0
-    while inequality_margin(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e9:
-            raise ConvergenceFailure("failed to bracket the margin sign change")
-
+    # brackets (phi + sqrt(phi))^2 ~ 8.3524, README's closed form (test_boundary_regression_pinned)
+    lo, hi = 8.0, 16.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: no finer bracket exists

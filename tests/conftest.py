@@ -139,11 +139,12 @@ def rng():
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_python(args, cwd, timeout=120):
+def run_python(args, cwd, timeout=120, env=()):
     """Run ``python *args`` in a child process that imports this checkout's
-    package, and return the completed process."""
+    package, with the variables ``env`` added, and return the completed
+    process."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=timeout,

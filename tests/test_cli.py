@@ -561,18 +561,6 @@ class TestInequalityScan:
         result = run_python(["-m", "partial_eraser.cli", *argv], cwd=tmp_path, timeout=30)
         assert result.returncode == 0, result.stderr
 
-    def test_bracketing_failure_exit_code(self, tmp_path, monkeypatch):
-        from partial_eraser import cli
-        from partial_eraser.errors import ConvergenceFailure
-
-        def broken(tolerance):
-            raise ConvergenceFailure("no sign change")
-
-        monkeypatch.setattr(cli, "violation_region", broken)
-        assert main(
-            ["inequality-scan", "--output", str(tmp_path / "c.csv")]
-        ) == 5
-
 
 class TestCascadeDemo:
     def test_single_detector_demo(self, tmp_path, capsys):
