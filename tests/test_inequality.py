@@ -74,6 +74,16 @@ class TestDeltaFunctions:
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
             function(bad)
 
+    @pytest.mark.parametrize(
+        "function", [delta_pair, delta_ac, inequality_margin, violation_report, violation_region]
+    )
+    @pytest.mark.parametrize("foreign", ["x", None], ids=["str", "None"])
+    def test_non_numbers_raise_type_error(self, function, foreign):
+        # The range check compares; a value that is not a number fails it
+        # with Python's own TypeError, and no check is added for that.
+        with pytest.raises(TypeError):
+            function(foreign)
+
     def test_chaining_identity_on_log_grid(self):
         for rho in np.geomspace(0.1, 100.0, 300):
             assert abs(delta_ac(rho) - delta_pair(rho * rho)) < 1e-12

@@ -759,6 +759,22 @@ class TestChunkedSampler:
         lines = log_text(config).splitlines(keepends=True)
         assert lines == reference_log(reference_records(config))
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(
+                Preparation.single(Branch.PLUS),
+                (CascadeStep(Photon.A, Branch.PLUS, 12, 30),),
+                Axis.Y, 3 * 10**4 + 77, 11,
+            ),
+            epr_config([HALF_UP_ON_A, HALF_RIGHT_ON_B], trials=3 * 10**4 + 77, seed=12),
+        ],
+        ids=["cascade", "pair"],
+    )
+    def test_log_matches_row_formula_past_several_carries(self, config):
+        """Past the index-word carries at 10,000, 20,000 and 30,000."""
+        self.test_log_matches_row_formula(config)
+
     @SAMPLER_PLANS
     def test_conditional_click_stat_matches_records(self, config):
         reference = reference_records(config)
@@ -919,14 +935,19 @@ class TestLogRenderer:
     @given(data=st.data())
     def test_matches_fstring_reference(self, name, data):
         """Byte for byte, on windows that straddle each power of ten from
-        10 to 10^19, a window from 0 past 10,000, and one that ends at the
-        last trial index ``2^64 - 1``."""
+        10 to 10^19, windows that straddle multiples of 10^4 that are not
+        powers of ten, a window from 0 past 10,000, and one that ends at
+        the last trial index ``2^64 - 1``."""
         table = _compile_plan(RENDER_PLANS[name])[0]
         render = _log_renderer(table)
         keys = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=50))
-        windows = [
-            10**power - data.draw(st.integers(1, len(keys) - 1)) for power in range(1, 20)
+        # Indices of two, three and five 4-digit words; at 2 * 10^9 and
+        # 3 * 10^12 the carry runs through two and three words.
+        edges = [10**power for power in range(1, 20)] + [
+            20_000, 12_350_000, 1_999_990_000, 2 * 10**9, 123_456_780_000, 3 * 10**12,
+            9_876_543_210_987_650_000,
         ]
+        windows = [edge - data.draw(st.integers(1, len(keys) - 1)) for edge in edges]
         windows += [0, 2**64 - len(keys)]
         for start in windows:
             part = np.resize(keys, 10_050) if start == 0 else np.array(keys)
