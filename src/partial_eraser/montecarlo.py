@@ -384,17 +384,19 @@ def _digit_groups() -> np.ndarray:
     return groups.reshape(-1, 4).view(np.uint32).ravel()
 
 
-def _log_renderer(table: list) -> Callable[[int, np.ndarray], str]:
+def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
     """``render(start, keys)``: the log rows of trials ``start, start + 1,
-    ...``, which landed on the table rows ``keys``: each trial's index,
-    then its table row's CSV tail.
+    ...``, which landed on the table rows ``keys``, as ASCII bytes: each
+    trial's index, then its table row's CSV tail.
 
     Each table row has a byte template per index length in 4-byte words:
     those words, then the tail, padded with NUL bytes.  A chunk is split
-    at powers of ten, where the index width grows.  Each part gathers its
-    keys' templates, writes the ``uint64`` indices one word (four digits)
-    at a time from ``_digit_groups``, zeroes the leading zeros and keeps
-    the bytes that are not NUL.
+    at powers of ten, where the index width grows, and at multiples of
+    10^4, so a part's indices share all but their last four digits.  Each
+    part gathers its keys' templates, writes those shared digits once,
+    NUL-padded on the left, and the last four as one slice of
+    ``_digit_groups``, zeroes the leading zeros of an index below 1,000
+    and keeps the bytes that are not NUL.
     """
     tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
     size = -(-max(map(len, tails)) // 4) * 4
@@ -406,40 +408,42 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], str]:
         rows[:, 4 * words :] = tail_bytes
         return rows
 
-    def render(start: int, keys: np.ndarray) -> str:
+    def render(start: int, keys: np.ndarray) -> bytes:
         parts, first, stop = [], start, start + len(keys)
         while start < stop:
-            width = len(str(start))
+            digits = str(start)
+            width, low = len(digits), start % 10_000
             words = -(-width // 4)
-            end = min(stop, 10**width)
+            end = min(stop, 10**width, start - low + 10_000)
             rows = template(words).take(keys[start - first : end - first], axis=0)
-            index = np.arange(start, end, dtype=np.uint64)
-            for word in reversed(range(words)):
-                index, low = np.divmod(index, 10_000)
-                rows.view(np.uint32)[:, word] = _digit_groups().take(low)
-            rows[:, : 4 * words - width] = 0
+            columns = rows.view(np.uint32)
+            head = digits[:-4].rjust(4 * words - 4, "\0").encode()
+            columns[:, : words - 1] = np.frombuffer(head, np.uint32)
+            columns[:, words - 1] = _digit_groups()[low : low + end - start]
+            if width < 4:
+                rows[:, : 4 - width] = 0
             parts.append(rows[rows != 0].tobytes())
             start = end
-        return b"".join(parts).decode("ascii")
+        return b"".join(parts)
 
     return render
 
 
 def _row_counts(
-    config: ExperimentConfig, write: Callable[[str], object] | None = None, walk=None
+    config: ExperimentConfig, write: Callable[[bytes], object] | None = None, walk=None
 ) -> tuple[list, list[int]]:
     """The plan's outcome table and how many trials landed on each row.
 
     With ``write``, the same pass hands it the ``run --log-trials`` CSV
-    text: the header, then one text per chunk (see ``_log_renderer``).  A
-    row is the trial index, click step, detector, final results and
-    agreement (0 or 1), each empty where it does not apply.  ``walk`` is
-    as in ``_compile_plan``.
+    as ASCII bytes: the header, then the bytes of one chunk at a time
+    (see ``_log_renderer``).  A row is the trial index, click step,
+    detector, final results and agreement (0 or 1), each empty where it
+    does not apply.  ``walk`` is as in ``_compile_plan``.
     """
     table, chunks = _outcomes(config, walk)
     if write is not None:
         render = _log_renderer(table)
-        write("trial,click_step,detector,result_a,result_b,agreement\n")
+        write(b"trial,click_step,detector,result_a,result_b,agreement\n")
     counts = 0
     for start, keys in chunks:
         counts += np.bincount(keys, minlength=len(table))
@@ -449,10 +453,10 @@ def _row_counts(
 
 
 def count_trials(
-    config: ExperimentConfig, write: Callable[[str], object] | None = None, walk=None
+    config: ExperimentConfig, write: Callable[[bytes], object] | None = None, walk=None
 ) -> tuple[int, int, int]:
     """Clicked, surviving and agreeing trial counts, without records;
-    ``write`` gets the trial log, and ``walk`` is used, as in
+    ``write`` gets the trial log as bytes, and ``walk`` is used, as in
     ``_row_counts``."""
     table, counts = _row_counts(config, write, walk)
     clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
@@ -529,16 +533,16 @@ def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> Tri
     """Run every trial and aggregate the counts.
 
     With ``log_path``, the same pass writes the ``run --log-trials`` CSV
-    there (see ``_row_counts``).  The plan is folded once, for both the
-    prediction and the outcome table.  The prediction comes first, so a
-    plan whose silence is impossible raises ZeroSurvival before any draw
-    and creates no file.
+    there as bytes, to a file opened in binary mode (see ``_row_counts``).
+    The plan is folded once, for both the prediction and the outcome
+    table.  The prediction comes first, so a plan whose silence is
+    impossible raises ZeroSurvival before any draw and creates no file.
     """
     walk = _walk(config)
     prediction = _agreement(config, *walk)
     if log_path is None:
         return _stats(config, *count_trials(config, walk=walk), prediction)
-    with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(log_path, "wb") as handle:
         return _stats(config, *count_trials(config, handle.write, walk), prediction)
 
 

@@ -622,7 +622,7 @@ def log_text(config):
     """The ``run --log-trials`` text, as the counting pass writes it."""
     parts = []
     count_trials(config, parts.append)
-    return "".join(parts)
+    return b"".join(parts).decode("ascii")
 
 
 def random_plan(gen, trials):
@@ -951,7 +951,8 @@ class TestLogRenderer:
         windows += [0, 2**64 - len(keys)]
         for start in windows:
             part = np.resize(keys, 10_050) if start == 0 else np.array(keys)
-            assert render(start, part) == fstring_log(table, start, part.tolist()), start
+            expected = fstring_log(table, start, part.tolist()).encode("ascii")
+            assert render(start, part) == expected, start
 
     def test_plans_have_the_rows_named(self):
         """100 detector rows and two finals, four finals, two finals, and
