@@ -23,9 +23,13 @@ the change won at least 9 in 10 pairs, its median gap exceeds the
 parent's IQR, and no workload is in ``more_failed_jobs``, which lists
 every workload on which the change failed a larger share of its jobs than
 the parent.  ``worse_than_bound`` lists every workload and metric whose
-median got worse by more than the metric's ``bound``.  Each finished run
-is appended to ``runs.jsonl`` in the work directory as it comes; the
-directory, a new temporary one unless ``--work-dir`` names it, is kept.
+median got worse by more than the metric's ``bound``, and ``unresolved``
+every one whose parent runs spread wider than that bound, so that a
+median within it tells nothing, unless every change run read better
+than every parent run; neither list changes the claim's verdict.  Each
+finished run is appended to ``runs.jsonl`` in the work directory as it
+comes; the directory, a new temporary one unless ``--work-dir`` names
+it, is kept.
 """
 
 from __future__ import annotations
@@ -193,6 +197,28 @@ def worse_than_bound(results: dict, metrics: list[dict]) -> list[dict]:
     return flags
 
 
+def unresolved(results: dict, metrics: list[dict]) -> list[dict]:
+    """Every workload and metric whose parent IQR is wider than the
+    metric's ``bound``, a fraction of the parent's median, unless every
+    change run reads better than every parent run.  Within that spread a
+    change of up to the bound cannot be told from noise, so the metric is
+    reported as unresolved, not as unchanged."""
+    flags = []
+    for workload, summary in results.items():
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            parent, change = summary[name]["parent"], summary[name]["change"]
+            if parent["iqr"] <= metric["bound"] * abs(parent["median"]):
+                continue
+            if min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"]):
+                continue
+            flags.append({
+                "workload": workload, "metric": name, "parent_median": parent["median"],
+                "parent_iqr": parent["iqr"], "bound": metric["bound"],
+            })
+    return flags
+
+
 def parse_args(argv, spec: dict):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -310,6 +336,9 @@ def main(argv=None) -> int:
     report["worse_than_bound"] = worse_than_bound(results, metrics)
     for flag in report["worse_than_bound"]:
         print(f"worse than bound: {flag}")
+    report["unresolved"] = unresolved(results, metrics)
+    for flag in report["unresolved"]:
+        print(f"unresolved: {flag}")
     report["workloads"] = results
     out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -121,6 +121,64 @@ def test_bench_pairs_summary_of_canned_runs():
     )
 
 
+def test_bench_pairs_unresolved_of_canned_runs():
+    """A metric is unresolved where the parent's IQR is wider than its
+    bound, a fraction of the parent's median, unless every change run
+    reads better than every parent run; the claim's verdict ignores it."""
+    bench_pairs = load_script("bench_pairs")
+    metrics = [
+        {"name": "rate", "better": "higher", "bound": 0.2},
+        {"name": "rss", "better": "lower", "bound": 0.12},
+    ]
+
+    def workload(rate, rss):
+        """Each metric's quartiles from its parent and change runs."""
+        return {
+            name: dict(zip(("parent", "change"), map(bench_pairs.quartiles, sides)))
+            for name, sides in (("rate", rate), ("rss", rss))
+        }
+
+    wide_rate, wide_rss = [6.0, 9.0, 11.0, 14.0, 16.0], [30.0, 35.0, 40.0, 45.0, 50.0]
+    results = {
+        # IQR 5 against 0.2 * 11 and 10 against 0.12 * 40, change runs overlapping
+        "wide": workload(
+            (wide_rate, [10.0, 11.0, 12.0, 13.0, 14.0]), (wide_rss, [29.0, 31.0, 28.0, 27.0, 26.0])
+        ),
+        # as wide, but every change run better than every parent run
+        "clear": workload(
+            (wide_rate, [17.0, 18.0, 19.0, 20.0, 21.0]), (wide_rss, [29.0, 28.0, 27.0, 26.0, 25.0])
+        ),
+        # IQR 2 is exactly 0.2 * 10, and 0 for rss: resolved, worse or not
+        "narrow": workload(
+            ([8.0, 10.0, 10.0, 12.0, 12.0], [1.0] * 5), ([40.0] * 5, [80.0] * 5)
+        ),
+    }
+    assert bench_pairs.unresolved(results, metrics) == [
+        {"workload": "wide", "metric": "rate", "parent_median": 11.0, "parent_iqr": 5.0,
+         "bound": 0.2},
+        {"workload": "wide", "metric": "rss", "parent_median": 40.0, "parent_iqr": 10.0,
+         "bound": 0.12},
+    ]
+    # Nine wins in ten and a gap of 6 above the parent's IQR of 4 are met,
+    # though one change run (15) reads worse than one parent run (20).
+    parent_rates = [5.0, 8.0, 8.0, 8.0, 10.0, 10.0, 12.0, 12.0, 12.0, 20.0]
+    change_rates = [16.0] * 9 + [15.0]
+    pairs = [
+        {
+            "seed": i, "first": "parent", "parent_dir": "A",
+            "parent": canned_run(0, rate=parent_rates[i], rss=40.0),
+            "change": canned_run(0, rate=change_rates[i], rss=40.0),
+        }
+        for i in range(10)
+    ]
+    summary = bench_pairs.summarize(pairs, metrics)
+    assert bench_pairs.claim_verdict(summary, "rate", "higher", [])["verdict"] == "met"
+    assert bench_pairs.unresolved({"w": summary}, metrics) == [
+        {"workload": "w", "metric": "rate", "parent_median": 10.0, "parent_iqr": 4.0,
+         "bound": 0.2},
+    ]
+
+
 def test_bench_pairs_help(tmp_path):
     result = run_script("bench_pairs.py", "--help", cwd=tmp_path)
     assert "--parent" in result.stdout and "alternating pairs" in result.stdout
