@@ -941,7 +941,7 @@ class TestLogRenderer:
         table = _compile_plan(RENDER_PLANS[name])[0]
         render = _log_renderer(table)
         keys = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=50))
-        # Indices of two, three and five 4-digit words; at 2 * 10^9 and
+        # Indices of two to five 4-digit words; at 2 * 10^9 and
         # 3 * 10^12 the carry runs through two and three words.
         edges = [10**power for power in range(1, 20)] + [
             20_000, 12_350_000, 1_999_990_000, 2 * 10**9, 123_456_780_000, 3 * 10**12,
