@@ -975,6 +975,32 @@ class TestNoClickPath:
         run_experiment(config, str(tmp_path / "log.csv"))
         assert walks == [config, config]
 
+    def test_folding_leaves_the_config_as_it_was(self):
+        """A config's ``==``, ``hash``, ``repr``, pickle round trip and
+        ``dataclasses.replace`` read its fields only, so they are the same
+        before and after its plan is folded; a config replaced with another
+        plan gives that plan's survival."""
+        for config in RANDOM_PLANS + EDGE_PLANS:
+            twin = dataclasses.replace(config)
+
+            def views():
+                copy = pickle.loads(pickle.dumps(config))
+                replaced = dataclasses.replace(config)
+                return [
+                    (other == config, other == twin, hash(other), repr(other))
+                    for other in (config, copy, replaced)
+                ]
+
+            before = views()
+            outcome(analytic_agreement, config)
+            assert views() == before
+            assert analytic_survival(dataclasses.replace(config, plan=())) == 1.0
+            first = ExperimentConfig(
+                config.preparation, config.plan[:1], config.final_axis, 1, 0
+            )
+            replaced = dataclasses.replace(config, plan=config.plan[:1], trials=1, master_seed=0)
+            assert analytic_survival(replaced) == analytic_survival(first)
+
     @SAMPLER_PLANS
     def test_agreement_matches_event_tree(self, config):
         finals = [leaf for leaf in enumerate_event_tree(config) if not leaf.clicked]
