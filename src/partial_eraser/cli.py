@@ -34,25 +34,28 @@ from .errors import ConfigError, DomainError, PartialEraserError
 from .inequality import delta_ac, delta_pair, inequality_margin, violation_region
 from .measurement import PartialMeasurementOp, no_click_map
 from .montecarlo import (
-    _DIAGONAL,
     CascadeStep,
     ExperimentConfig,
     Preparation,
-    _survival,
-    _walk,
+    analytic_survival,
     count_trials,
     estimate_vs_analytic,
     run_experiment,
 )
-from .polarization import Axis, Branch, _check_integer, polarization_angle, uncertainty_spreads
+from .polarization import (
+    Axis, Branch, _check_integer, basis_state, polarization_angle, uncertainty_spreads
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_IO = 4
 
+_DIAGONAL = basis_state(Axis.Y, Branch.PLUS)  # the angle chart's prepared state
+
+
 def _angle_row(alpha: float) -> list[float]:
-    state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAGONAL[Branch.PLUS])
+    state = no_click_map(PartialMeasurementOp(Axis.X, Branch.PLUS, alpha), _DIAGONAL)
     return [alpha, polarization_angle(state)]
 
 
@@ -85,9 +88,13 @@ class GridSpec:
     def points(self) -> list[float]:
         spacing = np.geomspace if self.scale == "log" else np.linspace
         try:
-            return spacing(self.low, self.high, self.steps).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = spacing(self.low, self.high, self.steps).tolist()
         except MemoryError as exc:
             raise DomainError(f"{self.steps} grid steps do not fit in memory") from exc
+        if not all(map(math.isfinite, points)):
+            raise DomainError(f"grid [{self.low}, {self.high}] has points that are not finite")
+        return points
 
 
 class _Chart(NamedTuple):
@@ -200,9 +207,8 @@ def cmd_cascade_demo(args) -> int:
         Preparation.single(Branch.PLUS), tuple(plan), Axis.Y, args.trials,
         resolve_seed(args.seed, None),
     )
-    walk = _walk(config)  # one fold for the counts and the prediction, as in ``run``
-    clicks, survivors, _ = count_trials(config, walk=walk)
-    analytic = _survival(*walk)
+    clicks, survivors, _ = count_trials(config)
+    analytic = analytic_survival(config)  # reads the fold that the counts made
     empirical = survivors / args.trials
     print(
         f"trials={args.trials} clicks={clicks} survivors={survivors} "

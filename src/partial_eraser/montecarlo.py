@@ -156,6 +156,22 @@ class ExperimentConfig:
                         "single-photon experiments cannot measure photon B"
                     )
 
+    @functools.cached_property
+    def _walk(self) -> tuple[list[float], object]:
+        """The plan's no-click path, folded once, on first use: the click
+        probability of every step reached, and the state that survives the
+        whole plan, or None when a step clicks with certainty.  The sampler
+        and the analytic predictions share this one fold.  It takes no part
+        in ``==``, ``hash`` or ``repr``, and cannot go stale on a frozen config."""
+        state, step_fn = _algebra(self.preparation)
+        p_clicks: list[float] = []
+        for step in self.plan:
+            p_click, state = step_fn(state, step.photon, step.op)
+            p_clicks.append(p_click)
+            if state is None:
+                break
+        return p_clicks, state
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -269,36 +285,18 @@ def _final_outcomes(preparation: Preparation, state, axis: Axis) -> tuple:
     )
 
 
-def _walk(config: ExperimentConfig) -> tuple[list[float], object]:
-    """Follow the plan along its no-click path: the runner's only fold of
-    it, which the sampler and the analytic predictions share.
-
-    Returns the click probability of every step reached and the state that
-    survives the whole plan, or None for the state when a step clicks with
-    certainty.
-    """
-    state, step_fn = _algebra(config.preparation)
-    p_clicks: list[float] = []
-    for step in config.plan:
-        p_click, state = step_fn(state, step.photon, step.op)
-        p_clicks.append(p_click)
-        if state is None:
-            break
-    return p_clicks, state
-
-
-def _compile_plan(config: ExperimentConfig, walk=None) -> tuple[list[tuple], list[float]]:
-    """The plan's outcome table and the probability of each row, from
-    ``walk``, the plan's ``_walk`` (folded here when not given).
+def _compile_plan(config: ExperimentConfig) -> tuple[list[tuple], list[float]]:
+    """The plan's outcome table and the probability of each row, from the
+    config's fold of its plan, ``config._walk``.
 
     Rows are ``(click_step, detector, result_a, result_b, agreement)``:
     per step reached, one per cascade detector or one for an abstract op,
     with the probability of reaching the step times its click probability
     (split evenly over the detectors); then one per final outcome, with
     the survival times its Born probability.  All the sampler's state
-    algebra is in that walk, once per run.
+    algebra is in that fold, once per config.
     """
-    p_clicks, state = walk or _walk(config)
+    p_clicks, state = config._walk
     table, probabilities, reach = [], [], 1.0
     for step_idx, (p_click, step) in enumerate(zip(p_clicks, config.plan)):
         detectors = range(step.n_detectors) if isinstance(step, CascadeStep) else (None,)
@@ -346,12 +344,11 @@ def _row_keys(probabilities: list[float]) -> Callable[[np.ndarray], np.ndarray]:
     return key
 
 
-def _outcomes(config: ExperimentConfig, walk=None):
+def _outcomes(config: ExperimentConfig):
     """The plan's outcome table, and ``(start, keys)`` per chunk of trials,
     drawn from one stream per run and keyed lazily: a trial's key is the
-    table row that its uniform selects.  ``walk`` is as in
-    ``_compile_plan``."""
-    table, probabilities = _compile_plan(config, walk)
+    table row that its uniform selects."""
+    table, probabilities = _compile_plan(config)
     key = _row_keys(probabilities)
     chunks = _uniform_chunks(config.master_seed, config.trials)
     return table, ((start, key(u)) for start, u in chunks)
@@ -430,7 +427,7 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
 
 
 def _row_counts(
-    config: ExperimentConfig, write: Callable[[bytes], object] | None = None, walk=None
+    config: ExperimentConfig, write: Callable[[bytes], object] | None = None
 ) -> tuple[list, list[int]]:
     """The plan's outcome table and how many trials landed on each row.
 
@@ -438,9 +435,9 @@ def _row_counts(
     as ASCII bytes: the header, then the bytes of one chunk at a time
     (see ``_log_renderer``).  A row is the trial index, click step,
     detector, final results and agreement (0 or 1), each empty where it
-    does not apply.  ``walk`` is as in ``_compile_plan``.
+    does not apply.
     """
-    table, chunks = _outcomes(config, walk)
+    table, chunks = _outcomes(config)
     if write is not None:
         render = _log_renderer(table)
         write(b"trial,click_step,detector,result_a,result_b,agreement\n")
@@ -453,30 +450,25 @@ def _row_counts(
 
 
 def count_trials(
-    config: ExperimentConfig, write: Callable[[bytes], object] | None = None, walk=None
+    config: ExperimentConfig, write: Callable[[bytes], object] | None = None
 ) -> tuple[int, int, int]:
     """Clicked, surviving and agreeing trial counts, without records;
-    ``write`` gets the trial log as bytes, and ``walk`` is used, as in
-    ``_row_counts``."""
-    table, counts = _row_counts(config, write, walk)
+    ``write`` gets the trial log as bytes, as in ``_row_counts``."""
+    table, counts = _row_counts(config, write)
     clicked = sum(n for n, (step, *_) in zip(counts, table) if step is not None)
     agreeing = sum(n for n, (*_, agreement) in zip(counts, table) if agreement)
     return clicked, config.trials - clicked, agreeing
 
 
 def analytic_agreement(config: ExperimentConfig) -> float:
-    """Born agreement probability of the state ``_walk`` leaves.
+    """Born agreement probability of the state that ``config._walk`` leaves.
 
-    Raises ZeroSurvival where ``_walk`` ends on a certain click, which is
+    Raises ZeroSurvival where the fold ends on a certain click, which is
     exactly where ``analytic_survival`` is 0.0.  Clipped into [0, 1]:
     summed squared magnitudes can overshoot by a few ulp, and the
     estimator divides by a possibly zero standard error.
     """
-    return _agreement(config, *_walk(config))
-
-
-def _agreement(config: ExperimentConfig, p_clicks: list[float], state) -> float:
-    """``analytic_agreement`` from the plan's ``_walk``."""
+    p_clicks, state = config._walk
     if state is None:
         raise _impossible(config.plan[len(p_clicks) - 1].op.alpha)
     outcomes = _final_outcomes(config.preparation, state, config.final_axis)
@@ -486,11 +478,7 @@ def _agreement(config: ExperimentConfig, p_clicks: list[float], state) -> float:
 
 def analytic_survival(config: ExperimentConfig) -> float:
     """Probability that a trial survives the whole plan without a click."""
-    return _survival(*_walk(config))
-
-
-def _survival(p_clicks: list[float], state) -> float:
-    """``analytic_survival`` from the plan's ``_walk``."""
+    p_clicks, state = config._walk
     return 0.0 if state is None else math.prod((1.0 - p for p in p_clicks), start=1.0)
 
 
@@ -534,16 +522,15 @@ def run_experiment(config: ExperimentConfig, log_path: str | None = None) -> Tri
 
     With ``log_path``, the same pass writes the ``run --log-trials`` CSV
     there as bytes, to a file opened in binary mode (see ``_row_counts``).
-    The plan is folded once, for both the prediction and the outcome
-    table.  The prediction comes first, so a plan whose silence is
+    The config folds its plan once, for both the prediction and the
+    outcome table.  The prediction comes first, so a plan whose silence is
     impossible raises ZeroSurvival before any draw and creates no file.
     """
-    walk = _walk(config)
-    prediction = _agreement(config, *walk)
+    prediction = analytic_agreement(config)
     if log_path is None:
-        return _stats(config, *count_trials(config, walk=walk), prediction)
+        return _stats(config, *count_trials(config), prediction)
     with open(log_path, "wb") as handle:
-        return _stats(config, *count_trials(config, handle.write, walk), prediction)
+        return _stats(config, *count_trials(config, handle.write), prediction)
 
 
 def estimate_vs_analytic(stats: TrialStats) -> float:
@@ -653,8 +640,8 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     step until a click is certain.  A path that survives every step ends
     in the final-measurement outcomes with their Born probabilities.  Leaf
     probabilities sum to 1.  This enumerator is an oracle for the sampler:
-    it calls the step function itself, never ``_walk``, and never feeds
-    the sampling path.
+    it calls the step function itself, never reads ``config._walk``, and
+    never feeds the sampling path.
     """
     state, step_fn = _algebra(config.preparation)
     leaves: list[EventLeaf] = []

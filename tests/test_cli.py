@@ -1,16 +1,20 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import os
 import re
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import brentq
 
 from partial_eraser import DomainError, montecarlo
-from partial_eraser.cli import ChartRequest, GridSpec, main
+from partial_eraser.cli import CHART_IDS, ChartRequest, GridSpec, main
 from partial_eraser.config import SEED_ENV_VAR
 from partial_eraser.inequality import inequality_margin
 from partial_eraser.montecarlo import _CHUNK, trial_uniforms
@@ -286,6 +290,9 @@ class TestChart:
             ["--min", "1", "--max", "inf", "--scale", "log"],
             ["--min", "0", "--max", "-Infinity"],
             ["--min", "-nan", "--max", "1"],
+            # finite bounds whose linear grid numpy cannot lay out finitely
+            ["--min", "-1e308", "--max", "1e308", "--steps", "3"],
+            ["--min", "-1.7976931348623157e308", "--max", "1.7976931348623157e308"],
         ],
     )
     def test_non_finite_grid_is_config_error(self, tmp_path, capsys, bounds):
@@ -293,6 +300,57 @@ class TestChart:
         assert main(["chart", "angle_vs_alpha", *bounds, "--output", str(out)]) == 2
         assert_one_line_error(capsys, "finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["inequality_deltas_vs_rho", "--scale", "linear", "--steps", "7",
+              "--min", "-1.7976931348623157e308", "--max", "1e154"], 2),
+            (["inequality_deltas_vs_rho", "--scale", "log", "--steps", "7",
+              "--min", "1e-320", "--max", "1.7976931348623157e308"], 0),
+        ],
+    )
+    def test_grid_near_the_float_range_warns_nothing(self, tmp_path, capsys, argv, code):
+        """numpy overflows inside these grids; the command still prints
+        only its own result or one ``error:`` line."""
+        out = tmp_path / "o.csv"
+        assert main(["chart", *argv, "--output", str(out)]) == code
+        if code:
+            assert_one_line_error(capsys, "rho must be positive and finite")
+        else:
+            assert capsys.readouterr().err == ""
+            _, rows = read_rows(out)
+            assert len(rows) == 7 and rows[-1][0] == 1.7976931348623157e308
+
+
+# Grid bounds at the edges of the float range, where numpy's grid arithmetic
+# overflows, beside the charts' own bounds.
+GRID_BOUNDS = [0.0, -0.0, 1.0, 20.0] + [
+    sign * x for x in (5e-324, 1e-320, 1e154, 1e308, 1.7976931348623157e308) for sign in (1, -1)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CHART_IDS),
+    st.sampled_from(["linear", "log"]),
+    st.integers(2, 300),
+    st.sampled_from(GRID_BOUNDS),
+    st.sampled_from(GRID_BOUNDS),
+)
+def test_chart_grids_exit_cleanly(chart_id, scale, steps, low, high):
+    """Every chart grid either writes its rows with nothing on stderr and
+    exit 0, or prints one ``error:`` line and exits 2."""
+    argv = ["chart", chart_id, "--scale", scale, "--steps", str(steps),
+            "--min", repr(low), "--max", repr(high), "--output", os.devnull]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
 
 
 class TestRun:
@@ -604,18 +662,17 @@ class TestCascadeDemo:
         assert not out.exists()
 
     def test_demo_folds_the_plan_once(self, monkeypatch, capsys):
-        from partial_eraser import cli
+        """The counts and the analytic survival share one fold."""
+        algebra, folds = montecarlo._algebra, []
 
-        walk, walks = montecarlo._walk, []
+        def counted(preparation):
+            folds.append(preparation)
+            return algebra(preparation)
 
-        def counted(config):
-            walks.append(config)
-            return walk(config)
-
-        monkeypatch.setattr(montecarlo, "_walk", counted)
-        monkeypatch.setattr(cli, "_walk", counted, raising=False)
+        # Only a config's fold and the event tree start from ``_algebra``.
+        monkeypatch.setattr(montecarlo, "_algebra", counted)
         assert main(["cascade-demo", "--detectors", "3", "--erase", "--trials", "100"]) == 0
-        assert len(walks) == 1
+        assert folds == [montecarlo.Preparation.single()]
 
     def test_demo_reproducible(self, capsys):
         args = ["cascade-demo", "--detectors", "3", "--trials", "5000", "--seed", "9"]

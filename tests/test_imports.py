@@ -3,8 +3,8 @@
 Every module of the package uses each name it imports: a refactor that
 moves a helper between modules easily leaves the old import behind
 (``__init__`` is left out: it imports names to export them).  Every
-module-level private name is read somewhere, and one function builds
-single-photon states in place.
+module-level private name is read somewhere, no module imports a private
+name of the runner, and one function builds single-photon states in place.
 """
 
 import ast
@@ -104,6 +104,40 @@ def test_every_private_name_is_read():
         for name in sorted(private_names(path.read_text()) - read)
     ]
     assert dead == []
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """The ``_name``s that ``source`` imports from the package's ``module``."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, module), (0, f"partial_eraser.{module}"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_finds_a_private_import():
+    source = (
+        "from .montecarlo import _A, B\n"
+        "from partial_eraser.montecarlo import _C\n"
+        "from .polarization import _D\n"
+        "from montecarlo import _E\n"
+    )
+    assert private_imports(source, "montecarlo") == ["_A", "_C"]
+
+
+def test_no_module_imports_a_private_name_of_the_runner():
+    """``montecarlo``'s private names (its fold, its prepared states, its
+    sampler) are its own: every other module reads only its public API."""
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "montecarlo.py"
+        and (names := private_imports(path.read_text(), "montecarlo"))
+    }
+    assert found == {}
 
 
 def in_place_builds(node, scope=None):

@@ -331,7 +331,7 @@ class TestCascadeStepOp:
             post_init(op)
 
         monkeypatch.setattr(PartialMeasurementOp, "__post_init__", counting)
-        montecarlo._walk(config)
+        config._walk
         enumerate_event_tree(config)
         analytic_agreement(config)
         run_experiment(config)
@@ -963,17 +963,19 @@ class TestLogRenderer:
 
 class TestNoClickPath:
     def test_run_folds_the_plan_once(self, monkeypatch, tmp_path):
-        walk, walks = montecarlo._walk, []
+        """Two runs of one config fold its plan once between them."""
+        algebra, folds = montecarlo._algebra, []
 
-        def counted(config):
-            walks.append(config)
-            return walk(config)
+        def counted(preparation):
+            folds.append(preparation)
+            return algebra(preparation)
 
-        monkeypatch.setattr(montecarlo, "_walk", counted)
+        # Only a config's fold and the event tree start from ``_algebra``.
+        monkeypatch.setattr(montecarlo, "_algebra", counted)
         config = epr_config([measure(Photon.A, Axis.X, Branch.PLUS, 0.5)], trials=100)
         run_experiment(config)
         run_experiment(config, str(tmp_path / "log.csv"))
-        assert walks == [config, config]
+        assert folds == [config.preparation]
 
     def test_folding_leaves_the_config_as_it_was(self):
         """A config's ``==``, ``hash``, ``repr``, pickle round trip and
