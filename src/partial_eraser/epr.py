@@ -127,9 +127,9 @@ def _unit_pair(amps, norm2: float) -> PairState:
     return pair
 
 
-# Per (axis, branch), what ``_silence`` reads of the basis: the measured
-# branch's ket (b0, b1) and bra (bb0, bb1), and the other branch's projector
-# terms o_i * ob_j, built once so the kernel multiplies no constants.
+# Per (axis, branch), what ``_silence`` and ``_click`` read of the basis: the
+# measured branch's ket (b0, b1) and bra (bb0, bb1), and the other branch's
+# projector terms o_i * ob_j, built once so the kernels multiply no constants.
 _SILENCE_TERMS = {
     (axis, branch): (b0, b1, bb0, bb1, o0 * ob0, o0 * ob1, o1 * ob0, o1 * ob1)
     for axis in Axis
@@ -141,30 +141,44 @@ _SILENCE_TERMS = {
 
 
 def _silence(amps, photon: Photon, terms, alpha: float):
-    """The click probability, the (uu, rr, ur, ru) amplitudes ``amps``
-    under sqrt(alpha) |b><b| + |o><o| on ``photon``, unnormalized, with
-    b and o from ``terms`` (a ``_SILENCE_TERMS`` entry), and their squared
-    norm (the survival), summed uu, ur, ru, rr.  The click probability is
-    at least 1 wherever the survival is not positive.  The pair is read as
-    the rows (uu, m01), (m10, rr) over ``photon``'s (up, right) index."""
+    """The (uu, rr, ur, ru) amplitudes ``amps`` under sqrt(alpha) |b><b| +
+    |o><o| on ``photon``, unnormalized, with b and o from ``terms`` (a
+    ``_SILENCE_TERMS`` entry), and their squared norm (the survival),
+    summed uu, ur, ru, rr.  The pair is read as the rows (uu, m01),
+    (m10, rr) over ``photon``'s (up, right) index."""
     b0, b1, bb0, bb1, oo00, oo01, oo10, oo11 = terms
     root = math.sqrt(alpha)
-    w00, w01 = root * b0 * bb0 + oo00, root * b0 * bb1 + oo01
-    w10, w11 = root * b1 * bb0 + oo10, root * b1 * bb1 + oo11
+    rb0, rb1 = root * b0, root * b1
+    w00, w01 = rb0 * bb0 + oo00, rb0 * bb1 + oo01
+    w10, w11 = rb1 * bb0 + oo10, rb1 * bb1 + oo11
     uu, rr, ur, ru = amps
     if photon is _PHOTON_A:
         m01, m10 = ur, ru
     else:
         m01, m10 = ru, ur
-    c0, c1 = bb0 * uu + bb1 * m10, bb0 * m01 + bb1 * rr
     n01, n10 = w00 * m01 + w01 * rr, w10 * uu + w11 * m10
     ur, ru = (n01, n10) if photon is _PHOTON_A else (n10, n01)
     uu, rr = w00 * uu + w01 * m10, w10 * m01 + w11 * rr
-    survival = abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
+    return (uu, rr, ur, ru), abs(uu) ** 2 + abs(ur) ** 2 + abs(ru) ** 2 + abs(rr) ** 2
+
+
+def _click(amps, photon: Photon, terms, alpha: float, survival: float) -> float:
+    """The click probability of the measurement under which
+    ``_silence(amps, photon, terms, alpha)`` is the silence, given that
+    silence's ``survival``: (1 - alpha) times the squared norm of the
+    measured branch's bra applied to ``photon``'s rows of ``amps``.  It is
+    at least 1 wherever the survival is not positive."""
+    _, _, bb0, bb1, _, _, _, _ = terms
+    uu, rr, ur, ru = amps
+    if photon is _PHOTON_A:  # the rows of ``_silence``
+        m01, m10 = ur, ru
+    else:
+        m01, m10 = ru, ur
+    c0, c1 = bb0 * uu + bb1 * m10, bb0 * m01 + bb1 * rr
     p_click = (1.0 - alpha) * (abs(c0) ** 2 + abs(c1) ** 2)
     if survival <= 0.0:
         p_click = max(p_click, 1.0)  # rounding may leave the mass a few ulp below 1
-    return p_click, (uu, rr, ur, ru), survival
+    return p_click
 
 
 def apply_partial_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
@@ -177,23 +191,26 @@ def apply_partial_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp
     if op.alpha == 1.0:  # ``op.is_identity``, without the property call
         return pair
     amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
-    _, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)
+    amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)
     if survival <= 0.0:
         raise _impossible(op.alpha)
     return _unit_pair(amps, survival)
 
 
 def _pair_step(pair: PairState, photon: Photon, op: PartialMeasurementOp):
-    """``(p_click, no-click pair)`` from one ``_silence``, the pair as
-    ``apply_partial_pair`` gives it, or None for it where the click is
-    certain (``p_click >= 1``)."""
-    if op.alpha == 1.0:  # ``op.is_identity``, without the property call
+    """``(p_click, no-click pair)`` from one ``_silence`` and its
+    ``_click``, the pair as ``apply_partial_pair`` gives it, or None for it
+    where the click is certain (``p_click >= 1``)."""
+    alpha = op.alpha
+    if alpha == 1.0:  # ``op.is_identity``, without the property call
         return 0.0, pair
     amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
-    p_click, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)
+    terms = _SILENCE_TERMS[op.axis, op.branch]
+    silent, survival = _silence(amps, photon, terms, alpha)
+    p_click = _click(amps, photon, terms, alpha, survival)
     if p_click >= 1.0:
         return p_click, None
-    return p_click, _unit_pair(amps, survival)
+    return p_click, _unit_pair(silent, survival)
 
 
 def pair_click_probability(
@@ -201,8 +218,10 @@ def pair_click_probability(
 ) -> float:
     """Probability that the op's detectors fire on the chosen photon; at
     least 1 wherever ``apply_partial_pair`` finds the silence impossible."""
+    alpha = op.alpha
     amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
-    return _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], op.alpha)[0]
+    terms = _SILENCE_TERMS[op.axis, op.branch]
+    return _click(amps, photon, terms, alpha, _silence(amps, photon, terms, alpha)[1])
 
 
 def collapse_pair(pair: PairState, photon: Photon, op: PartialMeasurementOp) -> PairState:
@@ -240,13 +259,15 @@ def sample_partial_pair(
     (ROADMAP item 6)."""
     alpha = op.alpha
     amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
-    p_click, amps, survival = _silence(amps, photon, _SILENCE_TERMS[op.axis, op.branch], alpha)
+    terms = _SILENCE_TERMS[op.axis, op.branch]
+    silent, survival = _silence(amps, photon, terms, alpha)
+    p_click = _click(amps, photon, terms, alpha, survival)
     if rng.random() < p_click:
         return _outcome(True, p_click, collapse_pair(pair, photon, op), None)
     if alpha == 1.0:  # ``op.is_identity``, without the property call
         post = pair
     else:  # p_click < 1 here, so the survival is positive
-        post = _unit_pair(amps, survival)
+        post = _unit_pair(silent, survival)
     return _outcome(False, 1.0 - p_click, post, None)
 
 
@@ -304,7 +325,7 @@ def apply_quadruple(pair: PairState, q: IntensityQuadruple) -> PairState:
             continue
         if norm2 is not None:  # the previous step's normalization
             amps = _unit_amplitudes(amps, norm2)
-        _, amps, norm2 = _silence(amps, photon, terms, alpha)
+        amps, norm2 = _silence(amps, photon, terms, alpha)
         if norm2 <= 0.0:
             raise _impossible(alpha)
     return pair if norm2 is None else _unit_pair(amps, norm2)

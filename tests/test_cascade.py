@@ -355,6 +355,7 @@ HOT_KERNELS = (
     epr._unit_pair,
     epr.collapse_pair,
     epr._silence,
+    epr._click,
     epr.apply_quadruple,
     epr.pair_axis_amplitudes,
     cascade_module.equivalent_op,

@@ -713,10 +713,11 @@ def test_pair_bra_table_entries_are_the_products_they_replace():
 
 
 def test_table_kernels_match_the_per_call_products():
-    """Seeded differential: ``epr._silence`` and ``pair_axis_amplitudes``
-    against the forms that multiplied the constants per call, repr for
-    repr, on the pinned pairs and on pairs of signed zeros and units, over
-    every photon, axis and branch and alpha 0, 1 and random."""
+    """Seeded differential: ``epr._silence`` with its ``epr._click``, and
+    ``pair_axis_amplitudes``, against the forms that multiplied the
+    constants per call in one kernel, repr for repr, on the pinned pairs
+    and on pairs of signed zeros and units, over every photon, axis and
+    branch and alpha 0, 1 and random."""
     gen = np.random.default_rng(PINNED_SEED + 20)
     pairs = [*pair_inputs(gen), *signed_part_pairs(gen)]
     assert len(pairs) == 55 + 40
@@ -733,7 +734,9 @@ def test_table_kernels_match_the_per_call_products():
                         the_op = op(axis, branch, alpha)
                         amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
                         terms = epr._SILENCE_TERMS[axis, branch]
-                        assert repr(epr._silence(amps, photon, terms, the_op.alpha)) == repr(
+                        silent, survival = epr._silence(amps, photon, terms, the_op.alpha)
+                        p_click = epr._click(amps, photon, terms, the_op.alpha, survival)
+                        assert repr((p_click, silent, survival)) == repr(
                             silence_reference(pair, photon, the_op)
                         )
                         cases += 1
@@ -782,6 +785,65 @@ def test_quadruple_fold_matches_four_pair_updates():
         same = IntensityQuadruple(1.0, 1.0, 1.0, 1.0)
         assert apply_quadruple(pair, same) is pair is four_op_quadruple(pair, same)
     assert outcomes == {"PairState": 5180, "ZeroSurvival": 2839}
+
+
+
+def no_click_texts():
+    """``apply_partial_pair`` on the pinned pairs of
+    ``test_pair_amplitudes_pinned`` and ``apply_quadruple`` on those of
+    ``test_apply_quadruple_amplitudes_pinned``, as ``result_or_error``
+    texts."""
+    gen = np.random.default_rng(PINNED_SEED)
+    texts = []
+    for pair in pair_inputs(gen):
+        for photon in Photon:
+            for axis in Axis:
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        texts.append(result_or_error(apply_partial_pair, pair, photon, the_op))
+    gen = np.random.default_rng(QUADRUPLE_PINNED_SEED)
+    for pair in pair_inputs(gen):
+        for _ in range(20):
+            quad = IntensityQuadruple(*(pinned_fraction(gen) for _ in range(4)))
+            texts.append(result_or_error(apply_quadruple, pair, quad))
+    return texts
+
+
+def test_the_silence_path_computes_no_click(monkeypatch):
+    """``apply_partial_pair`` and ``apply_quadruple`` never call
+    ``epr._click``: with it raising they give the same reprs and the same
+    ZeroSurvival errors on the pinned inputs, alpha 0 and 1 included, while
+    ``_pair_step`` does call it."""
+    expected = no_click_texts()
+    impossible = [text for text in expected if text.startswith("ZeroSurvival")]
+    assert (len(expected), len(impossible)) == (1980 + 1100, 8 + 265)
+
+    def no_click(*args):
+        raise AssertionError("the silence path computed a click probability")
+
+    monkeypatch.setattr(epr, "_click", no_click)
+    assert no_click_texts() == expected
+    with pytest.raises(AssertionError, match="silence path"):
+        epr._pair_step(make_epr(), Photon.A, op(Axis.X, Branch.PLUS, 0.5))
+
+
+def test_click_probability_is_the_step_click():
+    """``pair_click_probability`` gives ``_pair_step``'s click probability,
+    repr for repr, on the pinned pairs, photons and ops, alpha 0, 1 and
+    random and the impossible silences included."""
+    gen = np.random.default_rng(PINNED_SEED)
+    certain = 0
+    for pair in pair_inputs(gen):
+        for photon in Photon:
+            for axis in Axis:
+                for branch in Branch:
+                    for alpha in (0.0, 1.0, gen.random()):
+                        the_op = op(axis, branch, alpha)
+                        p_click, post = epr._pair_step(pair, photon, the_op)
+                        assert repr(pair_click_probability(pair, photon, the_op)) == repr(p_click)
+                        certain += post is None
+    assert certain == 8  # the impossible silences of ``no_click_texts``
 
 
 # --- pinned amplitudes of the pair algebra, oracles and pair sampling --------
