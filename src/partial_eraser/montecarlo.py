@@ -419,7 +419,7 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
             columns[:, words - 1] = _digit_groups()[low : low + end - start]
             if width < 4:
                 rows[:, : 4 - width] = 0
-            parts.append(rows[rows != 0].tobytes())
+            parts.append(rows.tobytes().translate(None, b"\0"))
             start = end
         return b"".join(parts)
 
