@@ -831,7 +831,8 @@ def test_the_silence_path_computes_no_click(monkeypatch):
 def test_click_probability_is_the_step_click():
     """``pair_click_probability`` gives ``_pair_step``'s click probability,
     repr for repr, on the pinned pairs, photons and ops, alpha 0, 1 and
-    random and the impossible silences included."""
+    random and the impossible silences included, and where the lift to 1
+    decides it."""
     gen = np.random.default_rng(PINNED_SEED)
     certain = 0
     for pair in pair_inputs(gen):
@@ -844,6 +845,13 @@ def test_click_probability_is_the_step_click():
                         assert repr(pair_click_probability(pair, photon, the_op)) == repr(p_click)
                         certain += post is None
     assert certain == 8  # the impossible silences of ``no_click_texts``
+    for photon in Photon:  # an impossible silence whose click mass rounds below 1
+        pair = make_epr()
+        for axis, branch in CERTAIN_CLICK_PLAN[:2]:
+            pair = apply_partial_pair(pair, photon, op(axis, branch, 0.0))
+        the_op = op(*CERTAIN_CLICK_PLAN[2], 0.0)
+        p_click = pair_click_probability(pair, photon, the_op)
+        assert repr(p_click) == repr(epr._pair_step(pair, photon, the_op)[0]) == "1.0"
 
 
 # --- pinned amplitudes of the pair algebra, oracles and pair sampling --------
