@@ -787,7 +787,6 @@ def test_quadruple_fold_matches_four_pair_updates():
     assert outcomes == {"PairState": 5180, "ZeroSurvival": 2839}
 
 
-
 def no_click_texts():
     """``apply_partial_pair`` on the pinned pairs of
     ``test_pair_amplitudes_pinned`` and ``apply_quadruple`` on those of
