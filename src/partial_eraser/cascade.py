@@ -81,10 +81,16 @@ class DetectorPlacement:
 
     def __post_init__(self) -> None:
         _check_member("branch", self.branch, _BRANCHES)
-        for index in self.beam_indices:
+        try:
+            indices = tuple(self.beam_indices)
+        except TypeError:
+            raise DomainError(
+                f"beam indices must be an iterable of integers, got {self.beam_indices!r}"
+            ) from None
+        for index in indices:
             if isinstance(index, bool) or not isinstance(index, Integral):
                 raise DomainError(f"beam indices must be integers, got {index!r}")
-        ordered = tuple(sorted(self.beam_indices))
+        ordered = tuple(sorted(indices))
         object.__setattr__(self, "beam_indices", frozenset(ordered))
         # cached for the sampling hot path
         object.__setattr__(self, "_ordered", ordered)

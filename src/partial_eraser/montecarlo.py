@@ -139,7 +139,17 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", tuple(self.plan))
+        if not isinstance(self.preparation, Preparation):
+            raise ConfigError(f"preparation must be a Preparation, got {self.preparation!r}")
+        try:
+            object.__setattr__(self, "plan", tuple(self.plan))
+        except TypeError:
+            raise ConfigError(f"plan must be an iterable of steps, got {self.plan!r}") from None
+        for step in self.plan:
+            if not isinstance(step, (MeasureStep, CascadeStep)):
+                raise ConfigError(f"plan steps must be MeasureStep or CascadeStep, got {step!r}")
+            if step.photon is Photon.B and self.preparation.kind is _SINGLE:
+                raise ConfigError("single-photon experiments cannot measure photon B")
         trials = _check_integer("trials", self.trials, ConfigError, low=1)
         master_seed = _check_integer("master_seed", self.master_seed, ConfigError)
         object.__setattr__(self, "trials", trials)
@@ -149,12 +159,6 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         _check_member("final_axis", self.final_axis, _AXES, ConfigError)
-        if self.preparation.kind is PrepKind.SINGLE_PHOTON:
-            for step in self.plan:
-                if step.photon is not Photon.A:
-                    raise ConfigError(
-                        "single-photon experiments cannot measure photon B"
-                    )
 
     @functools.cached_property
     def _walk(self) -> tuple[list[float], object]:
@@ -226,10 +230,12 @@ def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     reference for the layout; the runner reads the same doubles from one
     generator per run (``_uniform_chunks``).
     """
+    master_seed = _check_integer("master_seed", master_seed)
+    start, stop = _check_integer("start", start), _check_integer("stop", stop)
     if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
         raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
     bit_generator = np.random.PCG64(master_seed)
-    bit_generator.advance(int(start))  # numpy's own integers overflow here
+    bit_generator.advance(start)
     return np.random.Generator(bit_generator).random(stop - start)
 
 
@@ -374,11 +380,13 @@ def _log_cell(value) -> str:
 
 @functools.cache
 def _digit_groups() -> np.ndarray:
-    """The ASCII digits of ``0000`` .. ``9999``, each number's four bytes
-    read as one ``uint32``."""
+    """``0`` .. ``9999`` in ASCII, each number's four bytes read as one
+    ``uint32``: row 0 with leading zeros (``0042``), row 1 with NULs for them."""
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    groups = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), -1)
-    return groups.reshape(-1, 4).view(np.uint32).ravel()
+    full = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), -1).reshape(-1, 4)
+    short = full.copy()
+    short[:1000, 0] = short[:100, 1] = short[:10, 2] = 0
+    return np.stack([full, short]).view(np.uint32).reshape(2, -1)
 
 
 def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
@@ -386,39 +394,30 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
     ...``, which landed on the table rows ``keys``, as ASCII bytes: each
     trial's index, then its table row's CSV tail.
 
-    Each table row has a byte template per index length in 4-byte words:
-    those words, then the tail, padded with NUL bytes.  A chunk is split
-    at powers of ten, where the index width grows, and at multiples of
-    10^4, so a part's indices share all but their last four digits.  Each
-    part gathers its keys' templates, writes those shared digits once,
+    Each table row has one byte template: room for a 20-digit index, the
+    widest (``2^64 - 1``), then the tail, padded with NUL bytes.  A chunk
+    is split only at multiples of 10^4, so a part's indices share all but
+    their last four digits.  Each part gathers its keys' templates, cut to
+    the 4-byte words its indices need, writes the shared digits once,
     NUL-padded on the left, and the last four as one slice of
-    ``_digit_groups``, zeroes the leading zeros of an index below 1,000
-    and keeps the bytes that are not NUL.
+    ``_digit_groups``, from its row without leading zeros when there are
+    no shared digits.  Every NUL byte is then dropped.
     """
     tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
     size = -(-max(map(len, tails)) // 4) * 4
-    tail_bytes = np.array(tails, dtype=f"S{size}").view(np.uint8).reshape(len(tails), size)
-
-    @functools.cache
-    def template(words: int) -> np.ndarray:
-        rows = np.zeros((len(tails), 4 * words + size), np.uint8)
-        rows[:, 4 * words :] = tail_bytes
-        return rows
+    template = np.zeros((len(tails), 20 + size), np.uint8)
+    template[:, 20:] = np.array(tails, dtype=f"S{size}").view(np.uint8).reshape(len(tails), size)
 
     def render(start: int, keys: np.ndarray) -> bytes:
         parts, first, stop = [], start, start + len(keys)
         while start < stop:
-            digits = str(start)
-            width, low = len(digits), start % 10_000
-            words = -(-width // 4)
-            end = min(stop, 10**width, start - low + 10_000)
-            rows = template(words).take(keys[start - first : end - first], axis=0)
+            head, low = str(start)[:-4], start % 10_000
+            words = -(-len(head) // 4)
+            end = min(stop, start - low + 10_000)
+            rows = template[:, 16 - 4 * words :].take(keys[start - first : end - first], axis=0)
             columns = rows.view(np.uint32)
-            head = digits[:-4].rjust(4 * words - 4, "\0").encode()
-            columns[:, : words - 1] = np.frombuffer(head, np.uint32)
-            columns[:, words - 1] = _digit_groups()[low : low + end - start]
-            if width < 4:
-                rows[:, : 4 - width] = 0
+            columns[:, :words] = np.frombuffer(head.rjust(4 * words, "\0").encode(), np.uint32)
+            columns[:, words] = _digit_groups()[0 if head else 1, low : low + end - start]
             parts.append(rows.tobytes().translate(None, b"\0"))
             start = end
         return b"".join(parts)

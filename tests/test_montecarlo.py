@@ -49,6 +49,7 @@ from partial_eraser.measurement import no_click_sequence_probability
 from partial_eraser.montecarlo import (
     _CHUNK,
     _compile_plan,
+    _digit_groups,
     _log_cell,
     _log_renderer,
     _row_counts,
@@ -289,6 +290,38 @@ class TestConfigValidation:
         is not one fails later, and neither a bool nor a value that is not a
         real number, such as a numeric string, is a fraction."""
         value = re.escape(repr(args[bad]))
+        with pytest.raises(error, match=f"^{field} must be .*, got {value}$"):
+            build(*args)
+
+    @pytest.mark.parametrize(
+        "build, args, bad, error, field",
+        [
+            (ExperimentConfig, (Preparation.single(), (HALF_UP_ON_A.op,), Axis.Y, 10, 0),
+             HALF_UP_ON_A.op, ConfigError, "plan steps"),
+            (ExperimentConfig, (Preparation.epr(), ("junk",), Axis.Y, 10, 0),
+             "junk", ConfigError, "plan steps"),
+            (ExperimentConfig, (Preparation.epr(), (HALF_UP_ON_A, None), Axis.Y, 10, 0),
+             None, ConfigError, "plan steps"),
+            (ExperimentConfig, (Preparation.epr(), None, Axis.Y, 10, 0),
+             None, ConfigError, "plan"),
+            (ExperimentConfig, (Preparation.epr(), 3, Axis.Y, 10, 0), 3, ConfigError, "plan"),
+            (ExperimentConfig, ("prep", (), Axis.Y, 10, 0), "prep", ConfigError, "preparation"),
+            (ExperimentConfig, (PrepKind.EPR_PAIR, (), Axis.Y, 10, 0),
+             PrepKind.EPR_PAIR, ConfigError, "preparation"),
+            (DetectorPlacement, (Branch.PLUS, 5), 5, DomainError, "beam indices"),
+            (DetectorPlacement, (Branch.PLUS, None), None, DomainError, "beam indices"),
+        ],
+        ids=[
+            "op as step", "string step", "None step", "None plan", "int plan",
+            "string preparation", "kind as preparation", "int indices", "None indices",
+        ],
+    )
+    def test_configs_take_only_steps(self, build, args, bad, error, field):
+        """A preparation that is not a ``Preparation``, a plan that is not
+        an iterable of ``MeasureStep`` and ``CascadeStep``, and beam indices
+        that are not iterable are refused where they are given, not read
+        later as some attribute they lack."""
+        value = re.escape(repr(bad))
         with pytest.raises(error, match=f"^{field} must be .*, got {value}$"):
             build(*args)
 
@@ -578,6 +611,18 @@ class TestTrialUniforms:
     def test_numpy_integers_out_of_range_are_domain_errors(self, start, stop):
         with pytest.raises(DomainError):
             trial_uniforms(0, np.int64(start), np.int64(stop))
+
+    @pytest.mark.parametrize(
+        "seed, start, stop",
+        [(True, 0, 2), (0, 0, True), (0, False, 2), (1.0, 0, 2), (0, 0.5, 3), (0, 0, 3.0),
+         (np.float64(1), 0, 2), (np.True_, 0, 2), ("1", 0, 2)],
+        ids=repr,
+    )
+    def test_non_integers_are_domain_errors(self, seed, start, stop):
+        """A bool is not read as 0 or 1, and a float is refused, not
+        handed to numpy."""
+        with pytest.raises(DomainError, match="must be an integer"):
+            trial_uniforms(seed, start, stop)
 
 
 # Cached, so that the tests below share one scalar pass per plan.
@@ -953,6 +998,16 @@ class TestLogRenderer:
             part = np.resize(keys, 10_050) if start == 0 else np.array(keys)
             expected = fstring_log(table, start, part.tolist()).encode("ascii")
             assert render(start, part) == expected, start
+
+    def test_digit_table(self):
+        """Row 0 holds ``f"{i:04d}"`` and row 1 ``i`` with NUL bytes for
+        its leading zeros, as the four bytes of each ``uint32``, for every
+        ``i < 10^4``."""
+        groups = _digit_groups()
+        assert groups.shape == (2, 10_000) and groups.dtype == np.uint32
+        assert groups[0].tobytes() == "".join(f"{i:04d}" for i in range(10_000)).encode()
+        short = "".join(str(i).rjust(4, "\0") for i in range(10_000))
+        assert groups[1].tobytes() == short.encode()
 
     def test_plans_have_the_rows_named(self):
         """100 detector rows and two finals, four finals, two finals, and
