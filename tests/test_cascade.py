@@ -94,6 +94,12 @@ class TestValidation:
         placement = DetectorPlacement(Branch.PLUS, frozenset(np.arange(3)))
         assert placement.n_detectors == 3
 
+    def test_placement_reads_a_generator_once(self):
+        """Indices given as a one-shot iterator are checked and stored
+        from one pass, not checked and then found empty."""
+        placement = DetectorPlacement(Branch.PLUS, (index for index in (3, 1)))
+        assert placement.beam_indices == frozenset({1, 3}) and placement.n_detectors == 2
+
     @pytest.mark.parametrize("n_beams", [0, -2])
     def test_cascade_validates_itself(self, n_beams):
         with pytest.raises(DomainError):
