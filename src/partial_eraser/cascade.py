@@ -16,7 +16,6 @@ no-click map and the click rate only through its detector count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from .errors import DomainError
 from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible, _silent_state
@@ -82,21 +81,16 @@ class DetectorPlacement:
     def __post_init__(self) -> None:
         _check_member("branch", self.branch, _BRANCHES)
         try:
-            indices = tuple(self.beam_indices)
+            indices = (_check_integer("beam index", index, low=0) for index in self.beam_indices)
+            ordered = tuple(sorted(indices))
         except TypeError:
             raise DomainError(
                 f"beam indices must be an iterable of integers, got {self.beam_indices!r}"
             ) from None
-        for index in indices:
-            if isinstance(index, bool) or not isinstance(index, Integral):
-                raise DomainError(f"beam indices must be integers, got {index!r}")
-        ordered = tuple(sorted(indices))
         object.__setattr__(self, "beam_indices", frozenset(ordered))
         # cached for the sampling hot path
         object.__setattr__(self, "_ordered", ordered)
         object.__setattr__(self, "_max_index", ordered[-1] if ordered else -1)
-        if ordered and ordered[0] < 0:
-            raise DomainError("beam indices must be non-negative")
 
     @property
     def n_detectors(self) -> int:

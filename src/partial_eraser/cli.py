@@ -75,9 +75,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise DomainError(f"grid bounds must be finite, got [{self.low}, {self.high}]")
-        object.__setattr__(self, "steps", _check_integer("grid steps", self.steps))
-        if self.steps < 2:
-            raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
+        object.__setattr__(self, "steps", _check_integer("grid steps", self.steps, low=2))
         if not self.low < self.high:
             raise DomainError(f"grid needs low < high, got [{self.low}, {self.high}]")
         if self.scale not in ("linear", "log"):

@@ -62,117 +62,108 @@ class ParsedExperiment:
     plan: list[PlanStep] = field(default_factory=list)
 
 
-def _fail(lineno: int, message: str) -> ConfigError:
-    return ConfigError(f"line {lineno}: {message}")
-
-
-def _parse_photon(token: str, lineno: int) -> Photon:
+def _parse_photon(token: str) -> Photon:
     try:
         return Photon[token.strip().upper()]
     except KeyError:
-        raise _fail(lineno, f"unknown photon {token!r} (expected A or B)") from None
+        raise ConfigError(f"unknown photon {token!r} (expected A or B)") from None
 
 
-def _parse_axis(token: str, lineno: int) -> Axis:
+def _parse_axis(token: str) -> Axis:
     try:
         return Axis(token.strip().lower())
     except ValueError:
-        raise _fail(lineno, f"unknown axis {token!r} (expected x, y or z)") from None
+        raise ConfigError(f"unknown axis {token!r} (expected x, y or z)") from None
 
 
-def _parse_branch(token: str, lineno: int, axis: Axis | None) -> Branch:
+def _parse_branch(token: str, axis: Axis | None) -> Branch:
     key = token.strip().lower()
     if key not in _BRANCH_TOKENS:
-        raise _fail(lineno, f"unknown branch {token!r}")
+        raise ConfigError(f"unknown branch {token!r}")
     implied_axis, branch = _BRANCH_TOKENS[key]
     if implied_axis is not None and axis is not None and implied_axis is not axis:
-        raise _fail(lineno, f"branch {token!r} belongs to axis {implied_axis.value}")
+        raise ConfigError(f"branch {token!r} belongs to axis {implied_axis.value}")
     return branch
 
 
-def _parse_op_line(value: str, lineno: int) -> MeasureStep:
+def _parse_op_line(value: str) -> MeasureStep:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 4:
-        raise _fail(lineno, "op needs photon,axis,branch,alpha")
-    photon = _parse_photon(parts[0], lineno)
-    axis = _parse_axis(parts[1], lineno)
-    branch = _parse_branch(parts[2], lineno, axis)
+        raise ConfigError("op needs photon,axis,branch,alpha")
+    photon = _parse_photon(parts[0])
+    axis = _parse_axis(parts[1])
+    branch = _parse_branch(parts[2], axis)
     try:
         alpha = float(parts[3])
     except ValueError:
-        raise _fail(lineno, f"bad alpha {parts[3]!r}") from None
-    try:
-        return MeasureStep(photon, PartialMeasurementOp(axis, branch, alpha))
-    except DomainError as exc:
-        raise _fail(lineno, str(exc)) from None
+        raise ConfigError(f"bad alpha {parts[3]!r}") from None
+    return MeasureStep(photon, PartialMeasurementOp(axis, branch, alpha))
 
 
-def _parse_cascade_line(value: str, lineno: int) -> CascadeStep:
+def _parse_cascade_line(value: str) -> CascadeStep:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) not in (3, 4):
-        raise _fail(lineno, "cascade needs photon,branch,n_detectors[,n_beams]")
-    photon = _parse_photon(parts[0], lineno)
-    branch = _parse_branch(parts[1], lineno, Axis.X)
+        raise ConfigError("cascade needs photon,branch,n_detectors[,n_beams]")
+    photon = _parse_photon(parts[0])
+    branch = _parse_branch(parts[1], Axis.X)
     try:
         n_detectors = int(parts[2])
         n_beams = int(parts[3]) if len(parts) == 4 else 100
     except ValueError:
-        raise _fail(lineno, "detector and beam counts must be integers") from None
-    try:
-        return CascadeStep(photon, branch, n_detectors, n_beams)
-    except ConfigError as exc:
-        raise _fail(lineno, str(exc)) from None
+        raise ConfigError("detector and beam counts must be integers") from None
+    return CascadeStep(photon, branch, n_detectors, n_beams)
 
 
-def _parse_preparation(value: str, lineno: int) -> Preparation:
+def _parse_preparation(value: str) -> Preparation:
     token = value.strip().lower()
     if token == "epr":
         return Preparation.epr()
     head, colon, branch = token.partition(":")
     if head.rstrip() == "single":
-        return Preparation.single(_parse_branch(branch, lineno, Axis.Y) if colon else Branch.PLUS)
-    raise _fail(lineno, f"unknown preparation {value!r}")
+        return Preparation.single(_parse_branch(branch, Axis.Y) if colon else Branch.PLUS)
+    raise ConfigError(f"unknown preparation {value!r}")
 
 
-def _parse_int(value: str, lineno: int, key: str) -> int:
+def _parse_int(value: str, key: str) -> int:
     try:
         return int(value.strip())
     except ValueError:
-        raise _fail(lineno, f"{key} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def parse_experiment_text(text: str) -> ParsedExperiment:
+    """The experiment in ``text``.  The helpers above raise bare messages;
+    a bad line's ``line N: `` prefix is added here, once for every cause."""
     parsed = ParsedExperiment()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _fail(lineno, f"expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key in ("op", "cascade"):
-            step = (
-                _parse_op_line(value, lineno)
-                if key == "op"
-                else _parse_cascade_line(value, lineno)
-            )
-            parsed.plan.append(step)
-            continue
-        if key in seen:
-            raise _fail(lineno, f"duplicate key {key!r}")
-        seen.add(key)
-        if key == "preparation":
-            parsed.preparation = _parse_preparation(value, lineno)
-        elif key == "trials":
-            parsed.trials = _parse_int(value, lineno, "trials")
-        elif key == "seed":
-            parsed.seed = _parse_int(value, lineno, "seed")
-        elif key == "final_axis":
-            parsed.final_axis = _parse_axis(value, lineno)
-        else:
-            raise _fail(lineno, f"unknown key {key!r}")
+        try:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.lower()
+            if key in ("op", "cascade"):
+                step = _parse_op_line(value) if key == "op" else _parse_cascade_line(value)
+                parsed.plan.append(step)
+                continue
+            if key in seen:
+                raise ConfigError(f"duplicate key {key!r}")
+            seen.add(key)
+            if key == "preparation":
+                parsed.preparation = _parse_preparation(value)
+            elif key == "trials":
+                parsed.trials = _parse_int(value, "trials")
+            elif key == "seed":
+                parsed.seed = _parse_int(value, "seed")
+            elif key == "final_axis":
+                parsed.final_axis = _parse_axis(value)
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except (ConfigError, DomainError) as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return parsed
 
 
@@ -183,7 +174,7 @@ def parse_experiment_file(path) -> ParsedExperiment:
     except UnicodeDecodeError as exc:
         # read() decodes the whole file at once, so exc.object is all of it
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise _fail(lineno, f"not UTF-8 text ({exc.reason})") from None
+        raise ConfigError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
     return parse_experiment_text(text)
 
 

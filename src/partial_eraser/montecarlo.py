@@ -116,9 +116,7 @@ class CascadeStep:
         _check_member("photon", self.photon, _PHOTONS, ConfigError)
         _check_member("branch", self.branch, _BRANCHES, ConfigError)
         n_beams = _check_integer("n_beams", self.n_beams, ConfigError, low=1)
-        n_detectors = _check_integer("n_detectors", self.n_detectors, ConfigError)
-        if not 0 <= n_detectors <= n_beams:
-            raise ConfigError(f"n_detectors must lie in [0, {n_beams}], got {n_detectors!r}")
+        n_detectors = _check_integer("n_detectors", self.n_detectors, ConfigError, 0, n_beams)
         object.__setattr__(self, "n_beams", n_beams)
         object.__setattr__(self, "n_detectors", n_detectors)
         alpha = (n_beams - n_detectors) / n_beams
@@ -150,14 +148,10 @@ class ExperimentConfig:
                 raise ConfigError(f"plan steps must be MeasureStep or CascadeStep, got {step!r}")
             if step.photon is Photon.B and self.preparation.kind is _SINGLE:
                 raise ConfigError("single-photon experiments cannot measure photon B")
-        trials = _check_integer("trials", self.trials, ConfigError, low=1)
-        master_seed = _check_integer("master_seed", self.master_seed, ConfigError)
+        trials = _check_integer("trials", self.trials, ConfigError, 1, 2**64)
+        master_seed = _check_integer("master_seed", self.master_seed, ConfigError, 0, 2**64 - 1)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", master_seed)
-        if self.trials > 2**64:
-            raise ConfigError(f"trials must be <= 2^64, got {self.trials!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must be a 64-bit unsigned integer")
         _check_member("final_axis", self.final_axis, _AXES, ConfigError)
 
     @functools.cached_property
@@ -230,10 +224,9 @@ def trial_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     reference for the layout; the runner reads the same doubles from one
     generator per run (``_uniform_chunks``).
     """
-    master_seed = _check_integer("master_seed", master_seed)
-    start, stop = _check_integer("start", start), _check_integer("stop", stop)
-    if not (0 <= master_seed < 2**64 and 0 <= start <= stop <= 2**64):
-        raise DomainError("trial_uniforms needs a 64-bit seed and 0 <= start <= stop <= 2^64")
+    master_seed = _check_integer("master_seed", master_seed, low=0, high=2**64 - 1)
+    start = _check_integer("start", start, low=0)
+    stop = _check_integer("stop", stop, low=start, high=2**64)
     bit_generator = np.random.PCG64(master_seed)
     bit_generator.advance(start)
     return np.random.Generator(bit_generator).random(stop - start)
@@ -401,12 +394,14 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
     the 4-byte words its indices need, writes the shared digits once,
     NUL-padded on the left, and the last four as one slice of
     ``_digit_groups``, from its row without leading zeros when there are
-    no shared digits.  Every NUL byte is then dropped.
+    no shared digits.  Every NUL byte is then dropped.  Each cut is made
+    contiguous on first use: ``take`` on a strided view copies all of it.
     """
     tails = ["".join("," + _log_cell(value) for value in row) + "\n" for row in table]
     size = -(-max(map(len, tails)) // 4) * 4
     template = np.zeros((len(tails), 20 + size), np.uint8)
     template[:, 20:] = np.array(tails, dtype=f"S{size}").view(np.uint8).reshape(len(tails), size)
+    cut = functools.cache(lambda words: np.ascontiguousarray(template[:, 16 - 4 * words :]))
 
     def render(start: int, keys: np.ndarray) -> bytes:
         parts, first, stop = [], start, start + len(keys)
@@ -414,7 +409,7 @@ def _log_renderer(table: list) -> Callable[[int, np.ndarray], bytes]:
             head, low = str(start)[:-4], start % 10_000
             words = -(-len(head) // 4)
             end = min(stop, start - low + 10_000)
-            rows = template[:, 16 - 4 * words :].take(keys[start - first : end - first], axis=0)
+            rows = cut(words).take(keys[start - first : end - first], axis=0)
             columns = rows.view(np.uint32)
             columns[:, :words] = np.frombuffer(head.rjust(4 * words, "\0").encode(), np.uint32)
             columns[:, words] = _digit_groups()[0 if head else 1, low : low + end - start]

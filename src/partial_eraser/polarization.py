@@ -79,13 +79,18 @@ def _check_member(name: str, value, members: tuple, error: type = DomainError) -
     raise error(f"{name} must be one of {', '.join(map(str, members))}, got {value!r}")
 
 
-def _check_integer(name: str, value, error: type = DomainError, low: int | None = None) -> int:
+def _check_integer(
+    name: str, value, error: type = DomainError, low: int | None = None, high: int | None = None
+) -> int:
     """``value`` as an ``int``, else ``error``: it must be an integer
-    (numpy's too, not a bool) and not below ``low``."""
+    (numpy's too, not a bool), not below ``low`` and not above ``high``.
+    This is the one home of every integer bound in the package."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value!r}")
     return int(value)
 
 

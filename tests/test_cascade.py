@@ -2,6 +2,7 @@ import dis
 import enum
 import hashlib
 import math
+import re
 import types
 
 import numpy as np
@@ -82,17 +83,26 @@ class TestBuildCascade:
 class TestValidation:
     @pytest.mark.parametrize("index", [2.0, 1.5, True, False], ids=repr)
     def test_placement_rejects_non_integer_indices(self, index):
-        with pytest.raises(DomainError, match="integers"):
+        message = f"beam index must be an integer, got {index!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             DetectorPlacement(Branch.PLUS, frozenset({5, index}))
 
     @pytest.mark.parametrize("indices", [{-1}, {-3, 0, 2}, {np.int64(-1)}], ids=repr)
     def test_placement_rejects_negative_indices(self, indices):
-        with pytest.raises(DomainError, match="^beam indices must be non-negative$"):
+        message = f"beam index must be >= 0, got {min(indices)!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             DetectorPlacement(Branch.PLUS, frozenset(indices))
 
     def test_placement_accepts_numpy_integers(self):
         placement = DetectorPlacement(Branch.PLUS, frozenset(np.arange(3)))
         assert placement.n_detectors == 3
+        # Stored as Python ints, so a click reports ``1``, not ``np.int64(1)``.
+        placement = DetectorPlacement(Branch.PLUS, np.arange(3))
+        assert all(type(index) is int for index in placement.beam_indices)
+        up = basis_state(Axis.X, Branch.PLUS)  # clicks with certainty on all 3 beams
+        middle = types.SimpleNamespace(random=lambda: 0.5)  # picks the second detector
+        outcome = cascade_measure(up, placement, Cascade(3), middle)
+        assert outcome.clicked and type(outcome.detector) is int and outcome.detector == 1
 
     def test_placement_reads_a_generator_once(self):
         """Indices given as a one-shot iterator are checked and stored

@@ -266,8 +266,8 @@ class TestChart:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: GridSpec(0.0, 1.0, 1), "grid needs at least 2 steps, got 1"),
-            (lambda: GridSpec(0.0, 1.0, -3), "grid needs at least 2 steps, got -3"),
+            (lambda: GridSpec(0.0, 1.0, 1), "grid steps must be >= 2, got 1"),
+            (lambda: GridSpec(0.0, 1.0, -3), "grid steps must be >= 2, got -3"),
             (lambda: GridSpec(0.0, 1.0, 5, "cubic"), "unknown grid scale 'cubic'"),
             (lambda: ChartRequest("pie", GridSpec(0.0, 1.0, 2)), "unknown chart 'pie'"),
         ],
@@ -395,7 +395,7 @@ class TestRun:
         result = run_python(["-m", "partial_eraser.cli", *argv], cwd=tmp_path, timeout=30)
         assert result.returncode == 2
         assert result.stderr.count("\n") == 1
-        assert result.stderr.startswith("error: trials must be <= 2^64")
+        assert result.stderr == f"error: trials must be <= {2**64}, got {2**64 + 1}\n"
         assert not out.exists()
 
     def test_gate_failure_exit_code(self, tmp_path):
@@ -651,8 +651,11 @@ class TestCascadeDemo:
             (["--seed", "-1"], "master_seed"),
             (["--trials", "0"], "trials"),
             (["--trials", "-5"], "trials"),
-            (["--detectors", "-1", "--trials", "1000", "--seed", "1"], "n_detectors must lie in"),
-            (["--detectors", "5", "--n-beams", "3"], "n_detectors must lie in"),
+            (
+                ["--detectors", "-1", "--trials", "1000", "--seed", "1"],
+                "n_detectors must be >= 0, got -1",
+            ),
+            (["--detectors", "5", "--n-beams", "3"], "n_detectors must be <= 3, got 5"),
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, flags, fragment):

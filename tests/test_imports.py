@@ -160,3 +160,37 @@ def test_one_function_builds_single_photon_states_in_place():
         if built == "PolarizationState"
     ]
     assert builds == [("measurement.py", "_silent_state")]
+
+
+def number_type_imports(source: str) -> list[str]:
+    """The ``numbers.Integral`` and ``numbers.Real`` that ``source``
+    imports by name or reads through ``numbers``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "numbers":
+            found.append(node.attr)
+    return [name for name in found if name in ("Integral", "Real")]
+
+
+def test_finds_a_number_type_import():
+    source = (
+        "from numbers import Integral, Number\n"
+        "import numbers\n"
+        "isinstance(x, numbers.Real)\n"
+        "from fractions import Fraction\n"
+    )
+    assert number_type_imports(source) == ["Integral", "Real"]
+
+
+def test_only_polarization_tests_number_types():
+    """``polarization._check_integer`` and ``_fraction`` are the one home of
+    the integer and real-number rules: no other module tests
+    ``isinstance(value, Integral)`` by hand."""
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "polarization.py" and (names := number_type_imports(path.read_text()))
+    }
+    assert found == {}

@@ -16,6 +16,8 @@ from partial_eraser import (
     PartialMeasurementOp,
     Photon,
     Preparation,
+    analytic_agreement,
+    analytic_survival,
     delta_ac,
     delta_pair,
     inequality_margin,
@@ -209,3 +211,69 @@ class TestMonteCarloConsistency:
         excess = ac[0] - ab[0] - bc[0]
         sigma = math.sqrt(sum(r * (1 - r) / n for r, n in (ab, bc, ac)))
         assert excess > 5 * sigma
+
+
+def pair_config(steps, trials=1, seed=0):
+    """A pair plan of X-axis partial measurements, each step given as
+    ``(photon, branch, alpha)``, read out on the diagonal axis."""
+    plan = tuple(
+        MeasureStep(photon, PartialMeasurementOp(Axis.X, branch, alpha))
+        for photon, branch, alpha in steps
+    )
+    return ExperimentConfig(Preparation.epr(), plan, Axis.Y, trials, seed)
+
+
+def margin_z(rates):
+    """z of the margin delta_ac - delta_ab - delta_bc, from the disagreement
+    rate and surviving count of the runs ab, bc and ac, in that order."""
+    (ab, _), (bc, _), (ac, _) = rates
+    return (ac - ab - bc) / math.sqrt(sum(d * (1 - d) / n for d, n in rates))
+
+
+class TestInequalityFromThePairAlgebra:
+    """The paper's two rates are those of pair plans: a partial measurement
+    of A leaves the disagreement delta, and B's equal measurement of the
+    same branch after it compounds it into delta_ac; B's measurement of the
+    other branch erases A's."""
+
+    @staticmethod
+    def check_identities(rho):
+        alpha = min(rho, 1.0 / rho)
+        on_a = (Photon.A, Branch.PLUS, alpha)
+        for steps, expected in (
+            ([on_a], delta_pair(rho)),
+            ([on_a, (Photon.B, Branch.PLUS, alpha)], delta_ac(rho)),
+            ([on_a, (Photon.B, Branch.MINUS, alpha)], 0.0),
+        ):
+            disagreement = 1.0 - analytic_agreement(pair_config(steps))
+            # absolute: both forms cancel near rho = 1
+            assert abs(disagreement - expected) <= 2e-15, (rho, steps)
+
+    def test_identities_on_a_log_grid(self):
+        for rho in np.geomspace(1 / 50, 50, 2001).tolist():
+            self.check_identities(rho)
+
+    @given(log_rhos)
+    def test_identities_on_both_sides_of_one(self, rho):
+        self.check_identities(rho)
+
+    # 25,000 trials a run predict |z| >= 10.5 at each rho here, twice the
+    # threshold; the margin changes sign near 8.35, where no affordable
+    # count resolves it (rho = 8 predicts z = 0.9).
+    @pytest.mark.parametrize("rho, sign", [(1.5, 1), (2.0, 1), (4.0, 1), (16.0, -1)])
+    def test_sampled_margin(self, rho, sign):
+        trials, alpha = 25_000, 1.0 / rho
+        plans = [
+            [(Photon.A, Branch.PLUS, alpha)],
+            [(Photon.B, Branch.PLUS, alpha)],
+            [(Photon.A, Branch.PLUS, alpha), (Photon.B, Branch.PLUS, alpha)],
+        ]
+        predicted, sampled = [], []
+        for seed, steps in enumerate(plans, start=1):
+            config = pair_config(steps, trials, seed)
+            survivors = analytic_survival(config) * trials
+            predicted.append((1.0 - analytic_agreement(config), survivors))
+            _, surviving, agreeing = count_trials(config)
+            sampled.append(((surviving - agreeing) / surviving, surviving))
+        assert sign * margin_z(predicted) >= 10
+        assert sign * margin_z(sampled) > 5

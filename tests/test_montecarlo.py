@@ -210,7 +210,7 @@ class TestConfigValidation:
 
     def test_trials_bound_is_the_stream_length(self):
         assert epr_config([], trials=2**64).trials == 2**64
-        with pytest.raises(ConfigError, match="trials must be <= 2"):
+        with pytest.raises(ConfigError, match=f"^trials must be <= {2**64}, got {2**64 + 1}$"):
             epr_config([], trials=2**64 + 1)
 
     def test_cascade_step_bounds(self):
