@@ -82,7 +82,7 @@ class DetectorPlacement:
         _check_member("branch", self.branch, _BRANCHES)
         try:
             indices = (_check_integer("beam index", index, low=0) for index in self.beam_indices)
-            ordered = tuple(sorted(indices))
+            ordered = tuple(sorted(set(indices)))
         except TypeError:
             raise DomainError(
                 f"beam indices must be an iterable of integers, got {self.beam_indices!r}"

@@ -616,6 +616,35 @@ def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLea
     return leaf
 
 
+# The click leaves' last path entries by step index ``k``, ``("click@k:detj",)``
+# for ``j`` from 0: the labels depend on no input, so every tree shares them.
+# An entry grows to the largest detector count asked at its step and is kept.
+_CLICK_TAILS: dict[int, tuple[tuple[str], ...]] = {}
+
+
+def _click_tails(step_idx: int, count: int) -> tuple[tuple[str], ...]:
+    """The first ``count`` click tails of step ``step_idx``."""
+    tails = _CLICK_TAILS.get(step_idx, ())
+    if len(tails) < count:  # a new tuple: a concurrent reader sees the old one whole
+        prefix = f"click@{step_idx}:det"
+        tails += tuple((f"{prefix}{det}",) for det in range(len(tails), count))
+        _CLICK_TAILS[step_idx] = tails
+    return tails[:count]
+
+
+def _click_leaves(leaves: list, path: tuple, tails: tuple, probability: float) -> None:
+    """Append one click leaf per tail, as ``_leaf`` builds it.  ``() + tail``
+    is ``tail`` itself, so step 0's leaves share the table's paths."""
+    new, append = object.__new__, leaves.append
+    for tail in tails:
+        leaf = new(EventLeaf)
+        _SET_PATH(leaf, path + tail)
+        _SET_PROBABILITY(leaf, probability)
+        _SET_CLICKED(leaf, True)
+        _SET_AGREEMENT(leaf, None)
+        append(leaf)
+
+
 # The final leaves' last path entry by ``(result_a, result_b)``, as
 # ``_final_outcomes`` yields them; ``Enum.value`` is a Python-level property
 # on 3.11, so the oracle reads the labels from here.
@@ -643,13 +672,9 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
     for step_idx, step in enumerate(config.plan):
         p_click, state = step_fn(state, step.photon, step.op)
         if isinstance(step, CascadeStep):
-            if step.n_detectors:
-                p_leaf = prob * (p_click / step.n_detectors)
-                prefix = f"click@{step_idx}:det"
-                leaves.extend(
-                    _leaf(path + (f"{prefix}{det}",), p_leaf, True, None)
-                    for det in range(step.n_detectors)
-                )
+            if count := step.n_detectors:
+                tails = _click_tails(step_idx, count)
+                _click_leaves(leaves, path, tails, prob * (p_click / count))
         elif p_click > 0.0:
             leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
         if state is None:  # p_click >= 1: no path survives
