@@ -110,6 +110,27 @@ class TestValidation:
         placement = DetectorPlacement(Branch.PLUS, (index for index in (3, 1)))
         assert placement.beam_indices == frozenset({1, 3}) and placement.n_detectors == 2
 
+    @pytest.mark.parametrize(
+        "listed, distinct", [([1, 1], {1}), ([3, 0, 3, 0, 3], {0, 3})], ids=repr
+    )
+    def test_repeated_indices_count_once(self, listed, distinct):
+        """A placement counts each beam once, however often it is listed:
+        on one seeded stream it samples as its distinct indices do, bit
+        for bit."""
+        texts = []
+        for indices in (listed, distinct):
+            stream = np.random.default_rng(CASCADE_PINNED_SEED)
+            for branch in Branch:
+                placement = DetectorPlacement(branch, indices)
+                assert placement.n_detectors == len(distinct)
+                for state in cascade_inputs(np.random.default_rng(CASCADE_PINNED_SEED)):
+                    for _ in range(20):
+                        outcome = cascade_measure(state, placement, Cascade(4), stream)
+                        texts.append(outcome_text(outcome))
+        listed_texts, distinct_texts = texts[: len(texts) // 2], texts[len(texts) // 2 :]
+        assert sum(text.startswith("True") for text in distinct_texts) > 100
+        assert listed_texts == distinct_texts
+
     @pytest.mark.parametrize("n_beams", [0, -2])
     def test_cascade_validates_itself(self, n_beams):
         with pytest.raises(DomainError):
@@ -377,6 +398,8 @@ HOT_KERNELS = (
     cascade_module.equivalent_op,
     montecarlo.enumerate_event_tree,
     montecarlo._leaf,
+    montecarlo._click_tails,
+    montecarlo._click_leaves,
     montecarlo._final_outcomes,
     montecarlo._algebra,
     montecarlo.CascadeStep.__post_init__,

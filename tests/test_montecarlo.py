@@ -1112,6 +1112,96 @@ class TestEventLeaf:
                     setattr(leaf, field.name, None)
 
 
+def fstring_tree(config, asked):
+    """The event tree as built before the label table: one f-string label
+    and one constructor call per leaf.  Records in ``asked`` the largest
+    detector count that each reached step index asks for."""
+    state, step_fn = montecarlo._algebra(config.preparation)
+    leaves, prob, path = [], 1.0, ()
+    for k, step in enumerate(config.plan):
+        p_click, state = step_fn(state, step.photon, step.op)
+        if isinstance(step, CascadeStep):
+            if step.n_detectors:
+                asked[k] = max(asked.get(k, 0), step.n_detectors)
+            p_leaf = prob * (p_click / step.n_detectors) if step.n_detectors else None
+            for j in range(step.n_detectors):
+                leaves.append(EventLeaf(path + (f"click@{k}:det{j}",), p_leaf, True, None))
+        elif p_click > 0.0:
+            leaves.append(EventLeaf(path + (f"click@{k}",), prob * p_click, True, None))
+        if state is None:
+            return tuple(leaves)
+        prob *= 1.0 - p_click
+        path += (f"pass@{k}",)
+    for p, a, b, agreement in montecarlo._final_outcomes(
+        config.preparation, state, config.final_axis
+    ):
+        label = f"final:{a.value}" if b is None else f"final:{a.value},{b.value}"
+        leaves.append(EventLeaf(path + (label,), prob * p, False, agreement))
+    return tuple(leaves)
+
+
+def label_plans(gen, count):
+    """Plans of 1 to 6 steps whose cascades, some after abstract ops, ask
+    for random step indices and detector counts (0 to 300) in random order."""
+    for _ in range(count):
+        single = gen.random() < 0.3
+        steps = []
+        for _ in range(gen.randint(1, 6)):
+            photon = Photon.A if single else gen.choice(list(Photon))
+            branch = gen.choice(list(Branch))
+            if gen.random() < 0.6:
+                n_beams = gen.choice([1, 7, 40, 300])
+                steps.append(CascadeStep(photon, branch, gen.randint(0, n_beams), n_beams))
+            else:
+                steps.append(measure(photon, gen.choice(list(Axis)), branch, gen.random()))
+        preparation = Preparation.single(gen.choice(list(Branch))) if single else Preparation.epr()
+        yield ExperimentConfig(preparation, tuple(steps), gen.choice(list(Axis)), 10, 0)
+
+
+class TestClickLabels:
+    def test_trees_match_the_fstring_labels(self, monkeypatch):
+        """Detector leaves read their labels from one table that grows and
+        is sliced as trees ask; each tree equals the one built with a
+        fresh f-string per leaf, by ``==``, ``repr`` and pickle bytes."""
+        monkeypatch.setattr(montecarlo, "_CLICK_TAILS", {})
+        asked, seen = {}, Counter()
+        for config in label_plans(random.Random(20261021), 400):
+            before = dict(asked)
+            expected = fstring_tree(config, asked)
+            tree = enumerate_event_tree(config)
+            assert tree == expected and repr(tree) == repr(expected)
+            assert pickle.dumps(tree) == pickle.dumps(expected)
+            assert pickle.loads(pickle.dumps(tree)) == expected
+            for k, step in enumerate(config.plan):
+                if isinstance(step, CascadeStep) and k in before:
+                    seen["grows" if step.n_detectors > before[k] else "slices"] += 1
+            seen["zero"] += any(
+                isinstance(step, CascadeStep) and not step.n_detectors for step in config.plan
+            )
+            seen["after an op"] += any(
+                isinstance(step, CascadeStep) and step.n_detectors and k
+                and isinstance(config.plan[k - 1], MeasureStep)
+                for k, step in enumerate(config.plan)
+            )
+        assert min(seen.values()) >= 20 and len(seen) == 4, seen
+        # Only the largest count asked per step index is kept.
+        assert montecarlo._CLICK_TAILS == {
+            k: tuple((f"click@{k}:det{j}",) for j in range(count)) for k, count in asked.items()
+        }
+
+    def test_step_zero_paths_are_shared(self):
+        """Two trees of one plan share its first step's detector paths."""
+        config = ExperimentConfig(
+            Preparation.single(Branch.PLUS),
+            (CascadeStep(Photon.A, Branch.PLUS, 100, 200),),
+            Axis.Y, 10, 0,
+        )
+        one, two = enumerate_event_tree(config), enumerate_event_tree(config)
+        assert one == two and one[0] is not two[0]
+        clicks = [(a.path, b.path) for a, b in zip(one, two) if a.clicked]
+        assert len(clicks) == 100 and all(a is b for a, b in clicks)
+
+
 class TestPreparedStates:
     def test_built_once_as_the_constructors_build_them(self):
         """Every fold starts from one shared frozen state per preparation,
