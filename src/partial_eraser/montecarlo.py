@@ -625,7 +625,7 @@ _CLICK_TAILS: dict[int, tuple[tuple[str], ...]] = {}
 def _click_tails(step_idx: int, count: int) -> tuple[tuple[str], ...]:
     """The first ``count`` click tails of step ``step_idx``."""
     tails = _CLICK_TAILS.get(step_idx, ())
-    if len(tails) < count:  # a new tuple: a concurrent reader sees the old one whole
+    if len(tails) < count:  # stored whole: a racing thread still reads right labels
         prefix = f"click@{step_idx}:det"
         tails += tuple((f"{prefix}{det}",) for det in range(len(tails), count))
         _CLICK_TAILS[step_idx] = tails
