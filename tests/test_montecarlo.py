@@ -1121,11 +1121,12 @@ def fstring_tree(config, asked):
     for k, step in enumerate(config.plan):
         p_click, state = step_fn(state, step.photon, step.op)
         if isinstance(step, CascadeStep):
-            if step.n_detectors:
-                asked[k] = max(asked.get(k, 0), step.n_detectors)
-            p_leaf = prob * (p_click / step.n_detectors) if step.n_detectors else None
-            for j in range(step.n_detectors):
-                leaves.append(EventLeaf(path + (f"click@{k}:det{j}",), p_leaf, True, None))
+            if n := step.n_detectors:
+                asked[k] = max(asked.get(k, 0), n)
+            leaves += [
+                EventLeaf(path + (f"click@{k}:det{j}",), prob * (p_click / n), True, None)
+                for j in range(n)
+            ]
         elif p_click > 0.0:
             leaves.append(EventLeaf(path + (f"click@{k}",), prob * p_click, True, None))
         if state is None:
@@ -1173,7 +1174,7 @@ class TestClickLabels:
             assert pickle.dumps(tree) == pickle.dumps(expected)
             assert pickle.loads(pickle.dumps(tree)) == expected
             for k, step in enumerate(config.plan):
-                if isinstance(step, CascadeStep) and k in before:
+                if isinstance(step, CascadeStep) and step.n_detectors and k in before:
                     seen["grows" if step.n_detectors > before[k] else "slices"] += 1
             seen["zero"] += any(
                 isinstance(step, CascadeStep) and not step.n_detectors for step in config.plan
