@@ -617,9 +617,10 @@ def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLea
 
 
 # The click leaves' last path entries by step index ``k``, ``("click@k:detj",)``
-# for ``j`` from 0: the labels depend on no input, so every tree shares them.
-# An entry grows to the largest detector count asked at its step and is kept.
+# for ``j`` from 0, shared by every tree.  An entry grows to the largest count
+# asked, kept for the first 8 step indices and 1,024 labels (about 1 MB in all).
 _CLICK_TAILS: dict[int, tuple[tuple[str], ...]] = {}
+_KEPT_STEPS, _KEPT_TAILS = 8, 1024
 
 
 def _click_tails(step_idx: int, count: int) -> tuple[tuple[str], ...]:
@@ -628,18 +629,18 @@ def _click_tails(step_idx: int, count: int) -> tuple[tuple[str], ...]:
     if len(tails) < count:  # stored whole: a racing thread still reads right labels
         prefix = f"click@{step_idx}:det"
         tails += tuple((f"{prefix}{det}",) for det in range(len(tails), count))
-        _CLICK_TAILS[step_idx] = tails
+        if step_idx < _KEPT_STEPS:
+            _CLICK_TAILS[step_idx] = tails[:_KEPT_TAILS]
     return tails[:count]
 
 
-def _click_leaves(leaves: list, path: tuple, tails: tuple, probability: float) -> None:
-    """Append one click leaf per tail, as ``_leaf`` builds it.  ``() + tail``
-    is ``tail`` itself, so step 0's leaves share the table's paths."""
+def _click_leaves(leaves: list, path: tuple, step_idx: int, count: int, p: float) -> None:
+    """Append step ``step_idx``'s ``count`` click leaves, as ``_leaf`` builds them."""
     new, append = object.__new__, leaves.append
-    for tail in tails:
+    for tail in _click_tails(step_idx, count):
         leaf = new(EventLeaf)
         _SET_PATH(leaf, path + tail)
-        _SET_PROBABILITY(leaf, probability)
+        _SET_PROBABILITY(leaf, p)
         _SET_CLICKED(leaf, True)
         _SET_AGREEMENT(leaf, None)
         append(leaf)
@@ -673,8 +674,7 @@ def enumerate_event_tree(config: ExperimentConfig) -> tuple[EventLeaf, ...]:
         p_click, state = step_fn(state, step.photon, step.op)
         if isinstance(step, CascadeStep):
             if count := step.n_detectors:
-                tails = _click_tails(step_idx, count)
-                _click_leaves(leaves, path, tails, prob * (p_click / count))
+                _click_leaves(leaves, path, step_idx, count, prob * (p_click / count))
         elif p_click > 0.0:
             leaves.append(_leaf(path + (f"click@{step_idx}",), prob * p_click, True, None))
         if state is None:  # p_click >= 1: no path survives

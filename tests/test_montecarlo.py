@@ -1162,20 +1162,28 @@ def label_plans(gen, count):
 class TestClickLabels:
     def test_trees_match_the_fstring_labels(self, monkeypatch):
         """Detector leaves read their labels from one table that grows and
-        is sliced as trees ask; each tree equals the one built with a
-        fresh f-string per leaf, by ``==``, ``repr`` and pickle bytes."""
+        is sliced as trees ask, up to its caps; each tree equals the one
+        built with a fresh f-string per leaf, by ``==``, ``repr`` and pickle
+        bytes.  The caps are made small, so that random plans pass them."""
         monkeypatch.setattr(montecarlo, "_CLICK_TAILS", {})
+        monkeypatch.setattr(montecarlo, "_KEPT_STEPS", 4)
+        monkeypatch.setattr(montecarlo, "_KEPT_TAILS", 100)
         asked, seen = {}, Counter()
-        for config in label_plans(random.Random(20261021), 400):
-            before = dict(asked)
-            expected = fstring_tree(config, asked)
+        for i, config in enumerate(label_plans(random.Random(20261021), 400)):
+            if i % 50 == 0:  # start over, so that entries grow again
+                montecarlo._CLICK_TAILS.clear()
+                asked.clear()
+            kept = {k: len(tails) for k, tails in montecarlo._CLICK_TAILS.items()}
+            reached = {}
+            expected = fstring_tree(config, reached)
             tree = enumerate_event_tree(config)
             assert tree == expected and repr(tree) == repr(expected)
             assert pickle.dumps(tree) == pickle.dumps(expected)
             assert pickle.loads(pickle.dumps(tree)) == expected
-            for k, step in enumerate(config.plan):
-                if isinstance(step, CascadeStep) and step.n_detectors and k in before:
-                    seen["grows" if step.n_detectors > before[k] else "slices"] += 1
+            for k, n in reached.items():
+                asked[k] = max(asked.get(k, 0), n)
+                seen["step not kept" if k >= 4 else "over the cap" if n > 100
+                     else "grows" if n > kept.get(k, 0) else "slices"] += 1
             seen["zero"] += any(
                 isinstance(step, CascadeStep) and not step.n_detectors for step in config.plan
             )
@@ -1184,23 +1192,27 @@ class TestClickLabels:
                 and isinstance(config.plan[k - 1], MeasureStep)
                 for k, step in enumerate(config.plan)
             )
-        assert min(seen.values()) >= 20 and len(seen) == 4, seen
-        # Only the largest count asked per step index is kept.
+        assert min(seen.values()) >= 20 and len(seen) == 6, seen
+        # Only the largest count asked per kept step index, up to the cap.
         assert montecarlo._CLICK_TAILS == {
-            k: tuple((f"click@{k}:det{j}",) for j in range(count)) for k, count in asked.items()
+            k: tuple((f"click@{k}:det{j}",) for j in range(min(count, 100)))
+            for k, count in asked.items()
+            if k < 4
         }
 
-    def test_step_zero_paths_are_shared(self):
-        """Two trees of one plan share its first step's detector paths."""
-        config = ExperimentConfig(
-            Preparation.single(Branch.PLUS),
-            (CascadeStep(Photon.A, Branch.PLUS, 100, 200),),
-            Axis.Y, 10, 0,
-        )
-        one, two = enumerate_event_tree(config), enumerate_event_tree(config)
-        assert one == two and one[0] is not two[0]
-        clicks = [(a.path, b.path) for a, b in zip(one, two) if a.clicked]
-        assert len(clicks) == 100 and all(a is b for a, b in clicks)
+    def test_the_table_is_bounded(self, monkeypatch):
+        """A 2,000-detector cascade keeps 1,024 labels, and one at step
+        index 9 keeps none."""
+        monkeypatch.setattr(montecarlo, "_CLICK_TAILS", {})
+        plan = (CascadeStep(Photon.A, Branch.PLUS, 2000, 3000),)
+        plan += (measure(Photon.A, Axis.X, Branch.MINUS, 0.5),) * 8
+        plan += (CascadeStep(Photon.A, Branch.PLUS, 5, 3000),)
+        config = ExperimentConfig(Preparation.single(Branch.PLUS), plan, Axis.Y, 10, 0)
+        for _ in range(2):
+            assert enumerate_event_tree(config) == fstring_tree(config, {})
+            assert montecarlo._CLICK_TAILS == {
+                0: tuple((f"click@0:det{j}",) for j in range(1024))
+            }
 
 
 class TestPreparedStates:
