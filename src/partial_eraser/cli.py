@@ -208,10 +208,6 @@ def cmd_cascade_demo(args) -> int:
     clicks, survivors, _ = count_trials(config)
     analytic = analytic_survival(config)  # reads the fold that the counts made
     empirical = survivors / args.trials
-    print(
-        f"trials={args.trials} clicks={clicks} survivors={survivors} "
-        f"survival={empirical:.5f} analytic={analytic:.5f}"
-    )
     if args.output:
         columns = {
             "n_beams": n,
@@ -224,6 +220,10 @@ def cmd_cascade_demo(args) -> int:
             "analytic_survival": analytic,
         }
         write_csv(args.output, list(columns), [list(columns.values())])
+    print(
+        f"trials={args.trials} clicks={clicks} survivors={survivors} "
+        f"survival={empirical:.5f} analytic={analytic:.5f}"
+    )
     return EXIT_OK
 
 

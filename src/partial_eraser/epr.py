@@ -256,7 +256,7 @@ def sample_partial_pair(
     """Draw a click / no-click event for a partial measurement on a pair.
 
     ``mode`` is read by nothing; it and this function go together
-    (ROADMAP item 6)."""
+    (ROADMAP item 7)."""
     alpha = op.alpha
     amps = pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru
     terms = _SILENCE_TERMS[op.axis, op.branch]

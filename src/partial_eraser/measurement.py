@@ -49,7 +49,7 @@ from .polarization import (
 class TrackingMode(Enum):
     """The one state update, renormalized after each no-click.  Only
     ``epr.sample_partial_pair`` still takes it, and does not read it; both
-    go together (ROADMAP item 6)."""
+    go together (ROADMAP item 7)."""
 
     NORMALIZED = "normalized"
 

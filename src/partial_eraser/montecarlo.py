@@ -599,20 +599,21 @@ class EventLeaf:
     agreement: bool | None
 
 
-# The slots' own setters, in field order: ``_leaf`` fills a leaf through
-# them, past the frozen ``__setattr__`` that ``__init__`` goes through.
-_SET_PATH, _SET_PROBABILITY, _SET_CLICKED, _SET_AGREEMENT = (
-    EventLeaf.__dict__[name].__set__ for name in EventLeaf.__slots__
-)
+class _OpenLeaf:
+    """``EventLeaf``'s slots with no frozen ``__setattr__``: a leaf is
+    filled by plain slot stores here, then its class becomes ``EventLeaf``."""
+
+    __slots__ = EventLeaf.__slots__
 
 
 def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLeaf:
     """``EventLeaf(path, probability, clicked, agreement)``, built in place."""
-    leaf = object.__new__(EventLeaf)
-    _SET_PATH(leaf, path)
-    _SET_PROBABILITY(leaf, probability)
-    _SET_CLICKED(leaf, clicked)
-    _SET_AGREEMENT(leaf, agreement)
+    leaf = _OpenLeaf()
+    leaf.path = path
+    leaf.probability = probability
+    leaf.clicked = clicked
+    leaf.agreement = agreement
+    leaf.__class__ = EventLeaf
     return leaf
 
 
@@ -636,13 +637,14 @@ def _click_tails(step_idx: int, count: int) -> tuple[tuple[str], ...]:
 
 def _click_leaves(leaves: list, path: tuple, step_idx: int, count: int, p: float) -> None:
     """Append step ``step_idx``'s ``count`` click leaves, as ``_leaf`` builds them."""
-    new, append = object.__new__, leaves.append
+    append = leaves.append
     for tail in _click_tails(step_idx, count):
-        leaf = new(EventLeaf)
-        _SET_PATH(leaf, path + tail)
-        _SET_PROBABILITY(leaf, p)
-        _SET_CLICKED(leaf, True)
-        _SET_AGREEMENT(leaf, None)
+        leaf = _OpenLeaf()
+        leaf.path = path + tail
+        leaf.probability = p
+        leaf.clicked = True
+        leaf.agreement = None
+        leaf.__class__ = EventLeaf
         append(leaf)
 
 

@@ -664,6 +664,15 @@ class TestCascadeDemo:
         assert_one_line_error(capsys, fragment)
         assert not out.exists()
 
+    def test_unwritable_output_prints_no_result(self, tmp_path, capsys):
+        """The CSV is written before the result line is printed, as ``run``
+        does: a failed write leaves stdout empty and one ``error:`` line."""
+        out = tmp_path / "no" / "dir" / "demo.csv"
+        assert main(["cascade-demo", "--trials", "10", "--output", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+
     def test_demo_folds_the_plan_once(self, monkeypatch, capsys):
         """The counts and the analytic survival share one fold."""
         algebra, folds = montecarlo._algebra, []

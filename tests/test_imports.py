@@ -4,7 +4,8 @@ Every module of the package uses each name it imports: a refactor that
 moves a helper between modules easily leaves the old import behind
 (``__init__`` is left out: it imports names to export them).  Every
 module-level private name is read somewhere, no module imports a private
-name of the runner, and one function builds single-photon states in place.
+name of the runner, one function builds single-photon states in place, and
+only the event-tree leaf builders switch an object's class.
 """
 
 import ast
@@ -160,6 +161,49 @@ def test_one_function_builds_single_photon_states_in_place():
         if built == "PolarizationState"
     ]
     assert builds == [("measurement.py", "_silent_state")]
+
+
+def class_switches(node, scope=None):
+    """The name of the innermost function around each store to a
+    ``__class__`` attribute under ``node``, plain or through a ``setattr``."""
+    for child in ast.iter_child_nodes(node):
+        if (
+            isinstance(child, ast.Attribute)
+            and child.attr == "__class__"
+            and isinstance(child.ctx, ast.Store)
+            or isinstance(child, ast.Call)
+            and ast.unparse(child.func).split(".")[-1] in ("setattr", "__setattr__")
+            and any(isinstance(arg, ast.Constant) and arg.value == "__class__" for arg in child.args)
+        ):
+            yield scope
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield from class_switches(child, inner)
+
+
+def test_finds_a_class_switch():
+    source = (
+        "x.__class__ = A\n"
+        "def f(x):\n"
+        "    y = x.__class__\n"
+        "    x.__class__.n = 1\n"
+        "    def g():\n"
+        "        object.__setattr__(x, '__class__', B)\n"
+        "    setattr(x, '__class__', C)\n"
+        "def h(x):\n"
+        "    x.__class__, y = A, 1\n"
+    )
+    assert list(class_switches(ast.parse(source))) == [None, "g", "f", "h"]
+
+
+def test_only_the_leaf_builders_switch_a_class():
+    """``montecarlo._leaf`` and ``_click_leaves`` fill an ``_OpenLeaf`` and
+    switch it to ``EventLeaf``; no other function sets a ``__class__``."""
+    switches = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in class_switches(ast.parse(path.read_text()))
+    }
+    assert switches == {("montecarlo.py", "_leaf"), ("montecarlo.py", "_click_leaves")}
 
 
 def number_type_imports(source: str) -> list[str]:

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -1213,6 +1214,44 @@ class TestClickLabels:
             assert montecarlo._CLICK_TAILS == {
                 0: tuple((f"click@0:det{j}",) for j in range(1024))
             }
+
+
+def assert_constructed(leaf):
+    """``leaf`` is the leaf the constructor makes of its fields, as large,
+    frozen and picklable."""
+    fields = dataclasses.fields(EventLeaf)
+    built = EventLeaf(*(getattr(leaf, field.name) for field in fields))
+    assert type(leaf) is EventLeaf and sys.getsizeof(leaf) == sys.getsizeof(built)
+    assert leaf == built and hash(leaf) == hash(built) and repr(leaf) == repr(built)
+    copy = pickle.loads(pickle.dumps(leaf))
+    assert type(copy) is EventLeaf and copy == leaf and repr(copy) == repr(leaf)
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(leaf, field.name, None)
+
+
+class TestOpenLeaf:
+    def test_the_twin_has_the_leaf_layout(self):
+        """Tree leaves are filled as ``montecarlo._OpenLeaf`` and then
+        switched to ``EventLeaf``: one slot layout, and no ``__dict__`` or
+        ``__weakref__`` on either class."""
+        assert montecarlo._OpenLeaf.__slots__ == EventLeaf.__slots__
+        for cls in (montecarlo._OpenLeaf, EventLeaf):
+            assert "__dict__" not in dir(cls) and "__weakref__" not in dir(cls)
+
+    def test_leaves_past_both_label_caps(self):
+        """A 1,100-detector cascade at step index 0 reads past the kept
+        labels, and a 1,500-detector one at step index 9 builds all of its
+        labels in the call; every leaf is the constructor's."""
+        plan = (CascadeStep(Photon.A, Branch.PLUS, 1100, 3000),)
+        plan += (measure(Photon.A, Axis.X, Branch.MINUS, 0.5),) * 8
+        plan += (CascadeStep(Photon.A, Branch.MINUS, 1500, 3000),)
+        config = ExperimentConfig(Preparation.single(Branch.PLUS), plan, Axis.Y, 10, 0)
+        tree = enumerate_event_tree(config)
+        assert len(tree) == 1100 + 8 + 1500 + 2
+        assert tree == fstring_tree(config, {})
+        for leaf in tree:
+            assert_constructed(leaf)
 
 
 class TestPreparedStates:
