@@ -141,14 +141,21 @@ def test_no_module_imports_a_private_name_of_the_runner():
     assert found == {}
 
 
-def in_place_builds(node, scope=None):
-    """``(function, class)`` per ``object.__new__(class)`` call under
-    ``node``, with the name of the innermost function around the call."""
+def scoped_nodes(node, scope=None):
+    """``(function, child)`` per node under ``node``, with the name of the
+    innermost function around the child (None at module level)."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__":
-            yield scope, ast.unparse(child.args[0])
-        inner = child.name if isinstance(child, ast.FunctionDef) else scope
-        yield from in_place_builds(child, inner)
+        yield scope, child
+        yield from scoped_nodes(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def in_place_builds(node):
+    """``(function, class)`` per ``object.__new__(class)`` call under ``node``."""
+    return (
+        (scope, ast.unparse(child.args[0]))
+        for scope, child in scoped_nodes(node)
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__"
+    )
 
 
 def test_one_function_builds_single_photon_states_in_place():
@@ -163,21 +170,19 @@ def test_one_function_builds_single_photon_states_in_place():
     assert builds == [("measurement.py", "_silent_state")]
 
 
-def class_switches(node, scope=None):
-    """The name of the innermost function around each store to a
-    ``__class__`` attribute under ``node``, plain or through a ``setattr``."""
-    for child in ast.iter_child_nodes(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and child.attr == "__class__"
-            and isinstance(child.ctx, ast.Store)
-            or isinstance(child, ast.Call)
-            and ast.unparse(child.func).split(".")[-1] in ("setattr", "__setattr__")
-            and any(isinstance(arg, ast.Constant) and arg.value == "__class__" for arg in child.args)
-        ):
-            yield scope
-        inner = child.name if isinstance(child, ast.FunctionDef) else scope
-        yield from class_switches(child, inner)
+def class_switches(node):
+    """The function around each store to a ``__class__`` attribute under
+    ``node``, plain or through a ``setattr``."""
+    return (
+        scope
+        for scope, child in scoped_nodes(node)
+        if isinstance(child, ast.Attribute)
+        and child.attr == "__class__"
+        and isinstance(child.ctx, ast.Store)
+        or isinstance(child, ast.Call)
+        and ast.unparse(child.func).split(".")[-1] in ("setattr", "__setattr__")
+        and any(isinstance(arg, ast.Constant) and arg.value == "__class__" for arg in child.args)
+    )
 
 
 def test_finds_a_class_switch():
