@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .measurement import MeasurementOutcome, PartialMeasurementOp, _impossible, _silent_state
+from .measurement import (
+    MeasurementOutcome, PartialMeasurementOp, _impossible, _OpenOutcome, _silent_state
+)
 from .polarization import (
     _BRANCHES,
     _KETS,
@@ -141,26 +143,26 @@ def cascade_measure(
     p_click = (m / n) * mass
 
     u = rng.random()
-    outcome = object.__new__(MeasurementOutcome)  # filled in as ``_outcome`` does
-    fields = outcome.__dict__
+    outcome = _OpenOutcome()  # filled in as ``_outcome`` does
     if u < p_click:
         # u is uniform on [0, p_click); reuse it to pick the detector.
         which = min(int(u / p_click * m), m - 1)
-        fields["clicked"] = True
-        fields["probability"] = p_click
-        fields["post_state"] = _CLICK_PLUS if plus else _CLICK_MINUS
-        fields["detector"] = placement._ordered[which]
-        return outcome
-    fields["clicked"] = False
-    fields["probability"] = 1.0 - p_click
-    alpha = (n - m) / n
-    post = state
-    if alpha < 1.0:
-        survival = alpha * mass + abs(c_other) ** 2
-        if survival <= 0.0:
-            raise _impossible(alpha)
-        post = _silent_state(_X_KETS, plus, alpha, c_meas, c_other, survival)
-    fields["post_state"] = post
-    fields["detector"] = None
+        outcome.clicked = True
+        outcome.probability = p_click
+        outcome.post_state = _CLICK_PLUS if plus else _CLICK_MINUS
+        outcome.detector = placement._ordered[which]
+    else:
+        outcome.clicked = False
+        outcome.probability = 1.0 - p_click
+        alpha = (n - m) / n
+        post = state
+        if alpha < 1.0:
+            survival = alpha * mass + abs(c_other) ** 2
+            if survival <= 0.0:
+                raise _impossible(alpha)
+            post = _silent_state(_X_KETS, plus, alpha, c_meas, c_other, survival)
+        outcome.post_state = post
+        outcome.detector = None
+    outcome.__class__ = MeasurementOutcome
     return outcome
 

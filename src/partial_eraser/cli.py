@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -175,7 +176,12 @@ def cmd_run(args) -> int:
     stats = run_experiment(config, log_path)
     z = estimate_vs_analytic(stats) if stats.surviving > 0 else math.nan
     columns = [field.name for field in fields(stats)]
-    write_csv(args.output, columns + ["z_score"], [[getattr(stats, c) for c in columns] + [z]])
+    try:
+        write_csv(args.output, columns + ["z_score"], [[getattr(stats, c) for c in columns] + [z]])
+    except OSError:
+        if log_path is not None:  # a run that exits 4 leaves no trial log behind
+            os.remove(log_path)
+        raise
     print(
         f"agreement={stats.agreement_rate:.4f} ± {stats.std_error:.4f} "
         f"predicted={stats.analytic_prediction:.4f} z={z:.1f}"

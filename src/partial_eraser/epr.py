@@ -58,6 +58,7 @@ from .polarization import (
     _check_member,
     _check_unit,
     _fraction,
+    _twin,
 )
 
 
@@ -70,7 +71,7 @@ _PHOTON_A = Photon.A  # as ``polarization._PLUS``
 _PHOTONS = tuple(Photon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairState:
     """Two-photon amplitudes over (up up, right right, up right, right up)
     with unit norm."""
@@ -116,14 +117,15 @@ def _unit_amplitudes(amps, norm2: float):
     return uu, rr, ur, ru
 
 
+_OpenPair = _twin(PairState)
+
+
 def _unit_pair(amps, norm2: float) -> PairState:
-    """The pair of ``_unit_amplitudes(amps, norm2)``, built without
-    ``__init__``: the amplitudes are already complex and checked."""
-    pair = object.__new__(PairState)
-    fields = pair.__dict__
-    fields["amp_uu"], fields["amp_rr"], fields["amp_ur"], fields["amp_ru"] = _unit_amplitudes(
-        amps, norm2
-    )
+    """The pair of ``_unit_amplitudes(amps, norm2)``, filled into ``_OpenPair``
+    past ``__init__``: the amplitudes are already complex and checked."""
+    pair = _OpenPair()
+    pair.amp_uu, pair.amp_rr, pair.amp_ur, pair.amp_ru = _unit_amplitudes(amps, norm2)
+    pair.__class__ = PairState
     return pair
 
 
@@ -263,12 +265,10 @@ def sample_partial_pair(
     silent, survival = _silence(amps, photon, terms, alpha)
     p_click = _click(amps, photon, terms, alpha, survival)
     if rng.random() < p_click:
-        return _outcome(True, p_click, collapse_pair(pair, photon, op), None)
-    if alpha == 1.0:  # ``op.is_identity``, without the property call
-        post = pair
-    else:  # p_click < 1 here, so the survival is positive
-        post = _unit_pair(silent, survival)
-    return _outcome(False, 1.0 - p_click, post, None)
+        return _outcome(True, p_click, collapse_pair(pair, photon, op))
+    # alpha 1 is ``op.is_identity``; else p_click < 1 here, so the survival is positive
+    post = pair if alpha == 1.0 else _unit_pair(silent, survival)
+    return _outcome(False, 1.0 - p_click, post)
 
 
 def epr_decompose(pair: PairState) -> EprDecomposition:

@@ -42,6 +42,7 @@ from .polarization import (
     PolarizationState,
     _check_member,
     _fraction,
+    _twin,
     components_in,
 )
 
@@ -77,7 +78,7 @@ class PartialMeasurementOp:
         return self.alpha == 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementOutcome:
     """One realized measurement event.
 
@@ -94,16 +95,17 @@ class MeasurementOutcome:
     detector: int | None = None
 
 
-def _outcome(
-    clicked: bool, probability: float, post_state, detector: int | None
-) -> MeasurementOutcome:
-    """The constructor's outcome, built without ``__init__`` for the sampling hot paths."""
-    outcome = object.__new__(MeasurementOutcome)
-    fields = outcome.__dict__
-    fields["clicked"] = clicked
-    fields["probability"] = probability
-    fields["post_state"] = post_state
-    fields["detector"] = detector
+_OpenState, _OpenOutcome = _twin(PolarizationState), _twin(MeasurementOutcome)
+
+
+def _outcome(clicked: bool, probability: float, post_state) -> MeasurementOutcome:
+    """The constructor's outcome with no detector, built past ``__init__`` for the hot paths."""
+    outcome = _OpenOutcome()
+    outcome.clicked = clicked
+    outcome.probability = probability
+    outcome.post_state = post_state
+    outcome.detector = None
+    outcome.__class__ = MeasurementOutcome
     return outcome
 
 
@@ -136,8 +138,8 @@ def _silent_state(
     """The one no-click state of a single photon, for a positive survival:
     the measured component (``plus`` names its branch) scaled by
     sqrt(alpha), both renormalized and recombined through the axis ``kets``
-    (a ``_KETS`` entry), then normalized and built in place, past
-    ``__init__``: a positive survival leaves no zero vector."""
+    (a ``_KETS`` entry), then normalized and filled into ``_OpenState``,
+    past ``__init__``: a positive survival leaves no zero vector."""
     root = math.sqrt(survival)
     c_meas = c_meas * (math.sqrt(alpha) / root)
     c_other = c_other / root
@@ -146,10 +148,10 @@ def _silent_state(
     up = c_plus * p_up + c_minus * m_up
     right = c_plus * p_right + c_minus * m_right
     norm = math.sqrt(abs(up) ** 2 + abs(right) ** 2)
-    state = object.__new__(PolarizationState)
-    fields = state.__dict__
-    fields["amp_up"] = up / norm
-    fields["amp_right"] = right / norm
+    state = _OpenState()
+    state.amp_up = up / norm
+    state.amp_right = right / norm
+    state.__class__ = PolarizationState
     return state
 
 

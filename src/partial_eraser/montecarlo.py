@@ -50,6 +50,7 @@ from .polarization import (
     Branch,
     _check_integer,
     _check_member,
+    _twin,
     basis_state,
     components_in,
 )
@@ -599,11 +600,7 @@ class EventLeaf:
     agreement: bool | None
 
 
-class _OpenLeaf:
-    """``EventLeaf``'s slots with no frozen ``__setattr__``: a leaf is
-    filled by plain slot stores here, then its class becomes ``EventLeaf``."""
-
-    __slots__ = EventLeaf.__slots__
+_OpenLeaf = _twin(EventLeaf)
 
 
 def _leaf(path: tuple, probability: float, clicked: bool, agreement) -> EventLeaf:

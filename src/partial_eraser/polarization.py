@@ -136,7 +136,12 @@ def _check_unit(norm2: float, amplitudes: str = "amplitudes") -> None:
         raise DomainError(f"{amplitudes} must have unit norm, got |psi|^2 = {norm2!r}")
 
 
-@dataclass(frozen=True)
+def _twin(record: type) -> type:
+    """``record``'s slots with no frozen ``__setattr__``: fill one, then set its ``__class__``."""
+    return type(f"_Open{record.__name__}", (), {"__slots__": record.__slots__})
+
+
+@dataclass(frozen=True, slots=True)
 class PolarizationState:
     """Pure single-photon polarization state.
 

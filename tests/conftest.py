@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -102,6 +104,27 @@ def outcome_text(outcome) -> str:
         f"{outcome.clicked} {outcome.probability!r} {amplitudes(outcome.post_state)!r}"
         f" {outcome.detector}"
     )
+
+
+def assert_twin_built(record, cls, twin):
+    """``record``, filled into ``twin`` and switched to ``cls`` past
+    ``__init__``, is the record that ``cls``'s constructor builds from the
+    same fields: its type, ``==``, ``hash``, ``repr``, pickle bytes, pickle
+    round trip, frozen fields and size.  ``twin`` has ``cls``'s slots, and
+    neither has a ``__dict__`` or a ``__weakref__``."""
+    assert twin is not cls and twin.__slots__ == cls.__slots__
+    for layout in (cls, twin):
+        assert "__dict__" not in dir(layout) and "__weakref__" not in dir(layout)
+    fields = dataclasses.fields(cls)
+    built = cls(*(getattr(record, field.name) for field in fields))
+    assert type(record) is cls and sys.getsizeof(record) == sys.getsizeof(built)
+    assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+    assert pickle.dumps(record) == pickle.dumps(built)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and repr(copy) == repr(record)
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, None)
 
 
 @st.composite

@@ -477,6 +477,19 @@ class TestRun:
             ["run", str(config), "--output", str(tmp_path / "no" / "dir" / "s.csv")]
         ) == 4
 
+    def test_unwritable_output_leaves_no_trial_log(self, tmp_path, capsys):
+        """The trial log streams to its file during the run and ``--output``
+        is written after it; where ``--output`` cannot be written, the run
+        exits 4 with one error line and leaves no trial log behind."""
+        config = write_config(tmp_path, EPR_HALF)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["run", str(config), "--output", str(out), "--trials", "100", "--log-trials"]
+        assert main(argv) == 4
+        assert_one_line_error(capsys, "Is a directory")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [config.name, "out"]
+        assert list(out.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path, EPR_HALF)
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"

@@ -4,8 +4,9 @@ Every module of the package uses each name it imports: a refactor that
 moves a helper between modules easily leaves the old import behind
 (``__init__`` is left out: it imports names to export them).  Every
 module-level private name is read somewhere, no module imports a private
-name of the runner, one function builds single-photon states in place, and
-only the event-tree leaf builders switch an object's class.
+name of the runner, no package class is built through ``object.__new__``,
+one function builds single-photon states in place, and only the record
+builders switch an object's class, each to the class of the twin it fills.
 """
 
 import ast
@@ -149,18 +150,92 @@ def scoped_nodes(node, scope=None):
         yield from scoped_nodes(child, child.name if isinstance(child, ast.FunctionDef) else scope)
 
 
-def in_place_builds(node):
-    """``(function, class)`` per ``object.__new__(class)`` call under ``node``."""
-    return (
-        (scope, ast.unparse(child.args[0]))
-        for scope, child in scoped_nodes(node)
-        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__"
+def assigned(target, value):
+    """``(target, value)`` per part that ``target = value`` binds, paired
+    through tuples of equal length."""
+    if (
+        isinstance(target, ast.Tuple)
+        and isinstance(value, ast.Tuple)
+        and len(target.elts) == len(value.elts)
+    ):
+        for part, part_value in zip(target.elts, value.elts):
+            yield from assigned(part, part_value)
+    else:
+        yield target, value
+
+
+def twins(source: str) -> dict[str, str]:
+    """The record class of each twin that ``source`` binds at module level,
+    by the twin's name: ``_OpenX = _twin(X)``, also in a tuple assignment."""
+    return {
+        target.id: ast.unparse(value.args[0])
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for whole in node.targets
+        for target, value in assigned(whole, node.value)
+        if isinstance(target, ast.Name)
+        and isinstance(value, ast.Call)
+        and ast.unparse(value.func) == "_twin"
+    }
+
+
+# The twin of every record, by name, across the package.
+TWINS = {name: cls for path in MODULES for name, cls in twins(path.read_text()).items()}
+
+
+def in_place_builds(node, records=TWINS):
+    """``(function, class)`` per object built past ``__init__`` under
+    ``node``: ``object.__new__(class)``, or a call of a twin of ``class``."""
+    for scope, child in scoped_nodes(node):
+        if isinstance(child, ast.Call):
+            func = ast.unparse(child.func)
+            if func == "object.__new__":
+                yield scope, ast.unparse(child.args[0])
+            elif func in records:
+                yield scope, records[func]
+
+
+def test_finds_an_in_place_build():
+    source = (
+        "_OpenA, _OpenB = _twin(A), _twin(B)\n"
+        "x = object.__new__(A)\n"
+        "def f():\n"
+        "    _OpenB()\n"
+        "    def g():\n"
+        "        object.__new__(C)\n"
+        "    _twin(D)\n"
     )
+    found = twins(source)
+    assert found == {"_OpenA": "A", "_OpenB": "B"}
+    assert list(in_place_builds(ast.parse(source), found)) == [
+        (None, "A"), ("f", "B"), ("g", "C")
+    ]
+
+
+def test_no_package_class_is_built_through_object_new():
+    """A record is built past ``__init__`` only by filling its twin: no
+    ``object.__new__`` of a class the package defines is left."""
+    classes = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    builds = [
+        (path.name, scope, built)
+        for path in MODULES
+        for scope, child in scoped_nodes(ast.parse(path.read_text()))
+        if isinstance(child, ast.Call)
+        and ast.unparse(child.func) == "object.__new__"
+        and (built := ast.unparse(child.args[0])) in classes
+    ]
+    assert builds == []
 
 
 def test_one_function_builds_single_photon_states_in_place():
     """``measurement._silent_state`` is the one builder of a single
-    photon's state past ``__init__``: its checks run everywhere else."""
+    photon's state past ``__init__``, through its twin: its checks run
+    everywhere else."""
     builds = [
         (path.name, scope)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -171,18 +246,31 @@ def test_one_function_builds_single_photon_states_in_place():
 
 
 def class_switches(node):
-    """The function around each store to a ``__class__`` attribute under
-    ``node``, plain or through a ``setattr``."""
-    return (
-        scope
-        for scope, child in scoped_nodes(node)
-        if isinstance(child, ast.Attribute)
-        and child.attr == "__class__"
-        and isinstance(child.ctx, ast.Store)
-        or isinstance(child, ast.Call)
-        and ast.unparse(child.func).split(".")[-1] in ("setattr", "__setattr__")
-        and any(isinstance(arg, ast.Constant) and arg.value == "__class__" for arg in child.args)
-    )
+    """``(function, class)`` per store to a ``__class__`` attribute under
+    ``node``, plain or through a ``setattr``, with the function around it;
+    the class is None where the stored value cannot be read off the code."""
+    values = {
+        id(target): ast.unparse(value)
+        for child in ast.walk(node)
+        if isinstance(child, ast.Assign)
+        for whole in child.targets
+        for target, value in assigned(whole, child.value)
+    }
+    for scope, child in scoped_nodes(node):
+        if (
+            isinstance(child, ast.Attribute)
+            and child.attr == "__class__"
+            and isinstance(child.ctx, ast.Store)
+        ):
+            yield scope, values.get(id(child))
+        elif isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] in (
+            "setattr",
+            "__setattr__",
+        ):
+            args = [ast.unparse(arg) for arg in child.args]
+            if "'__class__'" in args:
+                rest = args[args.index("'__class__'") + 1 :]
+                yield scope, rest[0] if rest else None
 
 
 def test_finds_a_class_switch():
@@ -196,19 +284,45 @@ def test_finds_a_class_switch():
         "    setattr(x, '__class__', C)\n"
         "def h(x):\n"
         "    x.__class__, y = A, 1\n"
+        "    x.__class__, y = f()\n"
     )
-    assert list(class_switches(ast.parse(source))) == [None, "g", "f", "h"]
+    assert list(class_switches(ast.parse(source))) == [
+        (None, "A"), ("g", "B"), ("f", "C"), ("h", "A"), ("h", None)
+    ]
+
+
+def by_function(pairs) -> dict:
+    """``{(module, function): {class, ...}}`` of ``(module, function, class)`` triples."""
+    found: dict = {}
+    for module, scope, cls in pairs:
+        found.setdefault((module, scope), set()).add(cls)
+    return found
 
 
 def test_only_the_leaf_builders_switch_a_class():
-    """``montecarlo._leaf`` and ``_click_leaves`` fill an ``_OpenLeaf`` and
-    switch it to ``EventLeaf``; no other function sets a ``__class__``."""
-    switches = {
-        (path.name, scope)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope in class_switches(ast.parse(path.read_text()))
+    """Each record builder fills the twin of one record class and switches
+    it to that class: the event-tree leaves in ``montecarlo``, the
+    single-photon states and outcomes in ``measurement`` and ``cascade``,
+    and the pairs in ``epr``.  No other function sets a ``__class__``."""
+    switches = by_function(
+        (path.name, scope, cls)
+        for path in MODULES
+        for scope, cls in class_switches(ast.parse(path.read_text()))
+    )
+    assert switches == {
+        ("montecarlo.py", "_leaf"): {"EventLeaf"},
+        ("montecarlo.py", "_click_leaves"): {"EventLeaf"},
+        ("measurement.py", "_outcome"): {"MeasurementOutcome"},
+        ("measurement.py", "_silent_state"): {"PolarizationState"},
+        ("cascade.py", "cascade_measure"): {"MeasurementOutcome"},
+        ("epr.py", "_unit_pair"): {"PairState"},
     }
-    assert switches == {("montecarlo.py", "_leaf"), ("montecarlo.py", "_click_leaves")}
+    builds = by_function(
+        (path.name, scope, cls)
+        for path in MODULES
+        for scope, cls in in_place_builds(ast.parse(path.read_text()))
+    )
+    assert builds == switches
 
 
 def number_type_imports(source: str) -> list[str]:

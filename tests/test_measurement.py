@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,13 +15,16 @@ from partial_eraser import (
     DetectorPlacement,
     DomainError,
     ExperimentConfig,
+    IntensityQuadruple,
     MeasurementOutcome,
     MeasureStep,
+    PairState,
     PartialMeasurementOp,
     Photon,
     PolarizationState,
     Preparation,
     ZeroSurvival,
+    apply_quadruple,
     apply_sequence,
     basis_state,
     basis_vector,
@@ -32,6 +37,7 @@ from partial_eraser import (
     no_click_map,
     sample_partial_pair,
 )
+from partial_eraser import epr, measurement
 from partial_eraser.measurement import TrackingMode, _step, no_click_sequence_probability
 from partial_eraser.montecarlo import count_trials
 from partial_eraser.polarization import NORM_TOL
@@ -41,12 +47,14 @@ from conftest import (
     alphas_positive,
     amplitude_distance,
     amplitude_text,
+    assert_twin_built,
     axes,
     balanced_states,
     branches,
     polarization_states,
     signed_part_states,
     tiny_part_states,
+    unit_pairs,
     unit_states,
 )
 
@@ -416,10 +424,13 @@ class TestOutcomeContract:
             assert repr(outcome) == repr(built)
             assert hash(outcome) == hash(built)
             assert type(outcome.clicked) is bool
-            # the same fields, in the same order, of the outcome and its state
-            assert list(vars(outcome).items()) == list(vars(built).items())
+            # the same fields, in the same order, with the same values (signed
+            # zeros too), of the outcome and its state
             state = outcome.post_state
-            assert list(vars(state).items()) == list(vars(type(state)(**vars(state))).items())
+            rebuilt = type(state)(*(getattr(state, f.name) for f in dataclasses.fields(state)))
+            for record, expected in ((outcome, built), (state, rebuilt)):
+                assert pickle.dumps(record) == pickle.dumps(expected)
+                assert record.__getstate__() == expected.__getstate__()
             state_type = type(outcome.post_state).__name__
             kinds.add((state_type, outcome.clicked, outcome.detector is None))
         assert kinds == {
@@ -428,6 +439,59 @@ class TestOutcomeContract:
             ("PairState", True, True),
             ("PairState", False, True),
         }
+
+
+class TestTwinBuiltRecords:
+    """Every record built past ``__init__`` is filled into its twin and
+    switched to its class; each must be the record that the constructor
+    builds from the same fields (``conftest.assert_twin_built``)."""
+
+    def test_silent_states(self):
+        """``_silent_state``'s states, through ``no_click_map`` and ``_step``
+        on tiny, signed-zero and random states, every axis and branch."""
+        gen = np.random.default_rng(3401)
+        states = [*tiny_part_states(), *signed_part_states(), *unit_states(gen, 40)]
+        built = 0
+        for state in states:
+            for axis in Axis:
+                for branch in Branch:
+                    the_op = op(axis, branch, 0.3)
+                    post = _step(state, None, the_op)[1]
+                    if post is not None:
+                        assert_twin_built(post, PolarizationState, measurement._OpenState)
+                        assert no_click_map(the_op, state) == post
+                        built += 1
+        assert built > 3000
+
+    def test_outcomes_and_their_states(self):
+        """Outcomes from ``cascade_measure`` (clicks and silences),
+        ``sample_partial_pair`` and ``_outcome``, with their post-states."""
+        outcomes = [*sampled_outcomes(), measurement._outcome(False, 0.25, DIAG)]
+        for outcome in outcomes:
+            assert_twin_built(outcome, MeasurementOutcome, measurement._OpenOutcome)
+            state = outcome.post_state
+            if type(state) is PairState:
+                assert_twin_built(state, PairState, epr._OpenPair)
+            elif state not in (DIAG, UP, RIGHT):  # silent, or a click's basis state
+                assert_twin_built(state, PolarizationState, measurement._OpenState)
+        assert len(outcomes) == 163
+
+    def test_pairs(self):
+        """Pairs from ``_pair_step`` on random pairs, every photon, axis and
+        branch, and from ``apply_quadruple`` on random quadruples."""
+        gen = np.random.default_rng(3402)
+        pairs = []
+        for pair in unit_pairs(gen, 30):
+            for photon in Photon:
+                for axis in Axis:
+                    for branch in Branch:
+                        pairs.append(epr._pair_step(pair, photon, op(axis, branch, 0.4))[1])
+        for _ in range(60):
+            quad = IntensityQuadruple(*(0.05 + 0.95 * gen.random() for _ in range(4)))
+            pairs.append(apply_quadruple(make_epr(), quad))
+        for pair in pairs:
+            assert_twin_built(pair, PairState, epr._OpenPair)
+        assert len(pairs) == 420
 
 
 # Unmeasured fractions from none to the smallest subnormal and to just below 1.

@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import re
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -63,7 +62,7 @@ from partial_eraser.montecarlo import (
     trial_uniforms,
 )
 
-from conftest import alphas, axes, branches, quadruples
+from conftest import alphas, assert_twin_built, axes, branches, quadruples
 
 
 def measure(photon, axis, branch, alpha):
@@ -1218,16 +1217,8 @@ class TestClickLabels:
 
 def assert_constructed(leaf):
     """``leaf`` is the leaf the constructor makes of its fields, as large,
-    frozen and picklable."""
-    fields = dataclasses.fields(EventLeaf)
-    built = EventLeaf(*(getattr(leaf, field.name) for field in fields))
-    assert type(leaf) is EventLeaf and sys.getsizeof(leaf) == sys.getsizeof(built)
-    assert leaf == built and hash(leaf) == hash(built) and repr(leaf) == repr(built)
-    copy = pickle.loads(pickle.dumps(leaf))
-    assert type(copy) is EventLeaf and copy == leaf and repr(copy) == repr(leaf)
-    for field in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(leaf, field.name, None)
+    frozen and picklable, filled through ``_OpenLeaf``."""
+    assert_twin_built(leaf, EventLeaf, montecarlo._OpenLeaf)
 
 
 class TestOpenLeaf:
