@@ -224,10 +224,8 @@ def test_no_package_class_is_built_through_object_new():
     builds = [
         (path.name, scope, built)
         for path in MODULES
-        for scope, child in scoped_nodes(ast.parse(path.read_text()))
-        if isinstance(child, ast.Call)
-        and ast.unparse(child.func) == "object.__new__"
-        and (built := ast.unparse(child.args[0])) in classes
+        for scope, built in in_place_builds(ast.parse(path.read_text()), records={})
+        if built in classes
     ]
     assert builds == []
 
